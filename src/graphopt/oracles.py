@@ -19,6 +19,9 @@ from .problems import Fitness
 
 BRUTE_FORCE_LIMIT = 10 ** 6
 _EPS = 1e-12
+# unshipped supply, relative to the total, left to float rounding when no
+# augmenting path remains; more than this means the sinks are cut off
+_UNSHIPPED_RTOL = 1e-9
 
 
 class OracleTooLarge(ValueError):
@@ -186,7 +189,9 @@ def solve_transportation(instance: TransportationInstance):
                     prev_edge[v] = e
                     heapq.heappush(heap, (nd, v))
         if dist[sink] == inf:
-            raise InfeasibleTransport("no augmenting path to the sinks")
+            if total_supply - shipped > _UNSHIPPED_RTOL * total_supply:
+                raise InfeasibleTransport("no augmenting path to the sinks")
+            break
         for v in range(n_nodes):
             if dist[v] < inf:
                 potential[v] += dist[v]

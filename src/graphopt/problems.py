@@ -1,26 +1,24 @@
 """Problem abstraction: decision spaces, fitness, and graph bindings.
 
 A problem binds a decision space to a fitness function in one of two
-ways.  Pattern A substitutes the decoded decision vector into query
-templates and executes them per evaluation, memoizing on a 64-bit hash
-of the quantized vector.  Pattern B runs its queries once at startup,
-keeps the resulting per-candidate arrays, and evaluates as a pure
-function over them.
+ways.  Pattern A substitutes the decoded selection into query templates
+and executes them per evaluation.  Pattern B runs its queries once at
+startup, keeps the resulting per-candidate arrays, and evaluates as a
+pure function over them.  Both memoize on the same exact key, the
+sorted tuple of decoded indices (``subset_key``), and both report
+missing properties per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .graph import PropertyGraph
 from .querylang import ExecutionError, Query, QueryTemplate, execute, substitute
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
 SELECTION_EPS = 1e-6
 
@@ -37,9 +35,9 @@ class MaterializationError(ValueError):
 class DecisionSpace:
     """Box-bounded decision space, optionally a k-of-N selection.
 
-    kind is one of 'continuous', 'integer', 'selection'.  For selection
-    spaces dim equals k and every coordinate ranges over [0, N - eps) so
-    flooring yields an index in [0, N-1].
+    kind is 'continuous' or 'selection'.  For selection spaces dim
+    equals k and every coordinate ranges over [0, N - eps) so flooring
+    yields an index in [0, N-1].
     """
 
     kind: str
@@ -53,7 +51,7 @@ class DecisionSpace:
         upper = np.asarray(self.upper, dtype=np.float64)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if self.kind not in ("continuous", "integer", "selection"):
+        if self.kind not in ("continuous", "selection"):
             raise ValueError(f"unknown space kind {self.kind!r}")
         if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
             raise ValueError("bounds must be equal-length 1-D arrays")
@@ -66,21 +64,11 @@ class DecisionSpace:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 def continuous_space(lower, upper) -> DecisionSpace:
     lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
     upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
     return DecisionSpace(kind="continuous", lower=lower, upper=upper)
-
-
-def integer_space(lower, upper) -> DecisionSpace:
-    lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
-    upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
-    return DecisionSpace(kind="integer", lower=lower, upper=upper)
 
 
 def selection_space(k: int, n_candidates: int) -> DecisionSpace:
@@ -93,14 +81,6 @@ def selection_space(k: int, n_candidates: int) -> DecisionSpace:
     upper = np.full(k, float(n_candidates) - SELECTION_EPS)
     return DecisionSpace(kind="selection", lower=lower, upper=upper,
                          k=k, n_candidates=n_candidates)
-
-
-def default_resolution(space: DecisionSpace):
-    """Memo quantization grid: 2^32 cells per continuous dimension, unit
-    cells for integer and selection dimensions."""
-    if space.kind == "continuous":
-        return (space.upper - space.lower) / float(2 ** 32)
-    return 1.0
 
 
 def decode_selection(x, space: DecisionSpace) -> list[int]:
@@ -131,45 +111,10 @@ def decode_selection(x, space: DecisionSpace) -> list[int]:
     return chosen
 
 
-# ---------------------------------------------------------------------------
-# memo keys
-# ---------------------------------------------------------------------------
-
-def _fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _MASK64
-    return h
-
-
-def memo_key(x, resolution) -> int:
-    """64-bit FNV-1a hash of the quantized decision vector.
-
-    Quantization maps each coordinate to round(x_j / resolution) as a
-    signed 64-bit integer; the hash runs over the little-endian bytes of
-    that integer sequence.
-    """
-    q = np.rint(np.asarray(x, dtype=np.float64) / resolution).astype("<i8")
-    return _fnv1a64(q.tobytes())
-
-
-def memo_keys_batch(q: np.ndarray) -> np.ndarray:
-    """Vectorized FNV-1a over rows of an int64 matrix (one key per row)."""
-    raw = np.ascontiguousarray(q.astype("<i8")).view(np.uint8)
-    raw = raw.reshape(q.shape[0], q.shape[1] * 8)
-    h = np.full(q.shape[0], FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(FNV_PRIME)
-    for col in range(raw.shape[1]):
-        h ^= raw[:, col].astype(np.uint64)
-        h *= prime
-    return h
-
-
-def selection_memo_key(indices: Sequence[int]) -> int:
-    # canonical form: sorted index set, so permutations of the same
-    # selection share one memo entry
-    q = np.sort(np.asarray(indices, dtype="<i8"))
-    return _fnv1a64(q.tobytes())
+def subset_key(indices: Sequence[int]) -> tuple:
+    """Exact memo key of a decoded selection: its sorted indices, so
+    permutations of one subset share a memo entry."""
+    return tuple(sorted(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +204,11 @@ class PatternABinding:
     """Evaluates fitness by substituting the decoded selection into
     query templates and executing them against the graph per call.
 
-    A 64-bit hash of the canonical quantized vector keys the memo
-    table, so a selection already scored never touches the graph again.
+    The memo is keyed exactly on the sorted decoded indices
+    (``subset_key``), so a subset already scored never touches the
+    graph again.  ``missing_counts`` holds, per term, the missing
+    property lookups of one execution of its template over every
+    candidate: the per-node count Pattern B's materialization gives.
     """
 
     graph: PropertyGraph
@@ -269,34 +217,44 @@ class PatternABinding:
     objective_terms: list[QueryTerm]
     constraint_terms: list[QueryTerm] = field(default_factory=list)
     selection_param: str = "selected"
-    resolution: float = 1.0
     memoize: bool = True
 
-    evaluations: int = 0
-    memo_hits: int = 0
-    query_executions: int = 0
+    evaluations: int = field(init=False, default=0)
+    memo_hits: int = field(init=False, default=0)
+    query_executions: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self._memo: dict[int, Fitness] = {}
-        self.missing_counts: dict[str, int] = {}
-        if self.space.kind == "selection" and len(self.candidates) != self.space.n_candidates:
+        if self.space.kind != "selection":
+            raise ValueError("Pattern A needs a selection space")
+        if len(self.candidates) != self.space.n_candidates:
             raise ValueError("candidate list does not match the selection space")
+        self._memo: dict[tuple, Fitness] = {}
 
-    def _key(self, x) -> int:
-        if self.space.kind == "selection":
-            return selection_memo_key(decode_selection(x, self.space))
-        return memo_key(x, self.resolution)
+    @property
+    def _terms(self) -> list[QueryTerm]:
+        return [*self.objective_terms, *self.constraint_terms]
 
-    def _run(self, term: QueryTerm, selected_ids: list[int]):
+    @property
+    def term_sources(self) -> dict[str, tuple]:
+        return {term.name: (term.name,) for term in self._terms}
+
+    @cached_property
+    def missing_counts(self) -> dict[str, int]:
+        return {term.name:
+                self._execute(term, self.candidates).missing_property_count
+                for term in self._terms}
+
+    def _execute(self, term: QueryTerm, selected_ids: list[int]):
         query = substitute(term.template, scalars=term.scalars,
                            lists={self.selection_param: selected_ids})
         try:
-            table = execute(self.graph, query)
+            return execute(self.graph, query)
         except ExecutionError as err:
             raise ExecutionError(f"term {term.name!r}: {err}") from err
+
+    def _run(self, term: QueryTerm, selected_ids: list[int]):
+        table = self._execute(term, selected_ids)
         self.query_executions += 1
-        self.missing_counts[term.name] = (
-            self.missing_counts.get(term.name, 0) + table.missing_property_count)
         value = table.scalar()
         if value is None or isinstance(value, (list, str)):
             raise ExecutionError(
@@ -305,14 +263,14 @@ class PatternABinding:
 
     def evaluate(self, x) -> Fitness:
         self.evaluations += 1
-        key = self._key(x)
+        indices = decode_selection(x, self.space)
         if self.memoize:
+            key = subset_key(indices)
             cached = self._memo.get(key)
             if cached is not None:
                 self.memo_hits += 1
                 return cached
 
-        indices = decode_selection(x, self.space)
         selected_ids = [self.candidates[i] for i in indices]
         objective = {}
         for term in self.objective_terms:
@@ -326,12 +284,6 @@ class PatternABinding:
         if self.memoize:
             self._memo[key] = fitness
         return fitness
-
-
-def evaluate_pattern_a(binding: PatternABinding, graph: PropertyGraph, x) -> Fitness:
-    if graph is not binding.graph:
-        raise ValueError("binding was constructed against a different graph")
-    return binding.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +330,8 @@ class PatternBBinding:
     the binding assembles the penalty-weighted total.  Arrays never
     change after construction and evaluation performs no queries.
 
-    ``memoize`` caches fitness per decoded subset.  Only valid on
+    ``memoize`` caches fitness per decoded subset (``subset_key``), the
+    memo Pattern A keeps too.  Only valid on
     selection spaces whose fitness depends on the subset alone; it
     never changes results, it just skips recomputing a seen subset.
     """
@@ -397,8 +350,10 @@ class PatternBBinding:
     # those subsets, bit for bit; the brute-force oracle uses it
     subset_totals: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    evaluations: int = 0
-    memo_hits: int = 0
+    evaluations: int = field(init=False, default=0)
+    memo_hits: int = field(init=False, default=0)
+    # evaluation performs no queries; kept for the shared binding protocol
+    query_executions: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.memoize and self.space.kind != "selection":
@@ -417,7 +372,7 @@ class PatternBBinding:
     def evaluate(self, x) -> Fitness:
         self.evaluations += 1
         if self.memoize:
-            key = tuple(sorted(decode_selection(x, self.space)))
+            key = subset_key(decode_selection(x, self.space))
             cached = self._memo.get(key)
             if cached is not None:
                 self.memo_hits += 1
@@ -428,10 +383,6 @@ class PatternBBinding:
             return fitness
         objective, violations = self.fitness_fn(x, self.arrays)
         return assemble_fitness(objective, violations, self.penalty_weights)
-
-
-def evaluate_pattern_b(binding: PatternBBinding, x) -> Fitness:
-    return binding.evaluate(x)
 
 
 @dataclass

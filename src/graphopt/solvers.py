@@ -91,22 +91,6 @@ class Population:
         # ties resolve to the lowest index (first occurrence)
         return int(np.argmin(self.totals))
 
-    @property
-    def worst_idx(self) -> int:
-        return int(np.argmax(self.totals))
-
-    @property
-    def best_x(self) -> np.ndarray:
-        return self.x[self.best_idx]
-
-    @property
-    def worst_x(self) -> np.ndarray:
-        return self.x[self.worst_idx]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.x.mean(axis=0)
-
 
 @dataclass
 class RunResult:

@@ -831,11 +831,7 @@ def fresh_binding(instance: Instance):
     Bench cells each own a binding (and its memo table) while the
     underlying graph and materialized arrays stay shared read-only.
     """
-    b = instance.binding
-    if isinstance(b, PatternABinding):
-        return dataclasses.replace(b, evaluations=0, memo_hits=0,
-                                   query_executions=0)
-    return dataclasses.replace(b, evaluations=0, memo_hits=0)
+    return dataclasses.replace(instance.binding)
 
 
 def inject_disruption(instance: Instance, dspec: DisruptionSpec) -> Instance:
@@ -890,8 +886,7 @@ def solve_oracle(instance: Instance) -> Optional[OracleResult]:
         # a fresh binding over this very instance (degraded data included)
         # keeps the bench binding's counters clean; the sweep visits each
         # subset once, so caching would only burn memory
-        binding = fresh_binding(instance)
-        binding.memoize = False
+        binding = dataclasses.replace(instance.binding, memoize=False)
         subset, fit = brute_force_selection(binding, instance.space)
         return OracleResult(kind, fit.total, instance.oracle_note, subset)
     if kind == "transportation":
@@ -963,12 +958,14 @@ def detect_degenerate_terms(instance: Instance, samples: int = 200,
         raise ValueError("need at least 2 samples")
     rng = SeededRng(seed, stream=2001)
     space = instance.space
+    # a fresh binding leaves the instance's counters and memo untouched
+    binding = fresh_binding(instance)
     span = space.upper - space.lower
     values: dict[str, list[float]] = {}
     kinds: dict[str, str] = {}
     for _ in range(samples):
         x = space.lower + span * np.array([rng.u01() for _ in range(space.dim)])
-        fit = instance.binding.evaluate(x)
+        fit = binding.evaluate(x)
         for name, v in fit.objective_terms.items():
             values.setdefault(name, []).append(float(v))
             kinds[name] = "objective"
@@ -976,7 +973,7 @@ def detect_degenerate_terms(instance: Instance, samples: int = 200,
             values.setdefault(name, []).append(float(v))
             kinds[name] = "violation"
 
-    missing = _term_missing_counts(instance)
+    missing = _term_missing_counts(binding)
     terms = []
     for name, series in values.items():
         arr = np.asarray(series)
@@ -990,11 +987,7 @@ def detect_degenerate_terms(instance: Instance, samples: int = 200,
                             terms=tuple(terms))
 
 
-def _term_missing_counts(instance: Instance) -> dict[str, int]:
-    binding = instance.binding
-    if isinstance(binding, PatternABinding):
-        return dict(binding.missing_counts)
-    sources = getattr(binding, "term_sources", {}) or {}
-    counts = getattr(binding, "missing_counts", {}) or {}
+def _term_missing_counts(binding) -> dict[str, int]:
+    counts = binding.missing_counts
     return {term: sum(counts.get(a, 0) for a in arrays)
-            for term, arrays in sources.items()}
+            for term, arrays in binding.term_sources.items()}

@@ -143,13 +143,6 @@ def wilcoxon_exact_by_convolution(diffs):
     return min(1.0, 2.0 * min(lo / size, hi / size))
 
 
-def fnv1a64(data):
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & MASK64
-    return h
-
-
 def xorshift64star_sequence(state, count):
     """Scalar xorshift64* outputs from a given nonzero state."""
     out = []

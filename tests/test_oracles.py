@@ -15,6 +15,7 @@ from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance,
 from graphopt.problems import (PatternBBinding, decode_selection,
                                selection_space)
 from graphopt.rng import SeededRng
+from graphopt.suite import generate, solve_oracle
 from tests.reference import transportation_by_enumeration
 
 
@@ -134,6 +135,22 @@ def test_transportation_flow_is_feasible():
         assert np.allclose(flow.sum(axis=1), supply, atol=1e-9)
         assert np.all(flow.sum(axis=0) <= np.array(capacity) + 1e-9)
         assert cost_val == pytest.approx(float((flow * inst.cost).sum()))
+
+
+@pytest.mark.parametrize("problem_id, scale, seed, lp_optimum", [
+    ("P3", "medium", 1183070358, 660447.8276739443),
+    ("P7", "small", 1706805751, 1537.744751812079),
+])
+def test_transportation_rounding_remainder_is_shipped(problem_id, scale, seed,
+                                                      lp_optimum):
+    """Float rounding leaves about 1e-12 of the supply with no augmenting
+    path on these feasible instances; the solver must still return the
+    optimum (the HiGHS LP value, hard-coded) instead of raising."""
+    inst = generate(problem_id, scale, seed)
+    oracle = solve_oracle(inst)
+    assert oracle.optimum == pytest.approx(lp_optimum, rel=1e-6)
+    supply = inst.params["data"]["demands" if problem_id == "P3" else "pop"]
+    assert np.allclose(oracle.solution.sum(axis=1), supply, rtol=1e-9, atol=0)
 
 
 def test_transportation_complete_integer_sweep():

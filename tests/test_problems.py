@@ -1,5 +1,5 @@
-"""Problem core: spaces, decode, memo keys, fitness assembly, and both
-binding patterns on hand-built graphs."""
+"""Problem core: spaces, decode, fitness assembly, and both binding
+patterns on hand-built graphs."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,9 @@ from graphopt.graph import PropertyGraph
 from graphopt.problems import (DecisionSpace, Fitness, PatternABinding,
                                PatternBBinding, QueryTerm, assemble_fitness,
                                continuous_space, decode_selection,
-                               default_resolution, memo_key, memo_keys_batch,
-                               materialize, selection_memo_key,
-                               selection_space)
+                               materialize, selection_space)
 from graphopt.querylang import parse_query, parse_template
 from graphopt.rng import SeededRng
-from tests.reference import fnv1a64
 
 
 # ---- decision spaces ----
@@ -68,57 +65,6 @@ def test_decode_always_k_distinct():
         got = decode_selection(x, space)
         assert len(set(got)) == 4
         assert all(0 <= i < 7 for i in got)
-
-
-# ---- memo keys ----
-
-def test_memo_key_is_fnv1a_of_quantized_le_bytes():
-    x = np.array([0.5, -1.25, 3.0])
-    resolution = 0.25
-    q = np.round(np.asarray(x) / resolution).astype(np.int64)
-    expected = fnv1a64(q.astype("<i8").tobytes())
-    assert memo_key(x, resolution) == expected
-
-
-def test_memo_key_stable_under_float_noise():
-    resolution = 1e-3
-    a = memo_key([0.1 + 1e-12, 0.2], resolution)
-    b = memo_key([0.1, 0.2 - 1e-13], resolution)
-    assert a == b
-
-
-def test_memo_keys_batch_matches_scalar():
-    rng = SeededRng(6)
-    q = np.array([[rng.integer(-100, 100) for _ in range(5)]
-                  for _ in range(40)], dtype=np.int64)
-    batch = memo_keys_batch(q)
-    for row, key in zip(q, batch):
-        assert int(key) == fnv1a64(row.astype("<i8").tobytes())
-
-
-def test_one_grid_step_changes_key_no_collisions():
-    """Vectors differing by exactly one grid step must get different keys.
-
-    10^6 random pairs, zero collisions observed.
-    """
-    rng = np.random.default_rng(0)  # independent of package rng on purpose
-    n = 1_000_000
-    base = rng.integers(-2**40, 2**40, size=(n, 4), dtype=np.int64)
-    bumped = base.copy()
-    cols = rng.integers(0, 4, size=n)
-    bumped[np.arange(n), cols] += 1
-    assert np.all(memo_keys_batch(base) != memo_keys_batch(bumped))
-
-
-def test_selection_memo_key_order_invariant():
-    assert selection_memo_key([3, 1, 2]) == selection_memo_key([1, 2, 3])
-    assert selection_memo_key([0, 1]) != selection_memo_key([0, 2])
-
-
-def test_default_resolution():
-    space = continuous_space([0.0], [1.0])
-    assert default_resolution(space) == pytest.approx(2.0 ** -32)
-    assert default_resolution(selection_space(2, 5)) == 1.0
 
 
 # ---- fitness assembly ----
@@ -227,6 +173,14 @@ def test_pattern_a_candidate_length_checked():
             objective_terms=[])
 
 
+def test_pattern_a_needs_selection_space():
+    g, drugs = drug_graph()
+    with pytest.raises(ValueError):
+        PatternABinding(
+            graph=g, space=continuous_space([0.0], [1.0]), candidates=drugs,
+            objective_terms=[])
+
+
 # ---- Pattern B ----
 
 def site_arrays():
@@ -275,12 +229,16 @@ def test_pattern_b_numpy_arrays_frozen():
         binding.arrays["v"][0] = 3.0
 
 
-def test_pattern_b_memo_equivalence_and_counters():
-    plain = site_binding(memoize=False)
-    memod = site_binding(memoize=True)
+@pytest.mark.parametrize("make_binding, n", [
+    (site_binding, 6),
+    (lambda memoize: coverage_binding(3, memoize=memoize), 10),
+], ids=["B", "A"])
+def test_pattern_b_memo_equivalence_and_counters(make_binding, n):
+    plain = make_binding(memoize=False)
+    memod = make_binding(memoize=True)
     rng = SeededRng(40)
     for _ in range(300):
-        x = np.array([rng.uniform(0.0, 6.0 - 1e-6) for _ in range(3)])
+        x = np.array([rng.uniform(0.0, n - 1e-6) for _ in range(3)])
         assert memod.evaluate(x).total == plain.evaluate(x).total
     assert memod.memo_hits > 0
     assert plain.memo_hits == 0

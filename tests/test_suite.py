@@ -156,14 +156,21 @@ def test_p5_demand_always_dispatchable():
         assert np.all(dispatch.demand <= dispatch.max_out.sum() + 1e-9)
 
 
-def test_fresh_binding_resets_counters():
-    inst = generate("P2", "small", 0)
-    inst.binding.evaluate(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
-    assert inst.binding.evaluations == 1
+@pytest.mark.parametrize("problem_id, shared", [("P1", "graph"), ("P2", "arrays")])
+def test_fresh_binding_resets_counters(problem_id, shared):
+    inst = generate(problem_id, "small", 0)
+    x = np.arange(float(inst.space.k))
+    inst.binding.evaluate(x)
+    inst.binding.evaluate(x)
+    assert inst.binding.evaluations == 2
+    assert inst.binding.memo_hits == 1
     fresh = fresh_binding(inst)
-    assert fresh.evaluations == 0
+    assert fresh.evaluations == fresh.memo_hits == fresh.query_executions == 0
     assert fresh is not inst.binding
-    assert fresh.arrays is inst.binding.arrays or fresh.arrays == inst.binding.arrays
+    ours, theirs = getattr(fresh, shared), getattr(inst.binding, shared)
+    assert ours is theirs or ours == theirs
+    fresh.evaluate(x)
+    assert fresh.memo_hits == 0  # the memo starts empty
 
 
 # ---- pattern A twin for P2 ----
@@ -377,6 +384,27 @@ def test_degeneracy_report_shape_two_samples():
             _mid_vector(inst)).objective_terms)
         assert {t.name for t in report.terms} >= term_names
         assert report.samples == 2
+
+
+@pytest.mark.parametrize("samples", [50, 200, 400])
+def test_pattern_a_missing_count_is_per_node(samples):
+    inst = generate("P1", "small", 0, drop_properties=("side_effect_count",))
+    report = detect_degenerate_terms(inst, samples=samples)
+    stats = {t.name: t.missing_property_count for t in report.terms}
+    assert stats == {"gene_coverage": 0, "side_effect_burden": 20}  # every drug
+    assert inst.binding.evaluations == inst.binding.query_executions == 0
+
+
+@pytest.mark.parametrize("dropped", ["trial_count", "who_region"])
+def test_pattern_a_twin_reports_pattern_b_missing_counts(dropped):
+    inst = generate("P2", "small", 0, drop_properties=(dropped,))
+    twin = dataclasses.replace(inst, binding=pattern_a_binding(inst))
+    counts = {t.name: t.missing_property_count
+              for t in detect_degenerate_terms(twin, samples=50).terms}
+    expected = {t.name: t.missing_property_count
+                for t in detect_degenerate_terms(inst, samples=50).terms}
+    assert counts == expected
+    assert sorted(counts.values()) == [0, 20]
 
 
 def test_degeneracy_requires_two_samples():
