@@ -5,8 +5,9 @@ ways.  Pattern A substitutes the decoded selection into query templates
 and executes them per evaluation.  Pattern B runs its queries once at
 startup, keeps the resulting per-candidate arrays, and evaluates as a
 pure function over them.  Both memoize on the same exact key, the
-sorted tuple of decoded indices (``subset_key``), and both report
-missing properties per node.
+sorted tuple of decoded indices (``subset_key``), both report missing
+properties per node, and both name the queries behind their terms in
+``provenance``.
 """
 
 from __future__ import annotations
@@ -238,6 +239,12 @@ class PatternABinding:
     def term_sources(self) -> dict[str, tuple]:
         return {term.name: (term.name,) for term in self._terms}
 
+    @property
+    def provenance(self) -> tuple:
+        """One ``"<term>: <template text>"`` line per term, as
+        ``materialize`` gives for Pattern B arrays."""
+        return tuple(f"{term.name}: {term.template.text}" for term in self._terms)
+
     @cached_property
     def missing_counts(self) -> dict[str, int]:
         return {term.name:
@@ -387,11 +394,16 @@ class PatternBBinding:
 
 @dataclass
 class CallableBinding:
-    """Plain function binding for tests and synthetic landscapes."""
+    """Plain function binding for tests and synthetic landscapes.
+
+    It keeps no memo and runs no queries; its counters follow the shared
+    binding protocol."""
 
     space: DecisionSpace
     fn: Callable[[np.ndarray], Fitness]
-    evaluations: int = 0
+    evaluations: int = field(init=False, default=0)
+    memo_hits: int = field(init=False, default=0)
+    query_executions: int = field(init=False, default=0)
 
     def evaluate(self, x) -> Fitness:
         self.evaluations += 1

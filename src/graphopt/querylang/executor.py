@@ -1,8 +1,13 @@
 """Query execution against a frozen PropertyGraph.
 
-Evaluation compiles the AST into nested closures over match rows, then
-streams rows in deterministic order: ascending source node id, then
-ascending edge id for two-element patterns.  A missing property makes
+Each template compiles once, on its first execution, into a ``Plan``:
+the match source, nested closures over match rows for WHERE and RETURN,
+and the column names.  The closures read bound values from a
+per-execution environment, so every query bound from the template runs
+the same plan.  Rows stream in deterministic order: ascending source
+node id, then ascending edge id for two-element patterns.  When the
+whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
+listed nodes instead of scanning the label.  A missing property makes
 the enclosing WHERE clause non-matching and contributes nothing to
 aggregates; each such lookup increments ``missing_property_count`` on
 the result.
@@ -10,14 +15,16 @@ the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from numbers import Real
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from ..graph import PropertyGraph
 from .ast import (Aggregate, Binary, InExpr, ListLiteral, Literal, Param,
-                  Prop, ReturnItem, Unary, render_item)
-from .parser import Query
+                  Prop, QueryAst, ReturnItem, Unary, render_item)
+from .parser import Query, _param_uses
 
 
 class ExecutionError(ValueError):
@@ -53,38 +60,45 @@ class ResultTable:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    # exact int and float first: the abstract-class check costs far more
+    return type(value) in (int, float) or (
+        isinstance(value, Real) and not isinstance(value, bool))
 
 
 @dataclass
 class _Compiler:
+    """Compiles expressions into closures ``fn(row, env)``; ``env`` holds
+    the bound values (``params``) and the missing-lookup count of one
+    execution."""
+
     slots: dict
-    miss: list = field(default_factory=lambda: [0])
 
     def compile(self, expr) -> Callable:
         if isinstance(expr, Literal):
             value = expr.value
-            return lambda row: value
+            return lambda row, env: value
+        if isinstance(expr, Param):
+            name = expr.name
+            return lambda row, env: env.params[name]
         if isinstance(expr, Prop):
             slot = self.slots[expr.var]
             name = expr.name
-            miss = self.miss
             if name == "id":
                 # reserved name: always the element's dense id, never a
                 # stored property
-                return lambda row: row[slot].id
+                return lambda row, env: row[slot].id
 
-            def get(row):
+            def get(row, env):
                 value = row[slot].properties.get(name, MISSING)
                 if value is MISSING:
-                    miss[0] += 1
+                    env.missing += 1
                 return value
             return get
         if isinstance(expr, Unary):
             inner = self.compile(expr.operand)
             if expr.op == "-":
-                def neg(row):
-                    value = inner(row)
+                def neg(row, env):
+                    value = inner(row, env)
                     if value is MISSING:
                         return MISSING
                     if not _is_number(value):
@@ -92,8 +106,8 @@ class _Compiler:
                     return -value
                 return neg
 
-            def invert(row):
-                value = inner(row)
+            def invert(row, env):
+                value = inner(row, env)
                 if value is MISSING:
                     return MISSING
                 if not isinstance(value, bool):
@@ -105,10 +119,8 @@ class _Compiler:
         if isinstance(expr, InExpr):
             return self._compile_in(expr)
         if isinstance(expr, ListLiteral):
-            values = list(expr.values)
-            return lambda row: values
-        if isinstance(expr, Param):
-            raise ExecutionError(f"unbound placeholder ${expr.name}")
+            values = expr.values
+            return lambda row, env: list(values)  # a fresh list per result
         raise ExecutionError(f"cannot compile {type(expr).__name__}")
 
     def _compile_binary(self, expr: Binary) -> Callable:
@@ -119,9 +131,9 @@ class _Compiler:
         if op in ("AND", "OR"):
             keep_if = op == "OR"  # short-circuit value
 
-            def logic(row):
-                lv = left(row)
-                rv = right(row)
+            def logic(row, env):
+                lv = left(row, env)
+                rv = right(row, env)
                 for v in (lv, rv):
                     if v is not MISSING and not isinstance(v, bool):
                         raise ExecutionError(f"{op} expects booleans")
@@ -135,13 +147,12 @@ class _Compiler:
             return logic
 
         if op in ("+", "-", "*", "/"):
-            import operator
             fn = {"+": operator.add, "-": operator.sub,
                   "*": operator.mul, "/": operator.truediv}[op]
 
-            def arith(row):
-                lv = left(row)
-                rv = right(row)
+            def arith(row, env):
+                lv = left(row, env)
+                rv = right(row, env)
                 if lv is MISSING or rv is MISSING:
                     return MISSING
                 if not (_is_number(lv) and _is_number(rv)):
@@ -155,9 +166,9 @@ class _Compiler:
 
         # comparison operators; = and <> accept any matching scalar kind,
         # the orderings require two numbers or two strings
-        def compare(row):
-            lv = left(row)
-            rv = right(row)
+        def compare(row, env):
+            lv = left(row, env)
+            rv = right(row, env)
             if lv is MISSING or rv is MISSING:
                 return MISSING
             numeric = _is_number(lv) and _is_number(rv)
@@ -185,15 +196,15 @@ class _Compiler:
         return compare
 
     def _compile_in(self, expr: InExpr) -> Callable:
-        if isinstance(expr.haystack, Param):
-            raise ExecutionError(f"unbound placeholder ${expr.haystack.name}")
         needle = self.compile(expr.needle)
-        members = frozenset(expr.haystack.values)
+        haystack = expr.haystack
+        fixed = None if isinstance(haystack, Param) else frozenset(haystack.values)
 
-        def contains(row):
-            value = needle(row)
+        def contains(row, env):
+            value = needle(row, env)
             if value is MISSING:
                 return MISSING
+            members = env.params[haystack.name] if fixed is None else fixed
             try:
                 return value in members
             except TypeError:
@@ -202,21 +213,82 @@ class _Compiler:
         return contains
 
 
-def _match_rows(graph: PropertyGraph, query: Query):
-    pattern = query.ast.pattern
+def _seek_ids(graph: PropertyGraph, label: str, values) -> list[int]:
+    """Ids of the listed nodes that exist and carry ``label``, ascending:
+    the ids ``id IN values`` keeps.  An id equals only a bool, an int or
+    an integral finite float; strings, NaN, infinities and fractions
+    match nothing."""
     nodes = graph.nodes
-    src_ids = graph.nodes_by_label(pattern.src.label)
-    if pattern.edge is None:
-        return {pattern.src.var: 0}, ((nodes[nid],) for nid in src_ids)
+    found = set()
+    for value in values:
+        if isinstance(value, str) or (
+                isinstance(value, float) and not value.is_integer()):
+            continue
+        nid = int(value)
+        if 0 <= nid < len(nodes) and label in nodes[nid].labels:
+            found.add(nid)
+    return sorted(found)
 
-    edge_type = pattern.edge.type
-    dst_label = pattern.dst.label
-    edges = graph.edges
-    slots = {pattern.src.var: 0, pattern.dst.var: 2}
-    if pattern.edge.var:
-        slots[pattern.edge.var] = 1
 
-    def rows():
+def _columns(items) -> list[str]:
+    return [item.alias or render_item(ReturnItem(value=item.value, alias=None))
+            for item in items]
+
+
+class Plan:
+    """A template compiled once (``QueryTemplate.plan``): the match
+    source, the WHERE and RETURN closures and the column names.  The
+    graph and the bound values arrive with each execution.
+
+    A WHERE of exactly ``<source var>.id IN <list>`` is not compiled:
+    the match seeks the listed ids instead.  ``id`` is never missing and
+    never raises, so skipping the other nodes changes no row, aggregate
+    or missing count.
+    """
+
+    def __init__(self, ast: QueryAst):
+        pattern = self.pattern = ast.pattern
+        slots = {pattern.src.var: 0}
+        if pattern.edge is not None:
+            slots[pattern.dst.var] = 2
+            if pattern.edge.var:
+                slots[pattern.edge.var] = 1
+        compiler = _Compiler(slots=slots)
+        where, self.seek = ast.where, None
+        if isinstance(where, InExpr) and where.needle == Prop(pattern.src.var, "id"):
+            where, self.seek = None, where.haystack
+        self.where = compiler.compile(where) if where is not None else None
+
+        items = ast.items
+        self.aggregated = isinstance(items[0].value, Aggregate)
+        if self.aggregated:
+            self.returns = [(item.value, None if item.value.arg is None
+                             else compiler.compile(item.value.arg))
+                            for item in items]
+        else:
+            self.returns = [compiler.compile(item.value) for item in items]
+        # an unaliased item with a placeholder is named after its bound
+        # value, so its columns are rendered per query
+        per_query = any(item.alias is None and any(_param_uses(item.value))
+                        for item in items)
+        self.columns = None if per_query else _columns(items)
+
+    def rows(self, graph: PropertyGraph, query: Query):
+        pattern = self.pattern
+        nodes = graph.nodes
+        if self.seek is None:
+            src_ids = graph.nodes_by_label(pattern.src.label)
+        else:
+            values = (query.lists[self.seek.name] if isinstance(self.seek, Param)
+                      else self.seek.values)
+            src_ids = _seek_ids(graph, pattern.src.label, values)
+        if pattern.edge is None:
+            for nid in src_ids:
+                yield (nodes[nid],)
+            return
+        edge_type = pattern.edge.type
+        dst_label = pattern.dst.label
+        edges = graph.edges
         for nid in src_ids:
             src = nodes[nid]
             for eid in graph.out_edges(nid):
@@ -226,7 +298,6 @@ def _match_rows(graph: PropertyGraph, query: Query):
                 dst = nodes[edge.dst]
                 if dst_label in dst.labels:
                     yield (src, edge, dst)
-    return slots, rows()
 
 
 def _hashable(value):
@@ -238,21 +309,21 @@ class _Acc:
 
     __slots__ = ("func", "distinct", "arg", "count", "total", "best", "seen", "items")
 
-    def __init__(self, agg: Aggregate, compiler: _Compiler):
+    def __init__(self, agg: Aggregate, arg: Optional[Callable]):
         self.func = agg.func
         self.distinct = agg.distinct
-        self.arg = compiler.compile(agg.arg) if agg.arg is not None else None
+        self.arg = arg
         self.count = 0
         self.total = 0
         self.best = None
         self.seen = set() if agg.distinct else None
         self.items: list = []
 
-    def add(self, row) -> None:
+    def add(self, row, env) -> None:
         if self.arg is None:  # count(*)
             self.count += 1
             return
-        value = self.arg(row)
+        value = self.arg(row, env)
         if value is MISSING:
             return
         func = self.func
@@ -313,30 +384,28 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
         raise TypeError("execute() expects a bound Query; substitute templates first")
     if not graph.frozen:
         raise ExecutionError("graph must be frozen before it can be queried")
-    slots, rows = _match_rows(graph, query)
-    compiler = _Compiler(slots=slots)
-    where = compiler.compile(query.ast.where) if query.ast.where is not None else None
-
-    items = query.ast.items
-    columns = [item.alias or render_item(ReturnItem(value=item.value, alias=None))
-               for item in items]
-
-    aggregated = isinstance(items[0].value, Aggregate)
-    if aggregated:
-        accs = [_Acc(item.value, compiler) for item in items]
-        for row in rows:
-            if where is not None and where(row) is not True:
+    plan = query.template.plan
+    params = dict(query.scalars)
+    for name, values in query.lists.items():
+        params[name] = frozenset(values)
+    env = SimpleNamespace(params=params, missing=0)
+    where = plan.where
+    if plan.aggregated:
+        accs = [_Acc(agg, arg) for agg, arg in plan.returns]
+        for row in plan.rows(graph, query):
+            if where is not None and where(row, env) is not True:
                 continue
             for acc in accs:
-                acc.add(row)
+                acc.add(row, env)
         out_rows = [tuple(acc.result() for acc in accs)]
     else:
-        getters = [compiler.compile(item.value) for item in items]
         out_rows = []
-        for row in rows:
-            if where is not None and where(row) is not True:
+        for row in plan.rows(graph, query):
+            if where is not None and where(row, env) is not True:
                 continue
-            values = tuple(g(row) for g in getters)
+            values = tuple(g(row, env) for g in plan.returns)
             out_rows.append(tuple(None if v is MISSING else v for v in values))
+    columns = (_columns(query.ast.items) if plan.columns is None
+               else list(plan.columns))
     return ResultTable(columns=columns, rows=out_rows,
-                       missing_property_count=compiler.miss[0])
+                       missing_property_count=env.missing)

@@ -1,15 +1,17 @@
 """Tokenizer, recursive-descent parser, and parameter substitution.
 
 Parsing produces either a ``Query`` (no ``$`` placeholders) or a
-``QueryTemplate`` (placeholders present).  Substitution is purely
-syntactic: it rewrites the AST by replacing ``Param`` nodes with literal
-nodes, producing a new immutable ``Query``.
+``QueryTemplate`` (placeholders present).  Substitution checks the
+bindings against the template and returns an immutable ``Query`` that
+carries them by name; the AST with the values inlined as literals is
+built only when someone reads it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .ast import (
@@ -394,66 +396,119 @@ class SubstitutionError(ValueError):
     """A placeholder binding does not line up with the template."""
 
 
-def _collect_params(ast: QueryAst) -> frozenset[str]:
-    found: set[str] = set()
-
-    def walk(expr) -> None:
-        if isinstance(expr, Param):
-            found.add(expr.name)
-        elif isinstance(expr, Unary):
-            walk(expr.operand)
-        elif isinstance(expr, Binary):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, InExpr):
-            walk(expr.needle)
-            walk(expr.haystack)
-
-    if ast.where is not None:
-        walk(ast.where)
-    for item in ast.items:
-        value = item.value
-        if isinstance(value, Aggregate):
-            if value.arg is not None:
-                walk(value.arg)
-        else:
-            walk(value)
-    return frozenset(found)
+def _param_uses(expr):
+    """(name, is_list) for each placeholder under ``expr``, in the order
+    substitution checks them: an IN haystack before its needle."""
+    if isinstance(expr, Param):
+        yield expr.name, False
+    elif isinstance(expr, Unary):
+        yield from _param_uses(expr.operand)
+    elif isinstance(expr, Binary):
+        yield from _param_uses(expr.left)
+        yield from _param_uses(expr.right)
+    elif isinstance(expr, InExpr):
+        if isinstance(expr.haystack, Param):
+            yield expr.haystack.name, True
+        yield from _param_uses(expr.needle)
+    elif isinstance(expr, Aggregate) and expr.arg is not None:
+        yield from _param_uses(expr.arg)
 
 
-@dataclass(frozen=True)
-class Query:
-    """A fully bound, executable query."""
-
-    ast: QueryAst
-    text: str = field(compare=False)
-
-    @staticmethod
-    def from_ast(ast: QueryAst) -> "Query":
-        return Query(ast=ast, text=render_query(ast))
+def _query_param_uses(ast: QueryAst) -> tuple:
+    exprs = ([] if ast.where is None else [ast.where]) + [i.value for i in ast.items]
+    return tuple(use for expr in exprs for use in _param_uses(expr))
 
 
 @dataclass(frozen=True)
 class QueryTemplate:
-    """Parsed query text whose ``$name`` placeholders await binding."""
+    """Parsed query text whose ``$name`` placeholders await binding.
+
+    The template is compiled for execution once, on first use
+    (``plan``); every query bound from it runs that plan.
+    """
 
     text: str
     ast: QueryAst
     placeholders: frozenset[str]
 
+    @cached_property
+    def param_uses(self) -> tuple:
+        return _query_param_uses(self.ast)
+
+    @cached_property
+    def plan(self):
+        from .executor import Plan  # the executor imports this module
+        return Plan(self.ast)
+
+
+class Query:
+    """A fully bound, executable query: a template plus the values bound
+    to its placeholders.
+
+    Execution runs the template's plan with these values.  The
+    literal-inlined ``ast`` and its rendered ``text`` are built only when
+    read; a query from ``parse_query`` keeps its source text.
+    """
+
+    def __init__(self, template: QueryTemplate, scalars: Optional[dict] = None,
+                 lists: Optional[dict] = None, text: Optional[str] = None):
+        self.template = template
+        self.scalars = scalars or {}
+        self.lists = lists or {}
+        if text is not None:
+            self.text = text
+
+    @cached_property
+    def ast(self) -> QueryAst:
+        values = {**self.scalars, **self.lists}
+
+        def inline(expr):
+            if isinstance(expr, Param):
+                return Literal(values[expr.name])
+            if isinstance(expr, Unary):
+                return Unary(expr.op, inline(expr.operand))
+            if isinstance(expr, Binary):
+                return Binary(expr.op, inline(expr.left), inline(expr.right))
+            if isinstance(expr, InExpr):
+                haystack = expr.haystack
+                if isinstance(haystack, Param):
+                    haystack = ListLiteral(values=values[haystack.name])
+                return InExpr(needle=inline(expr.needle), haystack=haystack)
+            if isinstance(expr, Aggregate) and expr.arg is not None:
+                return Aggregate(expr.func, inline(expr.arg), expr.distinct)
+            return expr
+
+        ast = self.template.ast
+        return QueryAst(
+            pattern=ast.pattern,
+            where=inline(ast.where) if ast.where is not None else None,
+            items=tuple(ReturnItem(inline(item.value), item.alias) for item in ast.items))
+
+    @cached_property
+    def text(self) -> str:
+        return render_query(self.ast)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Query) and self.ast == other.ast
+
+    def __hash__(self) -> int:
+        return hash(self.ast)
+
 
 def parse_query(text: str) -> Query:
     ast = _Parser(text).parse()
-    params = _collect_params(ast)
+    params = {name for name, _ in _query_param_uses(ast)}
     if params:
         names = ", ".join(sorted(params))
         raise ParseError(f"unbound placeholders: {names}", text, len(text))
-    return Query(ast=ast, text=text)
+    return Query(QueryTemplate(text=text, ast=ast, placeholders=frozenset()),
+                 text=text)
 
 
 def parse_template(text: str) -> QueryTemplate:
     ast = _Parser(text).parse()
-    return QueryTemplate(text=text, ast=ast, placeholders=_collect_params(ast))
+    placeholders = frozenset(name for name, _ in _query_param_uses(ast))
+    return QueryTemplate(text=text, ast=ast, placeholders=placeholders)
 
 
 _SCALAR_TYPES = (str, int, float, bool)
@@ -505,36 +560,9 @@ def substitute(template: QueryTemplate, scalars: Optional[dict] = None,
     for name, value in scalars.items():
         _check_scalar(name, value)
     checked_lists = {name: _check_list(name, v) for name, v in lists.items()}
-
-    def rewrite(expr):
-        if isinstance(expr, Param):
-            if expr.name in checked_lists:
-                raise TypeError(
-                    f"${expr.name}: list bound where a scalar is expected")
-            return Literal(scalars[expr.name])
-        if isinstance(expr, Unary):
-            return Unary(expr.op, rewrite(expr.operand))
-        if isinstance(expr, Binary):
-            return Binary(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, InExpr):
-            haystack = expr.haystack
-            if isinstance(haystack, Param):
-                if haystack.name in scalars:
-                    raise TypeError(
-                        f"${haystack.name}: scalar bound where a list is expected")
-                haystack = ListLiteral(values=checked_lists[haystack.name])
-            return InExpr(needle=rewrite(expr.needle), haystack=haystack)
-        return expr
-
-    where = rewrite(template.ast.where) if template.ast.where is not None else None
-    items = []
-    for item in template.ast.items:
-        value = item.value
-        if isinstance(value, Aggregate):
-            arg = rewrite(value.arg) if value.arg is not None else None
-            value = Aggregate(func=value.func, arg=arg, distinct=value.distinct)
-        else:
-            value = rewrite(value)
-        items.append(ReturnItem(value=value, alias=item.alias))
-    ast = QueryAst(pattern=template.ast.pattern, where=where, items=tuple(items))
-    return Query.from_ast(ast)
+    for name, is_list in template.param_uses:
+        if is_list and name in scalars:
+            raise TypeError(f"${name}: scalar bound where a list is expected")
+        if not is_list and name in checked_lists:
+            raise TypeError(f"${name}: list bound where a scalar is expected")
+    return Query(template, scalars, checked_lists)

@@ -283,7 +283,7 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
 
     start = time.perf_counter()
     evals_before = binding.evaluations
-    hits_before = getattr(binding, "memo_hits", 0)
+    hits_before = binding.memo_hits
 
     members = LaneRng(config.seed, lanes=pop_size)
     control = SeededRng(config.seed, stream=pop_size)
@@ -356,6 +356,6 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
         best_fitness=population.fitnesses[best_idx],
         curve=curve,
         evaluations=binding.evaluations - evals_before,
-        memo_hits=getattr(binding, "memo_hits", 0) - hits_before,
+        memo_hits=binding.memo_hits - hits_before,
         wall_seconds=time.perf_counter() - start,
     )

@@ -687,9 +687,19 @@ def _gen_p6(scale: str, seed: int, drop_properties: tuple) -> Instance:
         return ({"pathogen_coverage": -coverage,
                  "resistance_burden": lam * load}, {})
 
+    def subset_totals(rows: np.ndarray) -> np.ndarray:
+        # the same per-row sums as fitness_fn; burdens are integers, so
+        # their column-by-column sum is exact in any order
+        coverage = efficacy[rows].max(axis=1).sum(axis=1)
+        load = np.zeros(rows.shape[0])
+        for col in range(rows.shape[1]):
+            load += burden_arr[rows[:, col]]
+        return 0.0 + -coverage + lam * load
+
     binding = PatternBBinding(
         space=space, arrays=arrays, fitness_fn=fitness_fn,
         provenance=provenance, missing_counts=missing, memoize=True,
+        subset_totals=subset_totals,
         term_sources={"pathogen_coverage": ("resistance_counts",),
                       "resistance_burden": ("burden",)})
 
@@ -812,7 +822,9 @@ def generate(problem_id: str, scale: str = "small", seed: int = 0, *,
     """Build a problem instance; identical inputs give identical bytes.
 
     drop_properties removes the named node properties at generation
-    time (the data-quality degradation the degeneracy detector is for).
+    time (the data-quality degradation the degeneracy detector is for);
+    the spec then lists the requested names, sorted, under
+    ``dropped_properties``.  Only P1, P2 and P4 remove any property.
     """
     problem_id = problem_id.upper()
     if problem_id not in _GENERATORS:
@@ -821,8 +833,13 @@ def generate(problem_id: str, scale: str = "small", seed: int = 0, *,
         raise ValueError(f"unknown scale {scale!r}")
     drop = tuple(drop_properties)
     if problem_id == "P5":
-        return _gen_p5(scale, seed, drop, mode=p5_mode)
-    return _GENERATORS[problem_id](scale, seed, drop)
+        instance = _gen_p5(scale, seed, drop, mode=p5_mode)
+    else:
+        instance = _GENERATORS[problem_id](scale, seed, drop)
+    if drop:
+        # the snapshot of a degraded instance names its degradation
+        instance.spec["dropped_properties"] = sorted(set(drop))
+    return instance
 
 
 def fresh_binding(instance: Instance):

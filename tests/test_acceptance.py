@@ -178,6 +178,10 @@ class BoundsChecked:
         self.evaluations = 0
         self.out_of_bounds = 0
 
+    @property
+    def memo_hits(self):
+        return self.inner.memo_hits
+
     def evaluate(self, x):
         if np.any(x < self.space.lower) or np.any(x > self.space.upper):
             self.out_of_bounds += 1

@@ -34,6 +34,17 @@ def test_generate_explicit_json_path(tmp_path, capsys):
     assert json.loads(target.read_text())["threshold"] == 23
 
 
+def test_generate_records_dropped_property(capsys):
+    assert main(["generate", "--problem", "P2"]) == 0
+    healthy = capsys.readouterr().out
+    assert main(["generate", "--problem", "P2",
+                 "--drop-property", "trial_count"]) == 0
+    degraded = capsys.readouterr().out
+    assert degraded != healthy
+    assert json.loads(degraded)["dropped_properties"] == ["trial_count"]
+    assert "dropped_properties" not in json.loads(healthy)
+
+
 def test_generate_with_disruption(capsys):
     assert main(["generate", "--problem", "P3",
                  "--disrupt", "capacity_halving:0.5:2.0:1"]) == 0

@@ -1,14 +1,18 @@
 """Query language: parse errors with offsets, substitution, execution
-semantics (aggregates, missing properties, DISTINCT), and the brute-force
-filter-equivalence property."""
+semantics (aggregates, missing properties, DISTINCT), the brute-force
+filter-equivalence property, and the id-seek against a label scan."""
+
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt.graph import PropertyGraph
 from graphopt.querylang import (MISSING, MAX_IN_LIST, ExecutionError,
-                                ParseError, SubstitutionError, execute,
-                                parse_query, parse_template, render_query,
-                                substitute)
+                                ParseError, ResultTable, SubstitutionError,
+                                execute, parse_query, parse_template,
+                                render_query, substitute)
 from graphopt.rng import SeededRng
 
 
@@ -102,6 +106,13 @@ def test_list_placeholder_outside_in_rejected():
     t = parse_template("MATCH (x:N) WHERE x.n > $k RETURN count(*)")
     with pytest.raises(TypeError):
         substitute(t, lists={"k": [1, 2]})
+
+
+def test_scalar_placeholder_as_in_haystack_rejected():
+    t = parse_template(
+        "MATCH (d:Drug) WHERE d.id IN $selected RETURN count(*)")
+    with pytest.raises(TypeError, match="scalar bound where a list"):
+        substitute(t, scalars={"selected": 3})
 
 
 def test_in_list_cap():
@@ -267,3 +278,91 @@ def test_scalar_requires_1x1():
     table = execute(g, parse_query("MATCH (d:Drug) RETURN d.id"))
     with pytest.raises(ExecutionError):
         table.scalar()
+
+
+# ---- bound queries read back as literal text ----
+
+def test_substitute_output_unchanged():
+    """Reading a bound query's ``ast`` and ``text`` gives the values
+    inlined as literals, and its column names carry them too."""
+    t = parse_template(
+        "MATCH (d:Drug)-[:TARGETS]->(g:Gene) WHERE d.id IN $selected "
+        "AND g.score >= $min RETURN count(DISTINCT g.id) AS covered, "
+        "sum(g.score + $bonus)")
+    q = substitute(t, scalars={"min": 0.5, "bonus": -2},
+                   lists={"selected": [3, 17.0, True, "x"]})
+    assert q.text == (
+        "MATCH (d:Drug)-[:TARGETS]->(g:Gene) WHERE (d.id IN "
+        "[3, 17.0, true, 'x'] AND (g.score >= 0.5)) RETURN "
+        "count(DISTINCT g.id) AS covered, sum((g.score + -2))")
+    assert q.ast == parse_query(
+        "MATCH (d:Drug)-[:TARGETS]->(g:Gene) WHERE d.id IN "
+        "[3, 17.0, true, 'x'] AND g.score >= 0.5 RETURN "
+        "count(DISTINCT g.id) AS covered, sum(g.score + -2)").ast
+    assert parse_query(q.text) == q
+    g, _, _ = drug_gene_graph()
+    assert execute(g, q).columns == ["covered", "sum((g.score + -2))"]
+
+
+_scalars = st.one_of(st.integers(-10**6, 10**6), st.booleans(), st.text(max_size=6),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sel=st.lists(_scalars, max_size=6), k=_scalars)
+def test_bound_query_text_is_a_parse_fixed_point(sel, k):
+    t = parse_template(
+        "MATCH (x:N) WHERE x.id IN $sel AND x.n <> $k RETURN count(*)")
+    q = substitute(t, scalars={"k": k}, lists={"sel": sel})
+    again = parse_query(q.text)
+    assert again.ast == q.ast
+    assert render_query(again.ast) == q.text
+
+
+# ---- id-seek equals a label scan ----
+
+# ids the seek must match (ints, bools, integral floats) or skip
+# (negative and out-of-range ids, fractions, strings, NaN, infinities)
+_id_values = st.one_of(
+    st.integers(-3, 30), st.integers(-3, 30).map(float), st.booleans(),
+    st.sampled_from([2.5, -0.0, 1e20, math.nan, math.inf, -math.inf]),
+    st.text(max_size=2))
+
+
+@st.composite
+def _labelled_graphs(draw):
+    g = PropertyGraph()
+    n = draw(st.integers(1, 25))
+    for _ in range(n):
+        labels = draw(st.sampled_from([{"D"}, {"G"}, {"D", "G"}]))
+        g.add_node(labels, draw(st.sampled_from([{}, {"v": 1}, {"v": 4}])))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        g.add_edge(draw(st.integers(0, n - 1)), draw(st.sampled_from(["R", "S"])),
+                   draw(st.integers(0, n - 1)), {})
+    return g.freeze()
+
+
+SEEK_ONE = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN d.id, d.v")
+SEEK_TWO = parse_template(
+    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN d.id, e.id, g.v")
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_labelled_graphs(), sel=st.lists(_id_values, max_size=12))
+def test_id_seek_equals_label_scan(g, sel):
+    members = frozenset(sel)
+    kept = [nid for nid in g.nodes_by_label("D") if nid in members]
+
+    rows = [(nid, g.nodes[nid].properties.get("v")) for nid in kept]
+    want_one = ResultTable(["d.id", "d.v"], rows, sum(r[-1] is None for r in rows))
+    rows = [(nid, eid, g.nodes[g.edges[eid].dst].properties.get("v"))
+            for nid in kept for eid in g.out_edges(nid)
+            if g.edges[eid].type == "R" and "G" in g.nodes[g.edges[eid].dst].labels]
+    want_two = ResultTable(["d.id", "e.id", "g.v"], rows,
+                           sum(r[-1] is None for r in rows))
+
+    for template, want in ((SEEK_ONE, want_one), (SEEK_TWO, want_two)):
+        query = substitute(template, lists={"sel": sel})
+        assert execute(g, query) == want
+        if all(not isinstance(v, float) or math.isfinite(v) for v in sel):
+            assert execute(g, parse_query(query.text)) == want  # literal list

@@ -280,3 +280,12 @@ def test_best_fitness_matches_curve_tail():
                  SolverConfig(variant="bmwr", pop_size=10, iterations=60,
                               seed=3))
     assert result.best_total == result.curve[-1]
+
+
+def test_callable_binding_follows_counter_protocol():
+    binding = sphere_binding(d=2)
+    result = run(binding, SolverConfig(variant="rao1", pop_size=5,
+                                       iterations=4, seed=0))
+    assert binding.evaluations == result.evaluations > 0
+    assert binding.memo_hits == result.memo_hits == 0
+    assert binding.query_executions == 0

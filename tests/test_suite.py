@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphopt.problems
 from graphopt.oracles import brute_force_selection
 from graphopt.problems import PatternABinding, PatternBBinding
 from graphopt.rng import SeededRng
+from graphopt.solvers import SolverConfig, run
 from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, detect_degenerate_terms,
                             disruption_targets, fresh_binding, gap_ratio,
                             generate, inject_disruption, pattern_a_binding,
@@ -173,6 +175,34 @@ def test_fresh_binding_resets_counters(problem_id, shared):
     assert fresh.memo_hits == 0  # the memo starts empty
 
 
+def test_pattern_a_provenance_names_each_template():
+    inst = generate("P1", "small", 0)
+    assert inst.binding.provenance == (
+        "gene_coverage: MATCH (d:Drug)-[:TARGETS]->(g:Gene) "
+        "WHERE d.id IN $selected RETURN count(DISTINCT g.id)",
+        "side_effect_burden: MATCH (d:Drug) WHERE d.id IN $selected "
+        "RETURN sum(d.side_effect_count)")
+
+
+def test_pattern_a_queries_run_through_problems_names(monkeypatch):
+    """The layer tracer times Pattern A at ``graphopt.problems.substitute``
+    and ``graphopt.problems.execute``; every counted query must pass
+    through both, or the querylang layer reads 0."""
+    calls = {"substitute": 0, "execute": 0}
+    for name in calls:
+        real = getattr(graphopt.problems, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(graphopt.problems, name, counted)
+    binding = fresh_binding(generate("P1", "small", 0))
+    run(binding, SolverConfig("rao1", pop_size=8, iterations=10, seed=3))
+    assert binding.query_executions > 0
+    assert calls == {"substitute": binding.query_executions,
+                     "execute": binding.query_executions}
+
+
 # ---- pattern A twin for P2 ----
 
 def test_p2_pattern_equivalence_spot_check():
@@ -231,6 +261,7 @@ def test_brute_oracle_dominates_solver_samples():
     ("P2", 0, ()), ("P2", 1, ()), ("P2", 2, ()),
     ("P4", 0, ()), ("P4", 1, ()), ("P4", 2, ()),
     ("P4", 0, ("who_region",)),
+    ("P6", 0, ()), ("P6", 1, ()), ("P6", 2, ()),
 ])
 def test_vectorized_oracle_matches_scalar_path(problem_id, seed, dropped):
     inst = generate(problem_id, "small", seed, drop_properties=dropped)
