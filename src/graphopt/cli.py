@@ -12,7 +12,7 @@ from pathlib import Path
 from .bench import BenchConfig, emit_report, run_matrix, summary_md_text
 from .solvers import VARIANTS, SolverConfig, run
 from .stats import build_summary
-from .suite import (PROBLEM_IDS, SCALES, DisruptionSpec,
+from .suite import (PROBLEM_IDS, SCALES, DisruptionSpec, PropertyNotDroppable,
                     detect_degenerate_terms, generate, inject_disruption,
                     solve_oracle)
 
@@ -33,9 +33,12 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_instance(args):
-    inst = generate(args.problem, args.scale, args.seed,
-                    drop_properties=tuple(args.drop_property),
-                    p5_mode=args.p5_mode)
+    try:
+        inst = generate(args.problem, args.scale, args.seed,
+                        drop_properties=tuple(args.drop_property),
+                        p5_mode=args.p5_mode)
+    except PropertyNotDroppable as err:
+        raise SystemExit(f"graphopt: {err}") from err
     disrupt = getattr(args, "disrupt", None)
     if disrupt:
         parts = disrupt.split(":")

@@ -8,6 +8,13 @@ pure function over them.  Both memoize on the same exact key, the
 sorted tuple of decoded indices (``subset_key``), both report missing
 properties per node, and both name the queries behind their terms in
 ``provenance``.
+
+Every binding scores a population with ``evaluate_batch(X)``, which
+returns the (m,) totals and advances the counters exactly as m calls of
+``evaluate`` would.  A memoized Pattern B selection binding with
+``subset_totals`` decodes the batch once and scores its memo misses in
+one vectorized call; every other binding loops over its own
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ def decode_selection(x, space: DecisionSpace) -> list[int]:
     n = space.n_candidates
     top = n - 1
     chosen: list[int] = []
-    values = x.tolist() if isinstance(x, np.ndarray) else x
+    values = x.tolist() if type(x) is np.ndarray else x
     for value in values:
         idx = int(value)
         if idx > top:
@@ -116,6 +123,35 @@ def subset_key(indices: Sequence[int]) -> tuple:
     """Exact memo key of a decoded selection: its sorted indices, so
     permutations of one subset share a memo entry."""
     return tuple(sorted(indices))
+
+
+def _finite_rows(X) -> np.ndarray:
+    """The batch as a float (m, d) array; a NaN or infinite coordinate
+    raises, since flooring it to an index would hide it."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"a batch is an (m, d) array, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        row = int(np.argmax(~np.isfinite(X).all(axis=1)))
+        raise ValueError(f"batch row {row} has a non-finite coordinate: "
+                         f"{X[row].tolist()}")
+    return X
+
+
+def _check_totals(totals: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"batch row {row} has a non-finite total {float(totals[row])!r}")
+    return totals
+
+
+def _evaluate_each(binding, X) -> np.ndarray:
+    """The batch as m calls of ``binding.evaluate``, in row order."""
+    X = _finite_rows(X)
+    return _check_totals(np.array([binding.evaluate(x).total for x in X],
+                                  dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +193,11 @@ def weighted_total(objective_terms: Mapping[str, float],
     return total
 
 
+# builds a Fitness without the NamedTuple's Python-level __new__, which
+# costs a third of the no-violation path below
+_new_fitness = tuple.__new__
+
+
 def assemble_fitness(objective_terms: Mapping[str, float],
                      violation_terms: Mapping[str, float],
                      penalty_weights: Mapping[str, float]) -> Fitness:
@@ -164,7 +205,7 @@ def assemble_fitness(objective_terms: Mapping[str, float],
         total = 0.0
         for value in objective_terms.values():
             total += value
-        return Fitness(total, dict(objective_terms), {}, {})
+        return _new_fitness(Fitness, (total, dict(objective_terms), {}, {}))
     for name, violation in violation_terms.items():
         if violation < 0:
             raise ValueError(f"violation term {name!r} is negative: {violation}")
@@ -292,6 +333,9 @@ class PatternABinding:
             self._memo[key] = fitness
         return fitness
 
+    def evaluate_batch(self, X) -> np.ndarray:
+        return _evaluate_each(self, X)
+
 
 # ---------------------------------------------------------------------------
 # Pattern B: startup materialization, pure evaluation
@@ -341,6 +385,10 @@ class PatternBBinding:
     memo Pattern A keeps too.  Only valid on
     selection spaces whose fitness depends on the subset alone; it
     never changes results, it just skips recomputing a seen subset.
+    A subset first scored by ``evaluate_batch`` is stored as its total;
+    the first ``evaluate`` of it replaces the total with the full
+    ``Fitness`` (a hit) and raises ``RuntimeError`` if the two totals
+    differ.
     """
 
     space: DecisionSpace
@@ -354,7 +402,8 @@ class PatternBBinding:
     memoize: bool = False
     # optional vectorized scorer for selection spaces: maps an (m, k) int
     # array of sorted index rows to the m totals evaluate() gives for
-    # those subsets, bit for bit; the brute-force oracle uses it
+    # those subsets, bit for bit; evaluate_batch and the brute-force
+    # oracle use it
     subset_totals: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     evaluations: int = field(init=False, default=0)
@@ -365,7 +414,8 @@ class PatternBBinding:
     def __post_init__(self):
         if self.memoize and self.space.kind != "selection":
             raise ValueError("subset memoization needs a selection space")
-        self._memo: dict[tuple, Fitness] = {}
+        # a Fitness, or the bare total of a subset evaluate_batch scored
+        self._memo: dict[tuple, Fitness | float] = {}
         frozen = {}
         for name, values in self.arrays.items():
             if isinstance(values, np.ndarray):
@@ -383,6 +433,11 @@ class PatternBBinding:
             cached = self._memo.get(key)
             if cached is not None:
                 self.memo_hits += 1
+                if type(cached) is float:
+                    # scored by evaluate_batch: build the terms now, held
+                    # to the vectorized total, and keep them for later hits
+                    cached = self._checked_fitness(x, key, cached)
+                    self._memo[key] = cached
                 return cached
             objective, violations = self.fitness_fn(x, self.arrays)
             fitness = assemble_fitness(objective, violations, self.penalty_weights)
@@ -390,6 +445,65 @@ class PatternBBinding:
             return fitness
         objective, violations = self.fitness_fn(x, self.arrays)
         return assemble_fitness(objective, violations, self.penalty_weights)
+
+    def _checked_fitness(self, x, key: tuple, total: float) -> Fitness:
+        objective, violations = self.fitness_fn(x, self.arrays)
+        fitness = assemble_fitness(objective, violations, self.penalty_weights)
+        if fitness.total != total:
+            raise RuntimeError(
+                f"subset {key}: subset_totals gave {total!r}, "
+                f"fitness_fn gives {fitness.total!r}")
+        return fitness
+
+    def evaluate_batch(self, X) -> np.ndarray:
+        """Totals of the (m, k) batch X, with the counters m calls of
+        ``evaluate`` would leave.
+
+        With the memo on and ``subset_totals``, each row is decoded
+        once: clamped and truncated in numpy, where a row of k distinct
+        indices sorts into its ``subset_key``; only a row with a
+        repeated index goes through ``decode_selection`` for its cyclic
+        rule.  Memo misses are scored in one ``subset_totals`` call and
+        stored as their totals; a subset repeated within the batch is a
+        miss the first time and a hit after that.  Otherwise the batch
+        loops over ``evaluate``.
+        """
+        if self.subset_totals is None or not self.memoize:
+            return _evaluate_each(self, X)
+        X = _finite_rows(X)
+        space = self.space
+        if X.shape[1] != space.k:
+            raise ValueError(f"batch rows have {X.shape[1]} coordinates, "
+                             f"the space selects {space.k}")
+        # clamped while still float, so a huge coordinate cannot overflow
+        # the cast; this gives what int() then clamping gives per value
+        top = space.n_candidates - 1
+        ints = np.maximum(np.minimum(X, top), 0.0).astype(np.int64)
+        ordered = np.sort(ints, axis=1)
+        keys = list(map(tuple, ordered.tolist()))
+        repeats = np.flatnonzero(
+            (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if repeats.size:
+            rows = ints.tolist()
+            for i in repeats.tolist():
+                keys[i] = subset_key(decode_selection(rows[i], space))
+        self.evaluations += len(keys)
+
+        memo = self._memo
+        found = [memo.get(key) for key in keys]
+        # the distinct subsets neither the memo nor an earlier row scored
+        new = dict.fromkeys(
+            key for key, value in zip(keys, found) if value is None)
+        self.memo_hits += len(keys) - len(new)
+        if new:
+            scored = self.subset_totals(np.array(list(new), dtype=np.int64))
+            new = dict(zip(new, scored.tolist()))
+        totals = _check_totals(np.array(
+            [new[key] if value is None
+             else value if type(value) is float else value.total
+             for key, value in zip(keys, found)], dtype=np.float64))
+        memo.update(new)
+        return totals
 
 
 @dataclass
@@ -408,6 +522,9 @@ class CallableBinding:
     def evaluate(self, x) -> Fitness:
         self.evaluations += 1
         return self.fn(x)
+
+    def evaluate_batch(self, X) -> np.ndarray:
+        return _evaluate_each(self, X)
 
 
 def objective_only(total_fn: Callable[[np.ndarray], float],

@@ -2,10 +2,11 @@
 
 Eight parameter-light population solvers sharing one loop: propose a
 candidate per member from best/worst/mean population statistics, clamp
-to the box, evaluate, and keep the candidate only on strict
-improvement.  Runs are bit-reproducible: member i draws from its own
-pinned RNG stream, and every iteration consumes a fixed block of
-uniforms (3d+3 per member) regardless of which draws the variant uses.
+to the box, score the whole population with one ``evaluate_batch``
+call, and keep each candidate only on strict improvement.  Runs are
+bit-reproducible: member i draws from its own pinned RNG stream, and
+every iteration consumes a fixed block of uniforms (3d+3 per member)
+regardless of which draws the variant uses.
 Acceptance is batched: all proposals in an iteration read the
 population state frozen at the start of that iteration.
 """
@@ -79,11 +80,10 @@ class SolverConfig:
 
 @dataclass
 class Population:
-    """Current decision vectors with fitness bookkeeping."""
+    """Current decision vectors and their fitness totals."""
 
     space: DecisionSpace
     x: np.ndarray                 # (pop, d)
-    fitnesses: list               # Fitness per member
     totals: np.ndarray            # (pop,)
 
     @property
@@ -97,15 +97,11 @@ class RunResult:
     variant: str
     seed: int
     best_x: np.ndarray
-    best_fitness: Fitness
+    best_total: float
     curve: np.ndarray             # best-so-far total per iteration
     evaluations: int
     memo_hits: int
     wall_seconds: float
-
-    @property
-    def best_total(self) -> float:
-        return self.best_fitness.total
 
 
 def clamp(candidate: np.ndarray, space: DecisionSpace) -> np.ndarray:
@@ -123,9 +119,7 @@ def init_population(binding, pop_size: int, rng: LaneRng) -> Population:
     space = binding.space
     r = rng.uniform_block(space.dim).T  # (pop, d); row i comes from stream i
     x = space.lower + (space.upper - space.lower) * r
-    fitnesses = [binding.evaluate(x[i]) for i in range(pop_size)]
-    totals = np.array([f.total for f in fitnesses], dtype=np.float64)
-    return Population(space=space, x=x, fitnesses=fitnesses, totals=totals)
+    return Population(space=space, x=x, totals=binding.evaluate_batch(x))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +255,13 @@ def qo_jump(population: Population, rng: LaneRng, binding) -> int:
     opposite = space.lower + space.upper - population.x
     quasi = center + r * (opposite - center)
     quasi = np.clip(quasi, space.lower, space.upper)
-    q_fit = [binding.evaluate(quasi[i]) for i in range(pop_size)]
-    q_tot = np.array([f.total for f in q_fit], dtype=np.float64)
+    q_tot = binding.evaluate_batch(quasi)
 
     union_x = np.vstack([population.x, quasi])
     union_tot = np.concatenate([population.totals, q_tot])
-    union_fit = population.fitnesses + q_fit
     keep = np.argsort(union_tot, kind="stable")[:pop_size]
     population.x = union_x[keep]
     population.totals = union_tot[keep]
-    population.fitnesses = [union_fit[j] for j in keep]
     return pop_size
 
 
@@ -326,21 +317,20 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
             group_best=group_best, group_worst=group_worst)
         candidates = np.clip(candidates, space.lower, space.upper)
 
-        for i in range(pop_size):
-            try:
-                fitness = binding.evaluate(candidates[i])
-            except Exception as err:
-                raise RuntimeError(
-                    f"{variant} seed {config.seed}: evaluation failed at "
-                    f"iteration {it}, member {i}") from err
-            if fitness.total < population.totals[i]:
-                population.x[i] = candidates[i]
-                population.totals[i] = fitness.total
-                population.fitnesses[i] = fitness
+        try:
+            totals = binding.evaluate_batch(candidates)
+            # strict, so ties keep the parent
+            better = totals < population.totals
+            population.x[better] = candidates[better]
+            population.totals[better] = totals[better]
 
-        if variant == "qo_rao":
-            if control.u01() < config.jump_rate:
-                qo_jump(population, jump_rng, binding)
+            if variant == "qo_rao":
+                if control.u01() < config.jump_rate:
+                    qo_jump(population, jump_rng, binding)
+        except Exception as err:
+            raise RuntimeError(
+                f"{variant} seed {config.seed}: evaluation failed at "
+                f"iteration {it}") from err
 
         if variant == "samp_jaya":
             improved = population.totals.min() < best_before
@@ -353,7 +343,7 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
         variant=variant,
         seed=config.seed,
         best_x=population.x[best_idx].copy(),
-        best_fitness=population.fitnesses[best_idx],
+        best_total=float(population.totals[best_idx]),
         curve=curve,
         evaluations=binding.evaluations - evals_before,
         memo_hits=binding.memo_hits - hits_before,

@@ -816,6 +816,22 @@ _GENERATORS = {
 }
 
 
+class PropertyNotDroppable(ValueError):
+    """``generate`` was asked to drop a property its problem cannot remove."""
+
+
+# the node properties each generator leaves out when asked to drop them
+DROPPABLE_PROPERTIES = {
+    "P1": ("name", "side_effect_count"),
+    "P2": ("name", "country", "who_region", "trial_count"),
+    "P3": (),
+    "P4": ("name", "who_region", "physician_density"),
+    "P5": (),
+    "P6": (),
+    "P7": (),
+}
+
+
 def generate(problem_id: str, scale: str = "small", seed: int = 0, *,
              drop_properties: Iterable[str] = (),
              p5_mode: str = "linear") -> Instance:
@@ -824,7 +840,9 @@ def generate(problem_id: str, scale: str = "small", seed: int = 0, *,
     drop_properties removes the named node properties at generation
     time (the data-quality degradation the degeneracy detector is for);
     the spec then lists the requested names, sorted, under
-    ``dropped_properties``.  Only P1, P2 and P4 remove any property.
+    ``dropped_properties``.  A name outside the problem's
+    ``DROPPABLE_PROPERTIES`` raises ``PropertyNotDroppable`` (a
+    ``ValueError``): only P1, P2 and P4 can remove any property.
     """
     problem_id = problem_id.upper()
     if problem_id not in _GENERATORS:
@@ -832,6 +850,12 @@ def generate(problem_id: str, scale: str = "small", seed: int = 0, *,
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}")
     drop = tuple(drop_properties)
+    droppable = DROPPABLE_PROPERTIES[problem_id]
+    for name in drop:
+        if name not in droppable:
+            raise PropertyNotDroppable(
+                f"{problem_id} cannot drop node property {name!r} "
+                f"(droppable: {', '.join(droppable) or 'none'})")
     if problem_id == "P5":
         instance = _gen_p5(scale, seed, drop, mode=p5_mode)
     else:

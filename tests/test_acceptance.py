@@ -188,6 +188,12 @@ class BoundsChecked:
         self.evaluations += 1
         return self.inner.evaluate(x)
 
+    def evaluate_batch(self, X):
+        outside = (X < self.space.lower) | (X > self.space.upper)
+        self.out_of_bounds += int(np.count_nonzero(outside.any(axis=1)))
+        self.evaluations += X.shape[0]
+        return self.inner.evaluate_batch(X)
+
 
 def test_acceptance_6_solver_invariant_sweep(verdict):
     rng = SeededRng(2718)
@@ -224,7 +230,7 @@ def test_acceptance_6_solver_invariant_sweep(verdict):
         space = inst.space
         point = space.lower + rng.u01() * (space.upper - space.lower)
         pop = Population(space=space, x=np.tile(point, (6, 1)),
-                         fitnesses=[None] * 6, totals=np.full(6, 1.0))
+                         totals=np.full(6, 1.0))
         cand = propose("rao1", pop, rng.integer(0, 6), SeededRng(seed))
         if not np.array_equal(cand, point):
             violations.append(("rao1", pid, seed, "converged fixed point"))

@@ -45,6 +45,16 @@ def test_generate_records_dropped_property(capsys):
     assert "dropped_properties" not in json.loads(healthy)
 
 
+def test_generate_rejects_undroppable_property():
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphopt.cli", "generate", "--problem", "P6",
+         "--drop-property", "burden"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "P6 cannot drop node property 'burden'" in proc.stderr
+
+
 def test_generate_with_disruption(capsys):
     assert main(["generate", "--problem", "P3",
                  "--disrupt", "capacity_halving:0.5:2.0:1"]) == 0

@@ -1,6 +1,8 @@
 """Solver portfolio: pinned update formulas, acceptance rule, stream
 alignment, determinism, and evaluation accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,7 @@ def sphere_binding(d=10, half_width=5.0):
 def make_population(space, rows, totals):
     x = np.array(rows, dtype=np.float64)
     totals = np.array(totals, dtype=np.float64)
-    binding = sphere_binding(x.shape[1])
-    fits = [binding.evaluate(row) for row in x]  # placeholders, totals override
-    return Population(space=space, x=x, fitnesses=fits, totals=totals)
+    return Population(space=space, x=x, totals=totals)
 
 
 # ---- names and config ----
@@ -147,6 +147,18 @@ def test_greedy_accept_strict():
     assert greedy_accept(f(5.0), f(5.1)) is False
 
 
+def test_run_keeps_parents_on_ties():
+    """On a flat landscape every candidate ties its parent, so no member
+    moves and the best is the initial population's first member."""
+    space = continuous_space([-1.0] * 3, [1.0] * 3)
+    for variant in VARIANTS:
+        binding = CallableBinding(space=space, fn=objective_only(lambda x: 1.0))
+        result = run(binding, SolverConfig(variant=variant, pop_size=5,
+                                           iterations=6, seed=3))
+        start = init_population(binding, 5, LaneRng(3, 5))
+        assert np.array_equal(result.best_x, start.x[0]), variant
+
+
 def test_samp_adaptation_rule():
     assert adapt_subpopulations(2, True, 4) == 3
     assert adapt_subpopulations(1, False, 4) == 1
@@ -171,9 +183,8 @@ def test_qo_jump_center_is_fixed_point():
     binding = CallableBinding(
         space=space, fn=objective_only(lambda x: float(np.sum(x))))
     center = np.array([[1.0, 1.0]] * 4)
-    fits = [binding.evaluate(center[i]) for i in range(4)]
-    pop = Population(space=space, x=center.copy(), fitnesses=fits,
-                     totals=np.array([f.total for f in fits]))
+    pop = Population(space=space, x=center.copy(),
+                     totals=binding.evaluate_batch(center))
     qo_jump(pop, LaneRng(0, 4), binding)
     assert np.allclose(pop.x, center)
 
@@ -289,3 +300,23 @@ def test_callable_binding_follows_counter_protocol():
     assert binding.evaluations == result.evaluations > 0
     assert binding.memo_hits == result.memo_hits == 0
     assert binding.query_executions == 0
+
+
+def test_callable_batch_rejects_non_finite_values():
+    calls = []
+
+    def nan_after_ten(x):
+        calls.append(1)
+        return math.nan if len(calls) > 10 else float(np.dot(x, x))
+
+    space = continuous_space([-1.0] * 2, [1.0] * 2)
+    binding = CallableBinding(space=space, fn=objective_only(nan_after_ten))
+    with pytest.raises(ValueError, match="batch row 0 has a non-finite coordinate"):
+        binding.evaluate_batch(np.array([[math.nan, 0.0]]))
+    with pytest.raises(ValueError, match="batch row 10 has a non-finite total nan"):
+        binding.evaluate_batch(np.zeros((12, 2)))
+    calls.clear()  # 5 initial calls, 5 in iteration 0, the 11th in iteration 1
+    with pytest.raises(RuntimeError,
+                       match="jaya seed 2: evaluation failed at iteration 1$"):
+        run(binding, SolverConfig(variant="jaya", pop_size=5, iterations=3,
+                                  seed=2))

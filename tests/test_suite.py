@@ -2,6 +2,8 @@
 disruptions, oracle consistency, degeneracy detection."""
 
 import dataclasses
+import functools
+import hashlib
 import itertools
 import json
 import math
@@ -9,15 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphopt.problems
 from graphopt.oracles import brute_force_selection
 from graphopt.problems import PatternABinding, PatternBBinding
 from graphopt.rng import SeededRng
-from graphopt.solvers import SolverConfig, run
-from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, detect_degenerate_terms,
-                            disruption_targets, fresh_binding, gap_ratio,
-                            generate, inject_disruption, pattern_a_binding,
+from graphopt.solvers import VARIANTS, SolverConfig, run
+from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
+                            detect_degenerate_terms, disruption_targets,
+                            fresh_binding, gap_ratio, generate,
+                            inject_disruption, pattern_a_binding,
                             solve_oracle)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -298,6 +303,163 @@ def test_gap_ratio_orientation():
     assert gap_ratio(-90.0, -100.0) == pytest.approx(100.0 / 90.0)
     assert gap_ratio(-100.0, -100.0) == 1.0
     assert gap_ratio(5.0, 0.0) is None
+
+
+# ---- population batches against the scalar route ----
+
+@functools.cache
+def _batch_instance(problem_id):
+    return generate(problem_id, "small", 0)
+
+
+@st.composite
+def _selection_batches(draw, space):
+    """1-3 batches of rows from a small pool, so rows repeat within and
+    across batches; coordinates collide, sit on the box edges and, as
+    the scalar route accepts them, lie outside the box."""
+    n, k = space.n_candidates, space.k
+    coordinate = st.one_of(
+        st.floats(0.0, float(space.upper[0])),
+        st.sampled_from([0.0, float(space.upper[0])]),
+        st.integers(0, n - 1).map(float),
+        st.integers(0, 2).map(lambda i: i + 0.5),
+        st.sampled_from([-0.5, -7.0, n - 0.5, n + 0.5, 1e300, -1e300]))
+    pool = draw(st.lists(st.lists(coordinate, min_size=k, max_size=k),
+                         min_size=1, max_size=4))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12)
+    return [np.array([pool[i] for i in batch])
+            for batch in draw(st.lists(picks, min_size=1, max_size=3))]
+
+
+@pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
+@pytest.mark.parametrize("problem_id", ["P1", "P2", "P4", "P6"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evaluate_batch_equals_scalar_route(problem_id, memoize, data):
+    inst = _batch_instance(problem_id)
+    batched = dataclasses.replace(inst.binding, memoize=memoize)
+    scalar = dataclasses.replace(inst.binding, memoize=memoize)
+    for X in data.draw(_selection_batches(inst.space)):
+        got = batched.evaluate_batch(X)
+        want = np.array([scalar.evaluate(x).total for x in X])
+        assert got.tobytes() == want.tobytes()
+    assert ((batched.evaluations, batched.memo_hits, batched.query_executions)
+            == (scalar.evaluations, scalar.memo_hits, scalar.query_executions))
+
+
+def test_batch_scored_subset_becomes_one_fitness():
+    binding = fresh_binding(generate("P2", "small", 0))
+    X = np.array([[0.5, 3.2, 7.9, 1.1, 12.0], [12.9, 7.0, 3.9, 1.5, 0.0]])
+    totals = binding.evaluate_batch(X)  # one subset twice: a miss, then a hit
+    assert binding.memo_hits == 1
+    first = binding.evaluate(X[1])
+    assert first.total == totals[0] == totals[1]
+    assert binding.evaluate(X[0]) is first
+    assert binding.evaluate(X[1]) is first
+    assert binding.evaluations == 5 and binding.memo_hits == 4
+
+
+def test_scalar_read_rejects_a_corrupted_batch_total():
+    inst = generate("P2", "small", 0)
+    honest = inst.binding.subset_totals
+    binding = dataclasses.replace(
+        inst.binding, subset_totals=lambda rows: honest(rows) + 1.0)
+    x = np.array([0.5, 3.2, 7.9, 1.1, 12.0])
+    binding.evaluate_batch(x[None])
+    with pytest.raises(RuntimeError, match="subset_totals gave"):
+        binding.evaluate(x)
+
+
+class _LoopedBatch:
+    """A binding whose batch is one ``evaluate`` per row, the route the
+    solver took before it scored populations in one call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.space = inner.space
+
+    evaluations = property(lambda self: self.inner.evaluations)
+    memo_hits = property(lambda self: self.inner.memo_hits)
+
+    def evaluate_batch(self, X):
+        return np.array([self.inner.evaluate(x).total for x in X])
+
+
+@pytest.mark.parametrize("problem_id", ["P2", "P4", "P6"])
+def test_batched_run_equals_looped_run(problem_id):
+    inst = generate(problem_id, "small", 3)
+    for variant in VARIANTS:
+        config = SolverConfig(variant=variant, pop_size=20, iterations=80,
+                              seed=11)
+        fast = run(fresh_binding(inst), config)
+        slow = run(_LoopedBatch(fresh_binding(inst)), config)
+        assert fast.best_total == slow.best_total, variant
+        assert fast.curve.tobytes() == slow.curve.tobytes(), variant
+        assert fast.best_x.tobytes() == slow.best_x.tobytes(), variant
+        assert (fast.evaluations, fast.memo_hits) == (
+            slow.evaluations, slow.memo_hits), variant
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batch_rejects_non_finite_coordinate(bad):
+    binding = fresh_binding(generate("P2", "small", 0))
+    X = np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, bad, 2.0, 3.0, 4.0]])
+    with pytest.raises(ValueError, match="batch row 1 has a non-finite coordinate"):
+        binding.evaluate_batch(X)
+
+
+def _nan_on_call(scorer, call):
+    """``scorer`` with the last total of its ``call``-th call set to NaN."""
+    calls = []
+
+    def totals(rows):
+        calls.append(rows.shape[0])
+        out = scorer(rows)
+        if len(calls) == call:
+            out[-1] = math.nan
+        return out
+    return totals
+
+
+def test_batch_rejects_non_finite_total_and_run_names_it():
+    inst = generate("P2", "small", 0)
+    honest = inst.binding.subset_totals
+    binding = dataclasses.replace(inst.binding,
+                                  subset_totals=_nan_on_call(honest, 1))
+    with pytest.raises(ValueError, match="batch row 1 has a non-finite total nan"):
+        binding.evaluate_batch(np.array([[0.0, 1.0, 2.0, 3.0, 4.0],
+                                         [5.0, 1.0, 2.0, 3.0, 4.0]]))
+    # the initial population, iteration 0, then iteration 1
+    binding = dataclasses.replace(inst.binding,
+                                  subset_totals=_nan_on_call(honest, 3))
+    with pytest.raises(RuntimeError,
+                       match="rao1 seed 4: evaluation failed at iteration 1$"
+                       ) as info:
+        run(binding, SolverConfig(variant="rao1", pop_size=10, iterations=5,
+                                  seed=4))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+# ---- dropped properties ----
+
+@pytest.mark.parametrize("problem_id, prop", [
+    ("P6", "burden"), ("P3", "demand"), ("P2", "no_such_prop")])
+def test_generate_rejects_a_property_it_cannot_drop(problem_id, prop):
+    with pytest.raises(PropertyNotDroppable,
+                       match=f"{problem_id} cannot drop node property '{prop}'"):
+        generate(problem_id, "small", 0, drop_properties=(prop,))
+
+
+@pytest.mark.parametrize("problem_id, prop, digest", [
+    ("P1", "side_effect_count", "c59385211104be06"),
+    ("P2", "trial_count", "a46ab938f1af72f4"),
+    ("P2", "who_region", "08cd84c50ea86a79"),
+    ("P4", "who_region", "61f2e87aacde9217"),
+    ("P4", "physician_density", "8c25daa3340ab13b"),
+])
+def test_documented_drops_keep_their_spec_bytes(problem_id, prop, digest):
+    spec = generate(problem_id, "small", 0, drop_properties=(prop,)).spec_bytes()
+    assert hashlib.sha256(spec).hexdigest()[:16] == digest
 
 
 # ---- disruptions ----
