@@ -43,9 +43,9 @@ def brute_force_selection(binding, space=None):
     strict, so ties resolve to the lexicographically smallest index
     set.  Returns (indices tuple, Fitness).
 
-    A binding with a ``subset_totals`` scorer is swept in vectorized
-    chunks under the same tie rule; the winner is re-scored through
-    ``evaluate`` and must reproduce its vectorized total exactly.
+    A binding with a ``terms`` formula is swept in chunks of sorted
+    index rows, each scored by its ``weighted_sum``, under the same tie
+    rule; only the winner goes through ``evaluate``.
     """
     space = space or binding.space
     if space.kind != "selection":
@@ -54,9 +54,8 @@ def brute_force_selection(binding, space=None):
     if math.comb(n, k) > BRUTE_FORCE_LIMIT:
         raise OracleTooLarge(
             f"C({n},{k}) = {math.comb(n, k)} exceeds {BRUTE_FORCE_LIMIT}")
-    subset_totals = getattr(binding, "subset_totals", None)
-    if subset_totals is not None:
-        return _brute_force_vectorized(binding, subset_totals, n, k)
+    if getattr(binding, "terms", None) is not None:
+        return _brute_force_vectorized(binding, n, k)
     best_subset = None
     best_fit: Fitness | None = None
     evaluate = binding.evaluate
@@ -68,10 +67,10 @@ def brute_force_selection(binding, space=None):
     return best_subset, best_fit
 
 
-_COMBO_CHUNK = 1 << 14  # subsets scored per vectorized call
+_COMBO_CHUNK = 1 << 14  # subsets scored per terms call
 
 
-def _brute_force_vectorized(binding, subset_totals, n: int, k: int):
+def _brute_force_vectorized(binding, n: int, k: int):
     combos = combinations(range(n), k)
     best_subset, best_total = None, math.inf
     while True:
@@ -80,16 +79,11 @@ def _brute_force_vectorized(binding, subset_totals, n: int, k: int):
         if flat.size == 0:
             break
         rows = flat.reshape(-1, k)
-        totals = subset_totals(rows)
+        totals = binding.weighted_sum(binding.terms(rows))
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
         if best_subset is None or totals[j] < best_total:
             best_subset, best_total = tuple(rows[j].tolist()), totals[j]
-    fit = binding.evaluate(list(best_subset))
-    if fit.total != best_total:
-        raise RuntimeError(
-            f"vectorized total {best_total!r} for subset {best_subset} "
-            f"differs from evaluate() total {fit.total!r}")
-    return best_subset, fit
+    return best_subset, binding.evaluate(list(best_subset))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ properties per node, and both name the queries behind their terms in
 
 Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
-``evaluate`` would.  A memoized Pattern B selection binding with
-``subset_totals`` decodes the batch once and scores its memo misses in
-one vectorized call; every other binding loops over its own
-``evaluate``.
+``evaluate`` would.  A Pattern B binding with a ``terms`` formula (every
+built-in one) scores the batch in numpy, and its ``evaluate`` is a
+batch of one; every other binding loops over its own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -125,10 +124,30 @@ def subset_key(indices: Sequence[int]) -> tuple:
     return tuple(sorted(indices))
 
 
+def subset_keys(X: np.ndarray, space: DecisionSpace) -> list[tuple]:
+    """``subset_key(decode_selection(row))`` of every row of a finite
+    (m, k) batch.  Rows are clamped, truncated and sorted in numpy; only
+    a row with a repeated index goes through ``decode_selection``."""
+    # clamped while still float, so a huge coordinate cannot overflow
+    # the cast; this gives what int() then clamping gives per value
+    top = space.n_candidates - 1
+    ints = np.maximum(np.minimum(X, top), 0.0).astype(np.int64)
+    ordered = np.sort(ints, axis=1)
+    keys = list(map(tuple, ordered.tolist()))
+    repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if repeats.size:
+        rows = ints.tolist()
+        for i in repeats.tolist():
+            keys[i] = subset_key(decode_selection(rows[i], space))
+    return keys
+
+
 def _finite_rows(X) -> np.ndarray:
-    """The batch as a float (m, d) array; a NaN or infinite coordinate
-    raises, since flooring it to an index would hide it."""
-    X = np.asarray(X, dtype=np.float64)
+    """The batch as a C-ordered float (m, d) array; a NaN or infinite
+    coordinate raises, since flooring it to an index would hide it.
+    (numpy sums a row of a column-major block, as the solver's are, in
+    another order than the row alone.)"""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"a batch is an (m, d) array, got shape {X.shape}")
     if not np.isfinite(X).all():
@@ -173,24 +192,8 @@ class Fitness(NamedTuple):
     penalty_weights: dict
 
     @property
-    def penalty_weighted_total(self) -> float:
-        return weighted_total(self.objective_terms, self.violation_terms,
-                              self.penalty_weights)
-
-    @property
     def feasible(self) -> bool:
         return all(v == 0 for v in self.violation_terms.values())
-
-
-def weighted_total(objective_terms: Mapping[str, float],
-                   violation_terms: Mapping[str, float],
-                   penalty_weights: Mapping[str, float]) -> float:
-    total = 0.0
-    for value in objective_terms.values():
-        total += value
-    for name, violation in violation_terms.items():
-        total += penalty_weights[name] * violation
-    return total
 
 
 # builds a Fitness without the NamedTuple's Python-level __new__, which
@@ -206,20 +209,17 @@ def assemble_fitness(objective_terms: Mapping[str, float],
         for value in objective_terms.values():
             total += value
         return _new_fitness(Fitness, (total, dict(objective_terms), {}, {}))
+    total = 0.0
+    for value in objective_terms.values():
+        total += value
     for name, violation in violation_terms.items():
         if violation < 0:
             raise ValueError(f"violation term {name!r} is negative: {violation}")
         if name not in penalty_weights:
             raise ValueError(f"violation term {name!r} has no penalty weight")
-    objective_terms = dict(objective_terms)
-    violation_terms = dict(violation_terms)
-    penalty_weights = dict(penalty_weights)
-    return Fitness(
-        total=weighted_total(objective_terms, violation_terms, penalty_weights),
-        objective_terms=objective_terms,
-        violation_terms=violation_terms,
-        penalty_weights=penalty_weights,
-    )
+        total += penalty_weights[name] * violation
+    return _new_fitness(Fitness, (total, dict(objective_terms),
+                                  dict(violation_terms), dict(penalty_weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,41 +370,41 @@ def materialize(graph: PropertyGraph, queries: Mapping[str, Query]):
     return arrays, missing_counts, tuple(provenance)
 
 
-TermFn = Callable[..., tuple[dict, dict]]
-
-
 @dataclass
 class PatternBBinding:
     """Pure-function evaluation over arrays materialized at startup.
 
-    ``fitness_fn(x, arrays)`` returns (objective_terms, violation_terms);
-    the binding assembles the penalty-weighted total.  Arrays never
-    change after construction and evaluation performs no queries.
+    Its fitness is one of two formulas, whichever the caller sets:
 
-    ``memoize`` caches fitness per decoded subset (``subset_key``), the
-    memo Pattern A keeps too.  Only valid on
-    selection spaces whose fitness depends on the subset alone; it
-    never changes results, it just skips recomputing a seen subset.
-    A subset first scored by ``evaluate_batch`` is stored as its total;
-    the first ``evaluate`` of it replaces the total with the full
-    ``Fitness`` (a hit) and raises ``RuntimeError`` if the two totals
-    differ.
+    - ``terms(rows) -> (m, T)``, the formula of every built-in problem.
+      Its columns are the ``term_sources`` keys in order; a column with
+      a penalty weight is a violation.  A selection binding passes the
+      (m, k) sorted decoded index rows, a continuous one the raw (m, d)
+      block.  Row i must not depend on the other rows (so no BLAS
+      reductions): ``evaluate(x)`` is a batch of one, bit for bit.
+    - ``fitness_fn(x, arrays) -> (objective_terms, violation_terms)``, a
+      scalar formula; the batch loops over ``evaluate``.
+
+    Either way the total is ``assemble_fitness``'s.  Arrays never change
+    after construction and evaluation performs no queries.
+
+    ``memoize`` caches per decoded subset (``subset_key``), as Pattern A
+    does; only valid on selection spaces whose fitness depends on the
+    subset alone.  It never changes results.  A ``terms`` binding keeps
+    the total of each subset, a ``fitness_fn`` one its ``Fitness``.
     """
 
     space: DecisionSpace
     arrays: Mapping[str, tuple]
-    fitness_fn: TermFn
+    fitness_fn: Optional[Callable[..., tuple[dict, dict]]] = None
     penalty_weights: dict = field(default_factory=dict)
     provenance: tuple = ()
     missing_counts: Mapping[str, int] = field(default_factory=dict)
-    # which arrays feed which term, for per-term missing-data reporting
+    # which arrays feed which term, for per-term missing-data reporting;
+    # with ``terms``, also the names of its columns
     term_sources: Mapping[str, tuple] = field(default_factory=dict)
     memoize: bool = False
-    # optional vectorized scorer for selection spaces: maps an (m, k) int
-    # array of sorted index rows to the m totals evaluate() gives for
-    # those subsets, bit for bit; evaluate_batch and the brute-force
-    # oracle use it
-    subset_totals: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    terms: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     evaluations: int = field(init=False, default=0)
     memo_hits: int = field(init=False, default=0)
@@ -412,10 +412,11 @@ class PatternBBinding:
     query_executions: int = field(init=False, default=0)
 
     def __post_init__(self):
+        if (self.fitness_fn is None) == (self.terms is None):
+            raise ValueError("set exactly one of fitness_fn and terms")
         if self.memoize and self.space.kind != "selection":
             raise ValueError("subset memoization needs a selection space")
-        # a Fitness, or the bare total of a subset evaluate_batch scored
-        self._memo: dict[tuple, Fitness | float] = {}
+        self._memo: dict = {}
         frozen = {}
         for name, values in self.arrays.items():
             if isinstance(values, np.ndarray):
@@ -425,19 +426,49 @@ class PatternBBinding:
                 values = tuple(values)
             frozen[name] = values
         self.arrays = frozen
+        self._columns = list(self.term_sources)
+        # (column, weight or None) in the order of the total: objectives,
+        # then weighted violations, each in column order (a stable sort)
+        self._weighted_columns = sorted(
+            ((j, self.penalty_weights.get(name))
+             for j, name in enumerate(self._columns)),
+            key=lambda column: column[1] is not None)
+
+    def weighted_sum(self, terms: np.ndarray) -> np.ndarray:
+        """The (m,) totals of an (m, T) ``terms`` matrix: from 0.0, each
+        objective column, then weight x each violation column, in
+        column order."""
+        if terms.shape[1] != len(self._columns):
+            raise ValueError(f"terms gave {terms.shape[1]} columns for "
+                             f"{len(self._columns)} terms")
+        total = np.zeros(terms.shape[0])
+        for j, weight in self._weighted_columns:
+            total += terms[:, j] if weight is None else weight * terms[:, j]
+        return total
+
+    def _decoded(self, X) -> tuple[np.ndarray, Optional[list]]:
+        """The finite batch checked against the space, and on a
+        selection space the subset key of each row."""
+        X = _finite_rows(X)
+        space = self.space
+        width = space.k if space.kind == "selection" else space.dim
+        if X.shape[1] != width:
+            raise ValueError(f"batch rows have {X.shape[1]} coordinates, "
+                             f"the space has {width}")
+        return X, subset_keys(X, space) if space.kind == "selection" else None
+
+    def _terms_of(self, X: np.ndarray, keys: Optional[list]) -> np.ndarray:
+        return self.terms(X if keys is None else np.array(keys, dtype=np.int64))
 
     def evaluate(self, x) -> Fitness:
+        if self.terms is not None:
+            return self._evaluate_terms(x)
         self.evaluations += 1
         if self.memoize:
             key = subset_key(decode_selection(x, self.space))
             cached = self._memo.get(key)
             if cached is not None:
                 self.memo_hits += 1
-                if type(cached) is float:
-                    # scored by evaluate_batch: build the terms now, held
-                    # to the vectorized total, and keep them for later hits
-                    cached = self._checked_fitness(x, key, cached)
-                    self._memo[key] = cached
                 return cached
             objective, violations = self.fitness_fn(x, self.arrays)
             fitness = assemble_fitness(objective, violations, self.penalty_weights)
@@ -446,48 +477,38 @@ class PatternBBinding:
         objective, violations = self.fitness_fn(x, self.arrays)
         return assemble_fitness(objective, violations, self.penalty_weights)
 
-    def _checked_fitness(self, x, key: tuple, total: float) -> Fitness:
-        objective, violations = self.fitness_fn(x, self.arrays)
-        fitness = assemble_fitness(objective, violations, self.penalty_weights)
-        if fitness.total != total:
-            raise RuntimeError(
-                f"subset {key}: subset_totals gave {total!r}, "
-                f"fitness_fn gives {fitness.total!r}")
+    def _evaluate_terms(self, x) -> Fitness:
+        """``evaluate`` as a batch of one, with its ``Fitness`` built
+        from the row's terms."""
+        X, keys = self._decoded(np.asarray(x, dtype=np.float64)[None])
+        terms = dict(zip(self._columns, self._terms_of(X, keys)[0].tolist()))
+        weights = self.penalty_weights
+        fitness = assemble_fitness(
+            {name: v for name, v in terms.items() if name not in weights},
+            {name: v for name, v in terms.items() if name in weights}, weights)
+        _check_totals(np.array([fitness.total]))
+        self.evaluations += 1
+        if self.memoize:
+            self.memo_hits += keys[0] in self._memo
+            self._memo.setdefault(keys[0], fitness.total)
         return fitness
 
     def evaluate_batch(self, X) -> np.ndarray:
-        """Totals of the (m, k) batch X, with the counters m calls of
+        """Totals of the (m, d) batch X, with the counters m calls of
         ``evaluate`` would leave.
 
-        With the memo on and ``subset_totals``, each row is decoded
-        once: clamped and truncated in numpy, where a row of k distinct
-        indices sorts into its ``subset_key``; only a row with a
-        repeated index goes through ``decode_selection`` for its cyclic
-        rule.  Memo misses are scored in one ``subset_totals`` call and
-        stored as their totals; a subset repeated within the batch is a
-        miss the first time and a hit after that.  Otherwise the batch
-        loops over ``evaluate``.
+        A ``terms`` binding decodes each row once (``subset_keys``).
+        With the memo on, only the distinct subsets the memo does not
+        hold are scored, in one ``terms`` call, and their totals stored;
+        a subset repeated within the batch is a miss the first time and
+        a hit after that.
         """
-        if self.subset_totals is None or not self.memoize:
+        if self.terms is None:
             return _evaluate_each(self, X)
-        X = _finite_rows(X)
-        space = self.space
-        if X.shape[1] != space.k:
-            raise ValueError(f"batch rows have {X.shape[1]} coordinates, "
-                             f"the space selects {space.k}")
-        # clamped while still float, so a huge coordinate cannot overflow
-        # the cast; this gives what int() then clamping gives per value
-        top = space.n_candidates - 1
-        ints = np.maximum(np.minimum(X, top), 0.0).astype(np.int64)
-        ordered = np.sort(ints, axis=1)
-        keys = list(map(tuple, ordered.tolist()))
-        repeats = np.flatnonzero(
-            (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        if repeats.size:
-            rows = ints.tolist()
-            for i in repeats.tolist():
-                keys[i] = subset_key(decode_selection(rows[i], space))
-        self.evaluations += len(keys)
+        X, keys = self._decoded(X)
+        self.evaluations += len(X)
+        if not self.memoize:
+            return _check_totals(self.weighted_sum(self._terms_of(X, keys)))
 
         memo = self._memo
         found = [memo.get(key) for key in keys]
@@ -496,11 +517,10 @@ class PatternBBinding:
             key for key, value in zip(keys, found) if value is None)
         self.memo_hits += len(keys) - len(new)
         if new:
-            scored = self.subset_totals(np.array(list(new), dtype=np.int64))
+            scored = self.weighted_sum(self._terms_of(X, list(new)))
             new = dict(zip(new, scored.tolist()))
         totals = _check_totals(np.array(
-            [new[key] if value is None
-             else value if type(value) is float else value.total
+            [new[key] if value is None else value
              for key, value in zip(keys, found)], dtype=np.float64))
         memo.update(new)
         return totals
@@ -525,10 +545,3 @@ class CallableBinding:
 
     def evaluate_batch(self, X) -> np.ndarray:
         return _evaluate_each(self, X)
-
-
-def objective_only(total_fn: Callable[[np.ndarray], float],
-                   name: str = "objective") -> Callable[[np.ndarray], Fitness]:
-    def fn(x) -> Fitness:
-        return assemble_fitness({name: float(total_fn(x))}, {}, {})
-    return fn

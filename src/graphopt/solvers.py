@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import DecisionSpace, Fitness
+from .problems import DecisionSpace
 from .rng import LaneRng, SeededRng
 
 VARIANTS = ("jaya", "rao1", "bmr", "bwr", "bmwr",
@@ -107,11 +107,6 @@ class RunResult:
 def clamp(candidate: np.ndarray, space: DecisionSpace) -> np.ndarray:
     """Coordinate-wise clip into the space's box."""
     return np.clip(candidate, space.lower, space.upper)
-
-
-def greedy_accept(old: Fitness, new: Fitness) -> bool:
-    """Keep the candidate only on strict improvement; ties keep the old."""
-    return new.total < old.total
 
 
 def init_population(binding, pop_size: int, rng: LaneRng) -> Population:

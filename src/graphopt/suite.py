@@ -5,6 +5,13 @@ binding in it (P1 through per-evaluation query templates, P2-P7 through
 startup materialization), and packages the decision space, a canonical
 spec snapshot, and an exact-oracle descriptor into one Instance.
 
+Each of P2-P7 has one fitness formula, a ``terms`` function that scores
+a whole batch in numpy (see ``PatternBBinding``): P2, P4 and P6 over
+sorted decoded index rows, P3, P5 and P7 over the raw (m, d) block.
+Every reduction is a numpy sum or an explicit loop of adds, never a
+BLAS call, so row i of a batch does not depend on the other rows.
+SOLVERS.md writes down the P3/P5/P7 arithmetic.
+
 Problems:
   P1 drug-portfolio selection: k drugs maximizing distinct target-gene
      coverage minus a weighted side-effect sum.
@@ -36,7 +43,9 @@ from .graph import PropertyGraph
 from .oracles import (DispatchInstance, TransportationInstance,
                       brute_force_selection, merit_order_dispatch,
                       solve_transportation)
-from .problems import (DecisionSpace, PatternABinding, PatternBBinding,
+# decode_selection is not called here; perfbench/trace.py looks it up
+# in this module as well as in problems
+from .problems import (DecisionSpace, PatternABinding, PatternBBinding,  # noqa: F401
                        QueryTerm, continuous_space, decode_selection,
                        materialize, selection_space)
 from .querylang import parse_query, parse_template
@@ -131,25 +140,28 @@ def _bucket_codes(values) -> list[int]:
     return [codes.setdefault(v, len(codes)) for v in values]
 
 
-def _sum_plus_diversity_totals(values, codes, beta: float):
-    """Vectorized P2/P4 totals over (m, k) sorted index rows.
+def _columns(*columns) -> np.ndarray:
+    """The (m, T) terms matrix of T (m,) columns.  At population sizes
+    this is several times faster than ``np.stack(columns, axis=1)``."""
+    return np.array(columns).T
 
-    Mirrors the scalar fitness bit for bit: the value sum accumulates
-    column by column from 0.0 in sorted-index order, and the total adds
-    the two terms in the order assemble_fitness does.
-    """
+
+def _sum_plus_diversity_terms(values, codes, beta: float):
+    """P2/P4 terms over (m, k) sorted index rows: the negated value sum,
+    accumulated column by column from 0.0 in sorted-index order, and
+    -beta times the number of distinct region codes."""
     value_arr = np.asarray(values, dtype=np.float64)
     code_arr = np.asarray(codes, dtype=np.int64)
 
-    def totals(rows: np.ndarray) -> np.ndarray:
+    def terms(rows: np.ndarray) -> np.ndarray:
         summed = np.zeros(rows.shape[0])
         for col in range(rows.shape[1]):
             summed += value_arr[rows[:, col]]
         row_codes = np.sort(code_arr[rows], axis=1)
         distinct = 1 + np.count_nonzero(np.diff(row_codes, axis=1), axis=1)
-        return 0.0 + -summed + -beta * distinct
+        return _columns(-summed, -beta * distinct)
 
-    return totals
+    return terms
 
 
 def _connected_road_graph(g: PropertyGraph, rng: SeededRng, n_road: int,
@@ -291,22 +303,10 @@ def _gen_p2(scale: str, seed: int, drop_properties: tuple) -> Instance:
     space = selection_space(k, n_sites)
     tc = [0.0 if v is None else float(v) for v in arrays["trial_counts"]]
     codes = _bucket_codes(arrays["regions"])
-
-    def fitness_fn(x, _arrays):
-        # sorted so permutations of one subset sum in one order (bit-exact)
-        sel = sorted(decode_selection(x, space))
-        throughput = 0.0
-        seen = set()
-        for i in sel:
-            throughput += tc[i]
-            seen.add(codes[i])
-        return ({"trial_throughput": -throughput,
-                 "region_diversity": -beta * len(seen)}, {})
-
     binding = PatternBBinding(
-        space=space, arrays=arrays, fitness_fn=fitness_fn,
+        space=space, arrays=arrays,
+        terms=_sum_plus_diversity_terms(tc, codes, beta),
         provenance=provenance, missing_counts=missing, memoize=True,
-        subset_totals=_sum_plus_diversity_totals(tc, codes, beta),
         term_sources={"trial_throughput": ("trial_counts",),
                       "region_diversity": ("regions",)})
 
@@ -348,8 +348,8 @@ def pattern_a_binding(instance: Instance) -> PatternABinding:
 # P3: freight rerouting, Pattern B, transportation oracle
 # ---------------------------------------------------------------------------
 
-def _build_fraction_binding(cost, demand, capacity, obj_name, weight):
-    """Shared P3/P7 fitness: x are row-major (source, sink) fractions.
+def _fraction_terms(cost, demand, capacity):
+    """Shared P3/P7 terms of (m, d) row-major (source, sink) fractions.
 
     objective = sum(frac * demand * cost); balance violation is the
     demand-weighted |row sum - 1|; capacity violation is the total
@@ -357,17 +357,16 @@ def _build_fraction_binding(cost, demand, capacity, obj_name, weight):
     """
     n_src, n_snk = cost.shape
 
-    def fitness_fn(x, _arrays):
-        frac = np.asarray(x).reshape(n_src, n_snk)
+    def terms(X: np.ndarray) -> np.ndarray:
+        m = X.shape[0]
+        frac = X.reshape(m, n_src, n_snk)
         shipped = frac * demand[:, None]
-        objective = float((shipped * cost).sum())
-        balance = float(np.abs(frac.sum(axis=1) - 1.0).dot(demand))
-        overflow = float(np.maximum(shipped.sum(axis=0) - capacity, 0.0).sum())
-        return ({obj_name: objective},
-                {"balance": balance, "capacity": overflow})
+        objective = (shipped * cost).reshape(m, -1).sum(axis=1)
+        balance = (np.abs(frac.sum(axis=2) - 1.0) * demand).sum(axis=1)
+        overflow = np.maximum(shipped.sum(axis=1) - capacity, 0.0).sum(axis=1)
+        return _columns(objective, balance, overflow)
 
-    weights = {"balance": weight, "capacity": weight}
-    return fitness_fn, weights
+    return terms
 
 
 def _gen_p3(scale: str, seed: int, drop_properties: tuple) -> Instance:
@@ -428,12 +427,11 @@ def _assemble_p3(scale, seed, g, data, disruption) -> Instance:
     space = continuous_space(np.zeros(n_cities * n_ports),
                              np.ones(n_cities * n_ports))
     weight = PENALTY_SCALE * float(distance.mean())
-    fitness_fn, weights = _build_fraction_binding(
-        distance, demands, capacities, "transport_cost", weight)
     binding = PatternBBinding(
-        space=space, arrays=arrays, fitness_fn=fitness_fn,
-        penalty_weights=weights, provenance=provenance,
-        missing_counts=missing,
+        space=space, arrays=arrays,
+        terms=_fraction_terms(distance, demands, capacities),
+        penalty_weights={"balance": weight, "capacity": weight},
+        provenance=provenance, missing_counts=missing,
         term_sources={"transport_cost": ("distance_km", "demands"),
                       "balance": ("demands",),
                       "capacity": ("capacities",)})
@@ -504,21 +502,10 @@ def _gen_p4(scale: str, seed: int, drop_properties: tuple) -> Instance:
     deficits = [max(threshold - v, 0.0) if v is not None else 0.0
                 for v in arrays["densities"]]
     codes = _bucket_codes(arrays["regions"])
-
-    def fitness_fn(x, _arrays):
-        sel = sorted(decode_selection(x, space))
-        deficit = 0.0
-        seen = set()
-        for i in sel:
-            deficit += deficits[i]
-            seen.add(codes[i])
-        return ({"deficit_coverage": -deficit,
-                 "region_diversity": -beta * len(seen)}, {})
-
     binding = PatternBBinding(
-        space=space, arrays=arrays, fitness_fn=fitness_fn,
+        space=space, arrays=arrays,
+        terms=_sum_plus_diversity_terms(deficits, codes, beta),
         provenance=provenance, missing_counts=missing, memoize=True,
-        subset_totals=_sum_plus_diversity_totals(deficits, codes, beta),
         term_sources={"deficit_coverage": ("densities",),
                       "region_diversity": ("regions",)})
 
@@ -591,25 +578,25 @@ def _gen_p5(scale: str, seed: int, drop_properties: tuple,
     eff = cost_rate + w_e * emission_rate
     weight = PENALTY_SCALE * float(eff.mean())
 
-    def fitness_fn(x, _arrays):
-        out = np.asarray(x).reshape(n_gen, n_hours)
-        per_gen = out.sum(axis=1)
-        cost = float(per_gen.dot(cost_rate))
+    def terms(X: np.ndarray) -> np.ndarray:
+        m = X.shape[0]
+        out = X.reshape(m, n_gen, n_hours)
+        per_gen = out.sum(axis=2)
+        cost = (per_gen * cost_rate).sum(axis=1)
         if mode == "linear":
-            emission = w_e * float(per_gen.dot(emission_rate))
+            emission = w_e * (per_gen * emission_rate).sum(axis=1)
         else:
             # quadratic emissions: output near capacity pollutes
             # disproportionately; no exact reference exists for this mode
-            emission = w_e * float(
-                (emission_rate[:, None] * out * out / max_out[:, None]).sum())
-        balance = float(np.abs(out.sum(axis=0) - demand).sum())
-        ramp_over = float(np.maximum(
-            np.abs(np.diff(out, axis=1)) - ramp[:, None], 0.0).sum())
-        return ({"fuel_cost": cost, "emission_penalty": emission},
-                {"balance": balance, "ramp": ramp_over})
+            emission = w_e * (emission_rate[:, None] * out * out
+                              / max_out[:, None]).reshape(m, -1).sum(axis=1)
+        balance = np.abs(out.sum(axis=1) - demand).sum(axis=1)
+        ramp_over = np.maximum(np.abs(np.diff(out, axis=2)) - ramp[:, None],
+                               0.0).reshape(m, -1).sum(axis=1)
+        return _columns(cost, emission, balance, ramp_over)
 
     binding = PatternBBinding(
-        space=space, arrays=arrays, fitness_fn=fitness_fn,
+        space=space, arrays=arrays, terms=terms,
         penalty_weights={"balance": weight, "ramp": weight},
         provenance=provenance, missing_counts=missing,
         term_sources={"fuel_cost": ("cost_rate",),
@@ -680,26 +667,17 @@ def _gen_p6(scale: str, seed: int, drop_properties: tuple) -> Instance:
     efficacy = 1.0 / (1.0 + count_matrix)
     burden_arr = np.array(arrays["burden"], dtype=np.float64)
 
-    def fitness_fn(x, _arrays):
-        sel = sorted(decode_selection(x, space))
-        coverage = float(efficacy[sel].max(axis=0).sum())
-        load = float(burden_arr[sel].sum())
-        return ({"pathogen_coverage": -coverage,
-                 "resistance_burden": lam * load}, {})
-
-    def subset_totals(rows: np.ndarray) -> np.ndarray:
-        # the same per-row sums as fitness_fn; burdens are integers, so
-        # their column-by-column sum is exact in any order
+    def terms(rows: np.ndarray) -> np.ndarray:
         coverage = efficacy[rows].max(axis=1).sum(axis=1)
+        # burdens are integers, so their column-by-column sum is exact
         load = np.zeros(rows.shape[0])
         for col in range(rows.shape[1]):
             load += burden_arr[rows[:, col]]
-        return 0.0 + -coverage + lam * load
+        return _columns(-coverage, lam * load)
 
     binding = PatternBBinding(
-        space=space, arrays=arrays, fitness_fn=fitness_fn,
+        space=space, arrays=arrays, terms=terms,
         provenance=provenance, missing_counts=missing, memoize=True,
-        subset_totals=subset_totals,
         term_sources={"pathogen_coverage": ("resistance_counts",),
                       "resistance_burden": ("burden",)})
 
@@ -774,12 +752,11 @@ def _assemble_p7(scale, seed, g, data, disruption) -> Instance:
 
     space = continuous_space(np.zeros(n_cen * n_exit), np.ones(n_cen * n_exit))
     weight = PENALTY_SCALE * float(travel_time.mean())
-    fitness_fn, weights = _build_fraction_binding(
-        travel_time, pop, capacity, "person_hours", weight)
     binding = PatternBBinding(
-        space=space, arrays=arrays, fitness_fn=fitness_fn,
-        penalty_weights=weights, provenance=provenance,
-        missing_counts=missing,
+        space=space, arrays=arrays,
+        terms=_fraction_terms(travel_time, pop, capacity),
+        penalty_weights={"balance": weight, "capacity": weight},
+        provenance=provenance, missing_counts=missing,
         term_sources={"person_hours": ("travel_time", "pop"),
                       "balance": ("pop",),
                       "capacity": ("capacity",)})

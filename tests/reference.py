@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 
@@ -155,3 +157,92 @@ def xorshift64star_sequence(state, count):
         s &= MASK64
         out.append((s * 0x2545F4914F6CDD1D) & MASK64)
     return out
+
+
+# ---- the built-in Pattern B fitness formulas, one row at a time ----
+#
+# Each returns a row's term values in the binding's column order (its
+# ``term_sources`` keys).  The selection formulas take a subset of
+# candidate indices.
+
+def weighted_total(values, weights):
+    """From 0.0: each objective value (weight None), then weight times
+    each violation, in column order."""
+    total = 0.0
+    for value, weight in zip(values, weights):
+        if weight is None:
+            total += value
+    for value, weight in zip(values, weights):
+        if weight is not None:
+            total += weight * value
+    return total
+
+
+def sum_plus_diversity_terms(values, regions, beta, subset):
+    """P2/P4: minus the subset's summed values, added in sorted index
+    order, and minus beta per distinct region (a missing region, None,
+    is one region of its own)."""
+    total = 0.0
+    for i in sorted(subset):
+        total += values[i]
+    return [-total, -beta * len({regions[i] for i in subset})]
+
+
+def coverage_burden_terms(counts, burden, lam, subset):
+    """P6: minus the sum over pathogens of the subset's best efficacy
+    1 / (1 + resistance count), and lam times its summed burden.
+
+    The pathogen sum is numpy's, as in the package: pairwise summation
+    rounds differently from a loop once there are 8 or more terms."""
+    best = [max(1.0 / (1.0 + counts[i][j]) for i in subset)
+            for j in range(len(counts[0]))]
+    load = 0.0
+    for i in sorted(subset):
+        load += burden[i]
+    return [-float(np.sum(np.array(best))), lam * load]
+
+
+def fraction_terms(cost, supply, capacity, x):
+    """P3/P7 on row-major (source, sink) fractions: shipped cost, the
+    supply-weighted |row sum - 1|, and the inflow above each capacity."""
+    n_snk = len(capacity)
+    cost_total = 0.0
+    balance = 0.0
+    inflow = [0.0] * n_snk
+    for i, row in enumerate(cost):
+        row_sum = 0.0
+        for j in range(n_snk):
+            fraction = x[i * n_snk + j]
+            shipped = fraction * supply[i]
+            cost_total += shipped * row[j]
+            inflow[j] += shipped
+            row_sum += fraction
+        balance += abs(row_sum - 1.0) * supply[i]
+    overflow = 0.0
+    for j in range(n_snk):
+        overflow += max(inflow[j] - capacity[j], 0.0)
+    return [cost_total, balance, overflow]
+
+
+def dispatch_terms(cost_rate, emission_rate, max_out, ramp, demand,
+                   emission_weight, linear, x):
+    """P5 on generator-major hourly outputs: fuel cost, weighted
+    emission (linear, or quadratic in output over capacity), the
+    absolute hourly imbalance, and the ramp excess between hours."""
+    n_hours = len(demand)
+    out = [x[g * n_hours:(g + 1) * n_hours] for g in range(len(cost_rate))]
+    cost = emission = ramp_over = 0.0
+    for g, series in enumerate(out):
+        produced = sum(series)
+        cost += produced * cost_rate[g]
+        if linear:
+            emission += produced * emission_rate[g]
+        else:
+            for value in series:
+                emission += emission_rate[g] * value * value / max_out[g]
+        for h in range(n_hours - 1):
+            ramp_over += max(abs(series[h + 1] - series[h]) - ramp[g], 0.0)
+    balance = 0.0
+    for h in range(n_hours):
+        balance += abs(sum(series[h] for series in out) - demand[h])
+    return [cost, emission_weight * emission, balance, ramp_over]

@@ -2,6 +2,7 @@
 merit-order dispatch.  The transportation solver is also swept against a
 complete integer enumeration on tiny instances."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -52,28 +53,22 @@ def test_brute_force_tie_lexicographic():
     assert subset == (0, 1)
 
 
-def with_subset_totals(binding, values):
-    """Attach the vectorized scorer for value_pick_binding."""
+def with_terms(binding, values):
+    """value_pick_binding with its formula as a ``terms`` batch."""
     arr = -np.asarray(values, dtype=np.float64)
-    binding.subset_totals = lambda rows: 0.0 + arr[rows].sum(axis=1)
-    return binding
+    return dataclasses.replace(
+        binding, fitness_fn=None, term_sources={"value": ("v",)},
+        terms=lambda rows: arr[rows].sum(axis=1)[:, None])
 
 
 def test_vectorized_brute_force_tie_lexicographic():
     # C(21, 5) = 20,349 subsets span two sweep chunks; any 5 of the ten
     # 5s tie, from (0..4) in the first chunk to (16..20) in the last
     values = [5] * 5 + [1] * 11 + [5] * 5
-    binding = with_subset_totals(value_pick_binding(values, 5), values)
+    binding = with_terms(value_pick_binding(values, 5), values)
     subset, fit = brute_force_selection(binding)
     assert subset == (0, 1, 2, 3, 4)
     assert fit.total == -25.0
-
-
-def test_vectorized_brute_force_rejects_disagreeing_scorer():
-    binding = value_pick_binding([3, 1, 4, 1, 5], 2)
-    binding.subset_totals = lambda rows: np.zeros(rows.shape[0])
-    with pytest.raises(RuntimeError, match="differs from evaluate"):
-        brute_force_selection(binding)
 
 
 def test_brute_force_guard():

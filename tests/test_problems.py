@@ -77,7 +77,6 @@ def test_total_is_exact_sum_of_terms():
         w * fit.violation_terms[k] for k, w in fit.penalty_weights.items())
     assert fit.total == recomputed  # bit-for-bit
     assert fit.total == -3.0 + 1.5 + 10.0 * 2.0 + 4.0 * 0.5
-    assert fit.penalty_weighted_total == fit.total
 
 
 def test_feasible_iff_zero_violations():
@@ -257,6 +256,40 @@ def test_pattern_b_permuted_vector_same_fitness():
     a = binding.evaluate(np.array([0.3, 1.7, 2.4]))
     b = binding.evaluate(np.array([2.1, 0.8, 1.2]))  # same subset {0,1,2}
     assert b is a
+
+
+def gap_binding():
+    """Continuous terms binding: objective x0 + x1, violation |x0 - x1|
+    with penalty weight 10."""
+    def terms(X):
+        return np.stack([X[:, 0] + X[:, 1], np.abs(X[:, 0] - X[:, 1])], axis=1)
+
+    return PatternBBinding(
+        space=continuous_space([0.0, 0.0], [5.0, 5.0]), arrays={},
+        terms=terms, penalty_weights={"gap": 10.0},
+        term_sources={"sum": (), "gap": ()})
+
+
+def test_pattern_b_terms_columns_split_by_weight():
+    binding = gap_binding()
+    fit = binding.evaluate(np.array([1.0, 3.0]))
+    assert fit.objective_terms == {"sum": 4.0}
+    assert fit.violation_terms == {"gap": 2.0}
+    assert fit.penalty_weights == {"gap": 10.0}
+    assert fit.total == 24.0
+    totals = binding.evaluate_batch(np.array([[1.0, 3.0], [2.0, 2.0]]))
+    assert totals.tolist() == [24.0, 4.0]
+    assert binding.evaluations == 3
+
+
+def test_pattern_b_needs_exactly_one_formula():
+    space = continuous_space([0.0], [1.0])
+    with pytest.raises(ValueError, match="exactly one of fitness_fn and terms"):
+        PatternBBinding(space=space, arrays={})
+    with pytest.raises(ValueError, match="exactly one of fitness_fn and terms"):
+        PatternBBinding(space=space, arrays={},
+                        fitness_fn=lambda x, a: ({"o": 0.0}, {}),
+                        terms=lambda X: X)
 
 
 def test_materialize_shapes_and_missing():

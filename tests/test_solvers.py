@@ -6,14 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from graphopt.problems import (CallableBinding, continuous_space,
-                               objective_only)
+from graphopt.problems import (CallableBinding, Fitness, assemble_fitness,
+                               continuous_space)
 from graphopt.rng import LaneRng, SeededRng
 from graphopt.solvers import (DISPLAY_NAMES, VARIANT_LABELS, VARIANTS,
                               Population, SolverConfig, adapt_subpopulations,
-                              clamp, greedy_accept, init_population,
-                              normalize_variant, propose, qo_jump, run,
-                              _proposals)
+                              clamp, init_population, normalize_variant,
+                              propose, qo_jump, run, _proposals)
+
+
+def objective_only(total_fn, name="objective"):
+    """A ``CallableBinding`` fn whose one objective term is total_fn(x)."""
+    def fn(x) -> Fitness:
+        return assemble_fitness({name: float(total_fn(x))}, {}, {})
+    return fn
 
 
 def sphere_binding(d=10, half_width=5.0):
@@ -138,13 +144,6 @@ def test_clamp_examples():
     assert np.array_equal(clamp(inside, space), inside)
     once = clamp(np.array([-9.0, 9.0]), space)
     assert np.array_equal(clamp(once, space), once)  # idempotent
-
-
-def test_greedy_accept_strict():
-    f = lambda t: objective_only(lambda x: t)(np.zeros(1))
-    assert greedy_accept(f(5.0), f(4.9)) is True
-    assert greedy_accept(f(5.0), f(5.0)) is False
-    assert greedy_accept(f(5.0), f(5.1)) is False
 
 
 def test_run_keeps_parents_on_ties():

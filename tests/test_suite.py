@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import graphopt.problems
 from graphopt.oracles import brute_force_selection
-from graphopt.problems import PatternABinding, PatternBBinding
+from graphopt.problems import (PatternABinding, PatternBBinding,
+                               decode_selection, selection_space,
+                               subset_key, subset_keys)
 from graphopt.rng import SeededRng
 from graphopt.solvers import VARIANTS, SolverConfig, run
 from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
@@ -24,6 +26,7 @@ from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
                             fresh_binding, gap_ratio, generate,
                             inject_disruption, pattern_a_binding,
                             solve_oracle)
+from tests import reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -271,16 +274,15 @@ def test_brute_oracle_dominates_solver_samples():
 def test_vectorized_oracle_matches_scalar_path(problem_id, seed, dropped):
     inst = generate(problem_id, "small", seed, drop_properties=dropped)
     binding = fresh_binding(inst)
-    binding.memoize = False
     space = inst.space
     combos = list(itertools.combinations(range(space.n_candidates), space.k))
-    vectorized = binding.subset_totals(np.array(combos))
-    scalar = np.array([binding.evaluate(list(c)).total for c in combos])
+    vectorized = binding.weighted_sum(binding.terms(np.array(combos)))
+    weights = _column_weights(binding)
+    scalar = np.array([reference.weighted_total(_reference_terms(inst, c), weights)
+                       for c in combos])
     assert vectorized.tobytes() == scalar.tobytes()  # bitwise, sign of zero too
 
-    reference = dataclasses.replace(fresh_binding(inst), memoize=False,
-                                    subset_totals=None)
-    subset, fit = brute_force_selection(reference)
+    subset, fit = brute_force_selection(_reference_binding(inst))
     oracle = solve_oracle(inst)
     assert oracle.solution == subset
     assert oracle.optimum == fit.total
@@ -303,6 +305,117 @@ def test_gap_ratio_orientation():
     assert gap_ratio(-90.0, -100.0) == pytest.approx(100.0 / 90.0)
     assert gap_ratio(-100.0, -100.0) == 1.0
     assert gap_ratio(5.0, 0.0) is None
+
+
+# ---- one formula per problem: the batch terms against per-row references ----
+
+def _column_weights(binding):
+    return [binding.penalty_weights.get(name) for name in binding.term_sources]
+
+
+def _reference_terms(inst, row):
+    """The row's terms by the per-row reference formula of its problem."""
+    arrays, params = inst.binding.arrays, inst.params
+    row = list(row)
+    if inst.problem_id == "P2":
+        values = [0.0 if v is None else float(v) for v in arrays["trial_counts"]]
+        return reference.sum_plus_diversity_terms(
+            values, arrays["regions"], params["beta"], row)
+    if inst.problem_id == "P4":
+        values = [0.0 if v is None else max(params["threshold"] - v, 0.0)
+                  for v in arrays["densities"]]
+        return reference.sum_plus_diversity_terms(
+            values, arrays["regions"], params["beta"], row)
+    if inst.problem_id == "P6":
+        return reference.coverage_burden_terms(
+            arrays["resistance_counts"], arrays["burden"], params["lambda"], row)
+    if inst.problem_id == "P5":
+        d = params["dispatch"]
+        return reference.dispatch_terms(
+            d.cost_rate.tolist(), d.emission_rate.tolist(), d.max_out.tolist(),
+            d.ramp.tolist(), d.demand.tolist(), params["emission_weight"],
+            params["mode"] == "linear", row)
+    data = params["data"]
+    if inst.problem_id == "P3":
+        flows = data["distance"], data["demands"], data["capacities"]
+    else:
+        flows = data["travel_time"], data["pop"], data["capacity"]
+    return reference.fraction_terms(*(a.tolist() for a in flows), row)
+
+
+def _reference_binding(inst):
+    """The instance's binding with the per-row reference as a scalar
+    ``fitness_fn`` in place of its ``terms``, memo off."""
+    binding = inst.binding
+    space = inst.space
+
+    def fitness_fn(x, _arrays):
+        if space.kind == "selection":
+            x = subset_key(decode_selection(x, space))
+        objective, violations = {}, {}
+        for name, value in zip(binding.term_sources, _reference_terms(inst, x)):
+            if name in binding.penalty_weights:
+                violations[name] = value
+            else:
+                objective[name] = value
+        return objective, violations
+
+    return dataclasses.replace(binding, memoize=False, terms=None,
+                               fitness_fn=fitness_fn)
+
+
+def _random_rows(space, count, seed):
+    rng = np.random.default_rng(seed)
+    return space.lower + (space.upper - space.lower) * rng.random((count, space.dim))
+
+
+@pytest.mark.parametrize("problem_id, scale, kwargs", [
+    ("P2", "small", {}), ("P2", "medium", {"drop_properties": ("who_region",)}),
+    ("P3", "small", {}), ("P3", "medium", {}),
+    ("P4", "small", {}), ("P4", "small", {"drop_properties": ("who_region",)}),
+    ("P5", "small", {}), ("P5", "medium", {"p5_mode": "nonlinear"}),
+    ("P6", "small", {}), ("P6", "medium", {}),
+    ("P7", "small", {}), ("P7", "medium", {}),
+])
+def test_terms_match_the_per_row_reference(problem_id, scale, kwargs):
+    """Bitwise on P2/P4/P6, whose formulas are pinned; within 1e-12
+    relative on P3/P5/P7, whose sums are numpy's pairwise ones."""
+    inst = generate(problem_id, scale, 2, **kwargs)
+    binding, space = fresh_binding(inst), inst.space
+    X = _random_rows(space, 200, seed=7)
+    if space.kind == "selection":
+        rows = np.array(subset_keys(X, space))
+        X = rows.astype(np.float64)
+    else:
+        rows = X
+    terms = binding.terms(rows)
+    want = np.array([_reference_terms(inst, row) for row in rows.tolist()])
+    totals = binding.evaluate_batch(X)
+    want_totals = np.array([reference.weighted_total(t, _column_weights(binding))
+                            for t in want.tolist()])
+    if space.kind == "selection":
+        assert terms.tobytes() == want.tobytes()
+        assert totals.tobytes() == want_totals.tobytes()
+    else:
+        assert terms == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert totals == pytest.approx(want_totals, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numpy_decode_equals_the_cyclic_rule(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, n))
+    space = selection_space(k, n)
+    coordinate = st.one_of(
+        st.floats(0.0, float(space.upper[0])),
+        st.integers(0, n - 1).map(float),
+        st.sampled_from([0.0, float(space.upper[0]), float(n - 1), -0.5,
+                         -3.0, n - 0.5, float(n), n + 2.5, 1e300, -1e300]))
+    X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=k, max_size=k),
+                                    min_size=1, max_size=6)))
+    assert subset_keys(X, space) == [subset_key(decode_selection(row, space))
+                                     for row in X]
 
 
 # ---- population batches against the scalar route ----
@@ -331,6 +444,48 @@ def _selection_batches(draw, space):
             for batch in draw(st.lists(picks, min_size=1, max_size=3))]
 
 
+@pytest.mark.parametrize("problem_id", ["P2", "P3", "P4", "P5", "P6", "P7"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_row_equals_batch_of_one(problem_id, data):
+    """evaluate_batch(X)[i] == evaluate_batch(X[i:i+1])[0] ==
+    evaluate(X[i]).total, bitwise, for any batch size."""
+    inst = _batch_instance(problem_id)
+    binding = dataclasses.replace(inst.binding, memoize=False)
+    space = inst.space
+    if space.kind == "selection":
+        X = data.draw(_selection_batches(space))[0]
+    else:
+        coordinate = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+        unit = data.draw(st.lists(st.lists(coordinate, min_size=space.dim,
+                                           max_size=space.dim),
+                                  min_size=1, max_size=8))
+        X = space.lower + (space.upper - space.lower) * np.array(unit)
+    totals = binding.evaluate_batch(X)
+    # the solver's candidate blocks are column-major
+    assert binding.evaluate_batch(np.asfortranarray(X)).tobytes() == totals.tobytes()
+    for i in range(len(X)):
+        one = binding.evaluate_batch(X[i:i + 1])
+        fit = binding.evaluate(X[i])
+        assert one.tobytes() == totals[i:i + 1].tobytes()
+        assert np.float64(fit.total).tobytes() == totals[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("problem_id", ["P2", "P4", "P6"])
+def test_memo_never_changes_a_run(problem_id):
+    inst = generate(problem_id, "small", 5)
+    for variant in VARIANTS:
+        config = SolverConfig(variant=variant, pop_size=20, iterations=60,
+                              seed=13)
+        memo = run(dataclasses.replace(inst.binding, memoize=True), config)
+        plain = run(dataclasses.replace(inst.binding, memoize=False), config)
+        assert memo.best_total == plain.best_total, variant
+        assert memo.curve.tobytes() == plain.curve.tobytes(), variant
+        assert memo.best_x.tobytes() == plain.best_x.tobytes(), variant
+        assert memo.evaluations == plain.evaluations, variant
+        assert memo.memo_hits > 0 and plain.memo_hits == 0, variant
+
+
 @pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
 @pytest.mark.parametrize("problem_id", ["P1", "P2", "P4", "P6"])
 @settings(max_examples=40, deadline=None)
@@ -347,27 +502,16 @@ def test_evaluate_batch_equals_scalar_route(problem_id, memoize, data):
             == (scalar.evaluations, scalar.memo_hits, scalar.query_executions))
 
 
-def test_batch_scored_subset_becomes_one_fitness():
+def test_batch_scored_subset_is_a_hit_for_evaluate():
     binding = fresh_binding(generate("P2", "small", 0))
     X = np.array([[0.5, 3.2, 7.9, 1.1, 12.0], [12.9, 7.0, 3.9, 1.5, 0.0]])
     totals = binding.evaluate_batch(X)  # one subset twice: a miss, then a hit
     assert binding.memo_hits == 1
     first = binding.evaluate(X[1])
     assert first.total == totals[0] == totals[1]
-    assert binding.evaluate(X[0]) is first
-    assert binding.evaluate(X[1]) is first
+    assert binding.evaluate(X[0]) == first
+    assert binding.evaluate(X[1]) == first
     assert binding.evaluations == 5 and binding.memo_hits == 4
-
-
-def test_scalar_read_rejects_a_corrupted_batch_total():
-    inst = generate("P2", "small", 0)
-    honest = inst.binding.subset_totals
-    binding = dataclasses.replace(
-        inst.binding, subset_totals=lambda rows: honest(rows) + 1.0)
-    x = np.array([0.5, 3.2, 7.9, 1.1, 12.0])
-    binding.evaluate_batch(x[None])
-    with pytest.raises(RuntimeError, match="subset_totals gave"):
-        binding.evaluate(x)
 
 
 class _LoopedBatch:
@@ -402,36 +546,48 @@ def test_batched_run_equals_looped_run(problem_id):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_batch_rejects_non_finite_coordinate(bad):
-    binding = fresh_binding(generate("P2", "small", 0))
-    X = np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, bad, 2.0, 3.0, 4.0]])
-    with pytest.raises(ValueError, match="batch row 1 has a non-finite coordinate"):
-        binding.evaluate_batch(X)
+    """On every Pattern B problem, in a batch and in ``evaluate`` (a
+    batch of one)."""
+    for problem_id in ("P2", "P3", "P4", "P5", "P6", "P7"):
+        binding = fresh_binding(_batch_instance(problem_id))
+        X = np.vstack([binding.space.lower, binding.space.lower])
+        X[1, 1] = bad
+        with pytest.raises(ValueError,
+                           match="batch row 1 has a non-finite coordinate"):
+            binding.evaluate_batch(X)
+        with pytest.raises(ValueError,
+                           match="batch row 0 has a non-finite coordinate"):
+            binding.evaluate(X[1])
+        assert binding.evaluations == 0, problem_id
 
 
-def _nan_on_call(scorer, call):
-    """``scorer`` with the last total of its ``call``-th call set to NaN."""
+def _nan_on_call(formula, call):
+    """``formula`` with the last row of its ``call``-th call set to NaN."""
     calls = []
 
-    def totals(rows):
+    def terms(rows):
         calls.append(rows.shape[0])
-        out = scorer(rows)
+        out = formula(rows)
         if len(calls) == call:
             out[-1] = math.nan
         return out
-    return totals
+    return terms
 
 
 def test_batch_rejects_non_finite_total_and_run_names_it():
     inst = generate("P2", "small", 0)
-    honest = inst.binding.subset_totals
+    honest = inst.binding.terms
     binding = dataclasses.replace(inst.binding,
-                                  subset_totals=_nan_on_call(honest, 1))
+                                  terms=_nan_on_call(honest, 1))
     with pytest.raises(ValueError, match="batch row 1 has a non-finite total nan"):
         binding.evaluate_batch(np.array([[0.0, 1.0, 2.0, 3.0, 4.0],
                                          [5.0, 1.0, 2.0, 3.0, 4.0]]))
+    binding = dataclasses.replace(inst.binding, terms=_nan_on_call(honest, 1))
+    with pytest.raises(ValueError, match="batch row 0 has a non-finite total nan"):
+        binding.evaluate(np.array([5.0, 1.0, 2.0, 3.0, 4.0]))
     # the initial population, iteration 0, then iteration 1
     binding = dataclasses.replace(inst.binding,
-                                  subset_totals=_nan_on_call(honest, 3))
+                                  terms=_nan_on_call(honest, 3))
     with pytest.raises(RuntimeError,
                        match="rao1 seed 4: evaluation failed at iteration 1$"
                        ) as info:
