@@ -15,8 +15,6 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .problems import Fitness
-
 BRUTE_FORCE_LIMIT = 10 ** 6
 _EPS = 1e-12
 # unshipped supply, relative to the total, left to float rounding when no
@@ -36,16 +34,18 @@ class InfeasibleDispatch(ValueError):
     """Hourly demand falls outside the fleet's feasible output range."""
 
 
+_COMBO_CHUNK = 1 << 14  # subsets scored per call
+
+
 def brute_force_selection(binding, space=None):
     """Exhaustive optimum over all k-of-N selections.
 
-    Subsets are visited in lexicographic order and acceptance is
-    strict, so ties resolve to the lexicographically smallest index
-    set.  Returns (indices tuple, Fitness).
-
-    A binding with a ``terms`` formula is swept in chunks of sorted
-    index rows, each scored by its ``weighted_sum``, under the same tie
-    rule; only the winner goes through ``evaluate``.
+    Subsets are swept in lexicographic order, in chunks of sorted index
+    rows, each scored by the binding's ``weighted_sum`` of its ``terms``
+    where it has that formula and by its ``evaluate_batch`` otherwise.
+    A chunk's first minimum replaces the best only if strictly lower, so
+    ties resolve to the lexicographically smallest index set.  Only the
+    winner goes through ``evaluate``.  Returns (indices tuple, Fitness).
     """
     space = space or binding.space
     if space.kind != "selection":
@@ -55,22 +55,11 @@ def brute_force_selection(binding, space=None):
         raise OracleTooLarge(
             f"C({n},{k}) = {math.comb(n, k)} exceeds {BRUTE_FORCE_LIMIT}")
     if getattr(binding, "terms", None) is not None:
-        return _brute_force_vectorized(binding, n, k)
-    best_subset = None
-    best_fit: Fitness | None = None
-    evaluate = binding.evaluate
-    for combo in combinations(range(n), k):
-        # sorted distinct integers floor back to exactly this subset
-        fit = evaluate(list(combo))
-        if best_fit is None or fit.total < best_fit.total:
-            best_subset, best_fit = combo, fit
-    return best_subset, best_fit
-
-
-_COMBO_CHUNK = 1 << 14  # subsets scored per terms call
-
-
-def _brute_force_vectorized(binding, n: int, k: int):
+        def score(rows):
+            return binding.weighted_sum(binding.terms(rows))
+    else:
+        # sorted distinct integers floor back to exactly their subset
+        score = binding.evaluate_batch
     combos = combinations(range(n), k)
     best_subset, best_total = None, math.inf
     while True:
@@ -79,7 +68,7 @@ def _brute_force_vectorized(binding, n: int, k: int):
         if flat.size == 0:
             break
         rows = flat.reshape(-1, k)
-        totals = binding.weighted_sum(binding.terms(rows))
+        totals = score(rows)
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
         if best_subset is None or totals[j] < best_total:
             best_subset, best_total = tuple(rows[j].tolist()), totals[j]

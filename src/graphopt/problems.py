@@ -11,9 +11,11 @@ properties per node, and both name the queries behind their terms in
 
 Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
-``evaluate`` would.  A Pattern B binding with a ``terms`` formula (every
-built-in one) scores the batch in numpy, and its ``evaluate`` is a
-batch of one; every other binding loops over its own ``evaluate``.
+``evaluate`` would.  A Pattern A binding decodes the batch once and runs
+its queries for each subset the memo does not hold; a Pattern B binding
+with a ``terms`` formula (every built-in one) scores the batch in numpy.
+Either way ``evaluate`` is a batch of one.  Any other binding loops over
+its own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -157,6 +159,17 @@ def _finite_rows(X) -> np.ndarray:
     return X
 
 
+def _decoded(X, space: DecisionSpace) -> tuple[np.ndarray, Optional[list]]:
+    """The finite batch checked against the space, and on a selection
+    space the subset key of each row."""
+    X = _finite_rows(X)
+    width = space.k if space.kind == "selection" else space.dim
+    if X.shape[1] != width:
+        raise ValueError(f"batch rows have {X.shape[1]} coordinates, "
+                         f"the space has {width}")
+    return X, subset_keys(X, space) if space.kind == "selection" else None
+
+
 def _check_totals(totals: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(totals)
     if bad.any():
@@ -243,8 +256,8 @@ class QueryTerm:
 
 @dataclass
 class PatternABinding:
-    """Evaluates fitness by substituting the decoded selection into
-    query templates and executing them against the graph per call.
+    """Evaluates fitness by substituting each decoded selection into
+    query templates and executing them against the graph.
 
     The memo is keyed exactly on the sorted decoded indices
     (``subset_key``), so a subset already scored never touches the
@@ -309,17 +322,7 @@ class PatternABinding:
                 f"term {term.name!r}: query produced a non-numeric value {value!r}")
         return value
 
-    def evaluate(self, x) -> Fitness:
-        self.evaluations += 1
-        indices = decode_selection(x, self.space)
-        if self.memoize:
-            key = subset_key(indices)
-            cached = self._memo.get(key)
-            if cached is not None:
-                self.memo_hits += 1
-                return cached
-
-        selected_ids = [self.candidates[i] for i in indices]
+    def _fitness(self, selected_ids: list[int]) -> Fitness:
         objective = {}
         for term in self.objective_terms:
             objective[term.name] = term.coefficient * self._run(term, selected_ids)
@@ -328,13 +331,41 @@ class PatternABinding:
         for term in self.constraint_terms:
             violations[term.name] = float(self._run(term, selected_ids))
             weights[term.name] = term.coefficient
-        fitness = assemble_fitness(objective, violations, weights)
-        if self.memoize:
-            self._memo[key] = fitness
-        return fitness
+        return assemble_fitness(objective, violations, weights)
+
+    def _scored(self, X):
+        """The ``Fitness`` of each row of the batch X, decoded once
+        (``subset_keys``), as a generator: a long batch, such as an
+        oracle chunk with the memo off, keeps no ``Fitness`` alive.
+        Rows are walked in order: with the memo on, a subset it holds is
+        a hit, and any other is scored and stored, so a subset repeated
+        within the batch is a miss the first time and a hit after that."""
+        _, keys = _decoded(X, self.space)
+        self.evaluations += len(keys)
+        candidates = self.candidates
+        memo = self._memo if self.memoize else None
+        for key in keys:
+            fit = None if memo is None else memo.get(key)
+            if fit is None:
+                fit = self._fitness([candidates[i] for i in key])
+                if memo is not None:
+                    memo[key] = fit
+            else:
+                self.memo_hits += 1
+            yield fit
+
+    def evaluate(self, x) -> Fitness:
+        """``evaluate_batch`` of the one row x, with its ``Fitness``."""
+        (fit,) = self._scored(np.asarray(x, dtype=np.float64)[None])
+        _check_totals(np.array([fit.total]))
+        return fit
 
     def evaluate_batch(self, X) -> np.ndarray:
-        return _evaluate_each(self, X)
+        """Totals of the (m, k) batch X, with the counters m calls of
+        ``evaluate`` would leave; each scored subset runs every term's
+        query once."""
+        return _check_totals(np.array([fit.total for fit in self._scored(X)],
+                                      dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +477,6 @@ class PatternBBinding:
             total += terms[:, j] if weight is None else weight * terms[:, j]
         return total
 
-    def _decoded(self, X) -> tuple[np.ndarray, Optional[list]]:
-        """The finite batch checked against the space, and on a
-        selection space the subset key of each row."""
-        X = _finite_rows(X)
-        space = self.space
-        width = space.k if space.kind == "selection" else space.dim
-        if X.shape[1] != width:
-            raise ValueError(f"batch rows have {X.shape[1]} coordinates, "
-                             f"the space has {width}")
-        return X, subset_keys(X, space) if space.kind == "selection" else None
-
     def _terms_of(self, X: np.ndarray, keys: Optional[list]) -> np.ndarray:
         return self.terms(X if keys is None else np.array(keys, dtype=np.int64))
 
@@ -480,7 +500,7 @@ class PatternBBinding:
     def _evaluate_terms(self, x) -> Fitness:
         """``evaluate`` as a batch of one, with its ``Fitness`` built
         from the row's terms."""
-        X, keys = self._decoded(np.asarray(x, dtype=np.float64)[None])
+        X, keys = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
         terms = dict(zip(self._columns, self._terms_of(X, keys)[0].tolist()))
         weights = self.penalty_weights
         fitness = assemble_fitness(
@@ -505,7 +525,7 @@ class PatternBBinding:
         """
         if self.terms is None:
             return _evaluate_each(self, X)
-        X, keys = self._decoded(X)
+        X, keys = _decoded(X, self.space)
         self.evaluations += len(X)
         if not self.memoize:
             return _check_totals(self.weighted_sum(self._terms_of(X, keys)))

@@ -7,16 +7,20 @@ per-execution environment, so every query bound from the template runs
 the same plan.  Rows stream in deterministic order: ascending source
 node id, then ascending edge id for two-element patterns.  When the
 whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
-listed nodes instead of scanning the label.  A missing property makes
-the enclosing WHERE clause non-matching and contributes nothing to
-aggregates; each such lookup increments ``missing_property_count`` on
-the result.
+listed nodes instead of scanning the label; when, besides, every
+RETURN item is an aggregate free of placeholders, the plan aggregates
+per-node values it prepared once per graph (``Plan.by_node``).  A
+missing property makes the enclosing WHERE clause non-matching and
+contributes nothing to aggregates; each such lookup increments
+``missing_property_count`` on the result.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from numbers import Real
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -244,6 +248,13 @@ class Plan:
     the match seeks the listed ids instead.  ``id`` is never missing and
     never raises, so skipping the other nodes changes no row, aggregate
     or missing count.
+
+    When that list is a placeholder and the RETURN items are aggregates
+    with no placeholder in their arguments (``by_node``), every row of a
+    listed node gives the same argument values in every query.  The
+    plan then keeps, per frozen graph, a table from each seek value seen
+    to its node's entry (``_entry``) and combines the entries of the
+    listed nodes (``aggregate_by_node``) instead of walking their rows.
     """
 
     def __init__(self, ast: QueryAst):
@@ -272,16 +283,25 @@ class Plan:
         per_query = any(item.alias is None and any(_param_uses(item.value))
                         for item in items)
         self.columns = None if per_query else _columns(items)
+        self.by_node = (self.aggregated and isinstance(self.seek, Param)
+                        and not any(any(_param_uses(item.value)) for item in items))
+        # id(graph) -> (graph, {seek value: entry or None}); holding the
+        # graph keeps its id from being reused while its table lives
+        self._tables: dict[int, tuple[PropertyGraph, dict]] = {}
 
     def rows(self, graph: PropertyGraph, query: Query):
-        pattern = self.pattern
-        nodes = graph.nodes
         if self.seek is None:
-            src_ids = graph.nodes_by_label(pattern.src.label)
+            src_ids = graph.nodes_by_label(self.pattern.src.label)
         else:
             values = (query.lists[self.seek.name] if isinstance(self.seek, Param)
                       else self.seek.values)
-            src_ids = _seek_ids(graph, pattern.src.label, values)
+            src_ids = _seek_ids(graph, self.pattern.src.label, values)
+        return self._match(graph, src_ids)
+
+    def _match(self, graph: PropertyGraph, src_ids):
+        """The match rows of the source nodes ``src_ids``, in order."""
+        pattern = self.pattern
+        nodes = graph.nodes
         if pattern.edge is None:
             for nid in src_ids:
                 yield (nodes[nid],)
@@ -298,6 +318,73 @@ class Plan:
                 dst = nodes[edge.dst]
                 if dst_label in dst.labels:
                     yield (src, edge, dst)
+
+    def _entry(self, graph: PropertyGraph, seek_value):
+        """The entry of the node that ``seek_value`` names, or None if it
+        names none: ``(node id, row count, kept values, missing
+        lookups)``, where kept values holds, per RETURN item, the
+        non-MISSING values of its argument in row order (``count``
+        DISTINCT keeps their ``_hashable`` form).  A ``sum`` of a
+        non-number raises here, where the row path would."""
+        src_ids = _seek_ids(graph, self.pattern.src.label, (seek_value,))
+        if not src_ids:
+            return None
+        env = SimpleNamespace(params={}, missing=0)
+        kept = tuple([] for _ in self.returns)
+        n_rows = 0
+        for row in self._match(graph, src_ids):
+            n_rows += 1
+            for values, (agg, arg) in zip(kept, self.returns):
+                if arg is None:
+                    continue
+                value = arg(row, env)
+                if value is MISSING:
+                    continue
+                if agg.func == "count" and agg.distinct:
+                    value = _hashable(value)
+                elif agg.func == "sum" and not _is_number(value):
+                    raise ExecutionError("sum expects numbers")
+                values.append(value)
+        return src_ids[0], n_rows, kept, env.missing
+
+    def aggregate_by_node(self, graph: PropertyGraph, values) -> ResultTable:
+        """The result of a ``by_node`` plan for the seek list ``values``.
+
+        The listed nodes' entries are combined in ascending node id, the
+        row path's order: ``sum`` adds from 0 in row order (``reduce``,
+        not the builtin, which compensates float sums from Python 3.12),
+        the counts add up integers, and any other aggregate runs
+        ``_Acc`` over the kept values.
+        """
+        held = self._tables.get(id(graph))
+        if held is None:
+            held = self._tables[id(graph)] = (graph, {})
+        table = held[1]
+        chosen = {}
+        for value in values:
+            entry = table.get(value, table)  # the table itself: not seen yet
+            if entry is table:
+                entry = table[value] = self._entry(graph, value)
+            if entry is not None:
+                chosen[entry[0]] = entry
+        entries = [chosen[nid] for nid in sorted(chosen)]
+        out = []
+        for j, (agg, arg) in enumerate(self.returns):
+            kept = [entry[2][j] for entry in entries]
+            if arg is None:
+                out.append(sum(entry[1] for entry in entries))
+            elif agg.func == "count":
+                out.append(len(set(chain.from_iterable(kept))) if agg.distinct
+                           else sum(map(len, kept)))
+            elif agg.func == "sum":
+                out.append(reduce(operator.add, chain.from_iterable(kept), 0))
+            else:
+                acc = _Acc(agg, arg)
+                for value in chain.from_iterable(kept):
+                    acc.add_value(value)
+                out.append(acc.result())
+        return ResultTable(columns=list(self.columns), rows=[tuple(out)],
+                           missing_property_count=sum(entry[3] for entry in entries))
 
 
 def _hashable(value):
@@ -324,8 +411,11 @@ class _Acc:
             self.count += 1
             return
         value = self.arg(row, env)
-        if value is MISSING:
-            return
+        if value is not MISSING:
+            self.add_value(value)
+
+    def add_value(self, value) -> None:
+        """Accumulate one non-MISSING argument value."""
         func = self.func
         if func == "count":
             if self.distinct:
@@ -385,6 +475,11 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     if not graph.frozen:
         raise ExecutionError("graph must be frozen before it can be queried")
     plan = query.template.plan
+    if plan.by_node:
+        try:
+            return plan.aggregate_by_node(graph, query.lists[plan.seek.name])
+        except ExecutionError:
+            pass  # the row path raises the error it meets first in row order
     params = dict(query.scalars)
     for name, values in query.lists.items():
         params[name] = frozenset(values)

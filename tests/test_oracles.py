@@ -4,6 +4,7 @@ complete integer enumeration on tiny instances."""
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ def test_vectorized_brute_force_tie_lexicographic():
     subset, fit = brute_force_selection(binding)
     assert subset == (0, 1, 2, 3, 4)
     assert fit.total == -25.0
+
+
+def test_batch_brute_force_tie_lexicographic():
+    # the same tie across two sweep chunks, on a binding without terms
+    values = [5] * 5 + [1] * 11 + [5] * 5
+    binding = value_pick_binding(values, 5)
+    subset, fit = brute_force_selection(binding)
+    assert subset == (0, 1, 2, 3, 4)
+    assert fit.total == -25.0
+    assert binding.evaluations == math.comb(21, 5) + 1  # the winner again
 
 
 def test_brute_force_guard():

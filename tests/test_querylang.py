@@ -5,7 +5,7 @@ filter-equivalence property, and the id-seek against a label scan."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphopt.graph import PropertyGraph
@@ -330,12 +330,12 @@ _id_values = st.one_of(
 
 
 @st.composite
-def _labelled_graphs(draw):
+def _labelled_graphs(draw, properties=st.sampled_from([{}, {"v": 1}, {"v": 4}])):
     g = PropertyGraph()
     n = draw(st.integers(1, 25))
     for _ in range(n):
         labels = draw(st.sampled_from([{"D"}, {"G"}, {"D", "G"}]))
-        g.add_node(labels, draw(st.sampled_from([{}, {"v": 1}, {"v": 4}])))
+        g.add_node(labels, draw(properties))
     for _ in range(draw(st.integers(0, 3 * n))):
         g.add_edge(draw(st.integers(0, n - 1)), draw(st.sampled_from(["R", "S"])),
                    draw(st.integers(0, n - 1)), {})
@@ -366,3 +366,109 @@ def test_id_seek_equals_label_scan(g, sel):
         assert execute(g, query) == want
         if all(not isinstance(v, float) or math.isfinite(v) for v in sel):
             assert execute(g, parse_query(query.text)) == want  # literal list
+
+
+# ---- per-node aggregates equal the row path ----
+
+# int and non-integral float values (so the summation order shows in the
+# bits), list values for the DISTINCT forms, and nodes lacking either
+_node_properties = st.fixed_dictionaries({}, optional={
+    "v": st.sampled_from([1, 4, -2, 0.1, 0.7, 1e16, -3.25]),
+    "w": st.sampled_from([[1, 2], [2, 1], [], ["a"], [0.5]])})
+
+_AGGREGATES = ("count(*), count({x}.v), count(DISTINCT {x}.v), sum({x}.v), "
+               "avg({x}.v), min({x}.v), max({x}.v), collect({x}.v), "
+               "collect(DISTINCT {x}.w), count(DISTINCT {x}.w)")
+BY_NODE_ONE = parse_template(
+    "MATCH (d:D) WHERE d.id IN $sel RETURN " + _AGGREGATES.format(x="d"))
+BY_NODE_TWO = parse_template(
+    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
+    + _AGGREGATES.format(x="g"))
+
+
+def _row_path(template):
+    """The template compiled again, with its per-node tables turned off."""
+    twin = parse_template(template.text)
+    twin.plan.by_node = False
+    return twin
+
+
+def _bits(table):
+    return (table.columns, repr(table.rows), table.missing_property_count)
+
+
+def _two_groups():
+    """Two D nodes with two R edges each, to G values whose float sum
+    differs between row order and per-node partial sums."""
+    g = PropertyGraph()
+    d0, d1 = g.add_node({"D"}, {}), g.add_node({"D"}, {})
+    for src, v in ((d0, 1e16), (d0, 1.0), (d1, 1.0), (d1, 1.0)):
+        g.add_edge(src, "R", g.add_node({"G"}, {"v": v}), {})
+    return g.freeze()
+
+
+@settings(max_examples=200, deadline=None)
+@example(g=_two_groups(), sels=[[0, 1]])
+@given(g=_labelled_graphs(_node_properties),
+       sels=st.lists(st.lists(_id_values, max_size=12), min_size=1, max_size=3))
+def test_node_table_equals_row_path(g, sels):
+    for template in (BY_NODE_ONE, BY_NODE_TWO):
+        assert template.plan.by_node
+        reference = _row_path(template)
+        for sel in sels:  # later lists reuse the entries of earlier ones
+            got = execute(g, substitute(template, lists={"sel": sel}))
+            want = execute(g, substitute(reference, lists={"sel": sel}))
+            assert _bits(got) == _bits(want)
+
+
+def test_node_table_only_for_placeholder_free_aggregates():
+    by_node = {text: parse_template(text).plan.by_node for text in (
+        "MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v), count(*)",
+        "MATCH (d:D) WHERE d.id IN $sel RETURN d.v",
+        "MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v + $k)",
+        "MATCH (d:D) WHERE d.id IN $sel AND d.v > 0 RETURN sum(d.v)",
+        "MATCH (d:D) WHERE d.id IN [1, 2] RETURN sum(d.v)")}
+    assert list(by_node.values()) == [True, False, False, False, False]
+
+
+def test_node_table_raises_the_row_path_error_every_time():
+    g = PropertyGraph()
+    g.add_node({"D"}, {"v": 1, "w": "a"})
+    g.add_node({"D"}, {"v": 2, "w": 3})
+    g.add_node({"D"}, {"v": "x"})
+    g.freeze()
+    cases = (
+        # the row path meets the mixed min at node 1 before the text sum at 2
+        ("RETURN min(d.w), sum(d.v)", [0, 1, 2], "min saw mixed value kinds"),
+        ("RETURN sum(d.v)", [2, 0], "sum expects numbers"),
+    )
+    for items, sel, message in cases:
+        template = parse_template(f"MATCH (d:D) WHERE d.id IN $sel {items}")
+        reference = _row_path(template)
+        with pytest.raises(ExecutionError) as want:
+            execute(g, substitute(reference, lists={"sel": sel}))
+        assert str(want.value) == message
+        for _ in range(2):  # a failed entry is never kept
+            with pytest.raises(ExecutionError) as got:
+                execute(g, substitute(template, lists={"sel": sel}))
+            assert str(got.value) == message
+    template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
+    assert execute(g, substitute(template, lists={"sel": [0, 1]})).scalar() == 3
+
+
+def test_node_table_per_graph():
+    """One template run alternately on two frozen graphs gives each
+    graph's own answer."""
+    template = parse_template(
+        "MATCH (d:Drug)-[:TARGETS]->(g:Gene) WHERE d.id IN $sel "
+        "RETURN count(DISTINCT g.id), count(*)")
+    g1, drugs, _ = drug_gene_graph()
+    g2 = PropertyGraph()
+    d = g2.add_node({"Drug"}, {})
+    for _ in range(3):
+        g2.add_edge(d, "TARGETS", g2.add_node({"Gene"}, {}), {})
+    g2.freeze()
+    query = substitute(template, lists={"sel": [0, 2]})
+    for _ in range(2):
+        assert execute(g1, query).rows == [(1, 2)]
+        assert execute(g2, query).rows == [(3, 3)]

@@ -425,6 +425,14 @@ def _batch_instance(problem_id):
     return generate(problem_id, "small", 0)
 
 
+def _fresh(problem_id):
+    """A counter-clean binding of the small seed-0 instance; "P2-twin" is
+    P2's Pattern A twin."""
+    if problem_id == "P2-twin":
+        return pattern_a_binding(_batch_instance("P2"))
+    return fresh_binding(_batch_instance(problem_id))
+
+
 @st.composite
 def _selection_batches(draw, space):
     """1-3 batches of rows from a small pool, so rows repeat within and
@@ -444,15 +452,15 @@ def _selection_batches(draw, space):
             for batch in draw(st.lists(picks, min_size=1, max_size=3))]
 
 
-@pytest.mark.parametrize("problem_id", ["P2", "P3", "P4", "P5", "P6", "P7"])
+@pytest.mark.parametrize("problem_id", ["P2", "P3", "P4", "P5", "P6", "P7",
+                                        "P1", "P2-twin"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_batch_row_equals_batch_of_one(problem_id, data):
     """evaluate_batch(X)[i] == evaluate_batch(X[i:i+1])[0] ==
     evaluate(X[i]).total, bitwise, for any batch size."""
-    inst = _batch_instance(problem_id)
-    binding = dataclasses.replace(inst.binding, memoize=False)
-    space = inst.space
+    binding = dataclasses.replace(_fresh(problem_id), memoize=False)
+    space = binding.space
     if space.kind == "selection":
         X = data.draw(_selection_batches(space))[0]
     else:
@@ -471,14 +479,16 @@ def test_batch_row_equals_batch_of_one(problem_id, data):
         assert np.float64(fit.total).tobytes() == totals[i:i + 1].tobytes()
 
 
-@pytest.mark.parametrize("problem_id", ["P2", "P4", "P6"])
+@pytest.mark.parametrize("problem_id", ["P2", "P4", "P6", "P1", "P2-twin"])
 def test_memo_never_changes_a_run(problem_id):
-    inst = generate(problem_id, "small", 5)
+    inst = generate(problem_id.removesuffix("-twin"), "small", 5)
+    binding = (pattern_a_binding(inst) if problem_id.endswith("-twin")
+               else inst.binding)
     for variant in VARIANTS:
         config = SolverConfig(variant=variant, pop_size=20, iterations=60,
                               seed=13)
-        memo = run(dataclasses.replace(inst.binding, memoize=True), config)
-        plain = run(dataclasses.replace(inst.binding, memoize=False), config)
+        memo = run(dataclasses.replace(binding, memoize=True), config)
+        plain = run(dataclasses.replace(binding, memoize=False), config)
         assert memo.best_total == plain.best_total, variant
         assert memo.curve.tobytes() == plain.curve.tobytes(), variant
         assert memo.best_x.tobytes() == plain.best_x.tobytes(), variant
@@ -487,14 +497,13 @@ def test_memo_never_changes_a_run(problem_id):
 
 
 @pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
-@pytest.mark.parametrize("problem_id", ["P1", "P2", "P4", "P6"])
+@pytest.mark.parametrize("problem_id", ["P1", "P2", "P4", "P6", "P2-twin"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_evaluate_batch_equals_scalar_route(problem_id, memoize, data):
-    inst = _batch_instance(problem_id)
-    batched = dataclasses.replace(inst.binding, memoize=memoize)
-    scalar = dataclasses.replace(inst.binding, memoize=memoize)
-    for X in data.draw(_selection_batches(inst.space)):
+    batched = dataclasses.replace(_fresh(problem_id), memoize=memoize)
+    scalar = dataclasses.replace(_fresh(problem_id), memoize=memoize)
+    for X in data.draw(_selection_batches(batched.space)):
         got = batched.evaluate_batch(X)
         want = np.array([scalar.evaluate(x).total for x in X])
         assert got.tobytes() == want.tobytes()
@@ -544,12 +553,15 @@ def test_batched_run_equals_looped_run(problem_id):
             slow.evaluations, slow.memo_hits), variant
 
 
+_EVERY_BINDING = ("P1", "P2-twin", "P2", "P3", "P4", "P5", "P6", "P7")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_batch_rejects_non_finite_coordinate(bad):
-    """On every Pattern B problem, in a batch and in ``evaluate`` (a
+    """On every built-in binding, in a batch and in ``evaluate`` (a
     batch of one)."""
-    for problem_id in ("P2", "P3", "P4", "P5", "P6", "P7"):
-        binding = fresh_binding(_batch_instance(problem_id))
+    for problem_id in _EVERY_BINDING:
+        binding = _fresh(problem_id)
         X = np.vstack([binding.space.lower, binding.space.lower])
         X[1, 1] = bad
         with pytest.raises(ValueError,
@@ -559,6 +571,23 @@ def test_batch_rejects_non_finite_coordinate(bad):
                            match="batch row 0 has a non-finite coordinate"):
             binding.evaluate(X[1])
         assert binding.evaluations == 0, problem_id
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_batch_rejects_wrong_width(extra):
+    """A row with a coordinate too few or too many is refused, never
+    scored as another subset or stored in the memo."""
+    for problem_id in _EVERY_BINDING:
+        binding = _fresh(problem_id)
+        width = binding.space.dim + extra
+        row = np.resize(binding.space.lower, width)
+        message = (f"batch rows have {width} coordinates, "
+                   f"the space has {binding.space.dim}")
+        with pytest.raises(ValueError, match=message):
+            binding.evaluate_batch(np.vstack([row, row]))
+        with pytest.raises(ValueError, match=message):
+            binding.evaluate(row)
+        assert (binding.evaluations, binding.query_executions) == (0, 0), problem_id
 
 
 def _nan_on_call(formula, call):
