@@ -20,6 +20,7 @@ its own ``evaluate``.
 
 from __future__ import annotations
 
+from math import isfinite
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -490,12 +491,14 @@ class PatternBBinding:
             if cached is not None:
                 self.memo_hits += 1
                 return cached
-            objective, violations = self.fitness_fn(x, self.arrays)
-            fitness = assemble_fitness(objective, violations, self.penalty_weights)
-            self._memo[key] = fitness
-            return fitness
         objective, violations = self.fitness_fn(x, self.arrays)
-        return assemble_fitness(objective, violations, self.penalty_weights)
+        fitness = assemble_fitness(objective, violations, self.penalty_weights)
+        if not isfinite(fitness.total):  # no array per call
+            raise ValueError("batch row 0 has a non-finite total "
+                             f"{float(fitness.total)!r}")
+        if self.memoize:
+            self._memo[key] = fitness
+        return fitness
 
     def _evaluate_terms(self, x) -> Fitness:
         """``evaluate`` as a batch of one, with its ``Fitness`` built

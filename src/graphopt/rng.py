@@ -64,13 +64,10 @@ class LaneRng:
         self._scratch = np.empty(lanes, dtype=np.uint64)
         self.lanes = lanes
 
-    def _advance(self) -> np.ndarray:
-        _xorshift_step(self._state, self._state, self._scratch)
-        return self._state
-
     def next_u64(self) -> np.ndarray:
         """Advance all lanes one step; returns (lanes,) uint64 outputs."""
-        return self._advance() * _NP_XS_MULT
+        _xorshift_step(self._state, self._state, self._scratch)
+        return self._state * _NP_XS_MULT
 
     def uniforms(self) -> np.ndarray:
         """One double in [0, 1) per lane (top 53 bits of the output)."""
@@ -79,23 +76,34 @@ class LaneRng:
     def uniform_block(self, rows: int) -> np.ndarray:
         """(rows, lanes) doubles in [0, 1); row r is draw r of every lane.
 
-        Blocks of at least ``BULK_MIN_ROWS`` rows are filled by jump-ahead
-        (see :func:`_bulk_states`); the values and the lane state left
-        behind are identical to the row-by-row loop used for small blocks.
+        The values and the lane state left behind are those of ``rows``
+        calls of :meth:`uniforms`.  Segments of ``SEGMENT_ROWS`` rows
+        start by jump-ahead; then each step advances every segment of
+        every lane, one contiguous ``(segments, lanes)`` slab.
         """
-        if rows >= BULK_MIN_ROWS:
-            states = _bulk_states(self._state, rows)
-            self._state[:] = states[-1]
-            states *= _NP_XS_MULT
-            states >>= _U64_11
-            return states * _INV_2_53
-        out = np.empty((rows, self.lanes), dtype=np.float64)
-        t = self._scratch
-        for r in range(rows):
-            np.multiply(self._advance(), _NP_XS_MULT, out=t)
-            t >>= _U64_11
-            np.multiply(t, _INV_2_53, out=out[r])
-        return out
+        n_seg = -(-rows // SEGMENT_ROWS)
+        states = np.empty((min(rows, SEGMENT_ROWS), n_seg, self.lanes),
+                          dtype=np.uint64)
+        if rows:
+            prev = np.empty_like(states[0])  # segment start states
+            prev[0] = self._state
+            for m in range((n_seg - 1).bit_length()):
+                # segments [2^m, 2^(m+1)) are [0, 2^m) jumped 2^m segments
+                half = 1 << m
+                prev[half:2 * half] = _jump(_SEGMENT_LOG2 + m,
+                                            prev[:min(half, n_seg - half)])
+            tmp = np.empty_like(prev)
+            for step in states:
+                _xorshift_step(prev, step, tmp)
+                prev = step
+            self._state[:] = states[(rows - 1) % SEGMENT_ROWS, -1]
+        states *= _NP_XS_MULT
+        states >>= _U64_11
+        # row k is step k % SEGMENT_ROWS of segment k // SEGMENT_ROWS
+        out = np.empty((n_seg * len(states), self.lanes), dtype=np.float64)
+        np.multiply(states.transpose(1, 0, 2), _INV_2_53,
+                    out=out.reshape(n_seg, len(states), self.lanes))
+        return out[:rows]
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +115,7 @@ class LaneRng:
 # matrix is held as its 64 columns: column j is the image of bit j.
 # ---------------------------------------------------------------------------
 
-SEGMENT_ROWS = 64  # rows one segment advances step by step; a power of 2
-BULK_MIN_ROWS = 4 * SEGMENT_ROWS
+SEGMENT_ROWS = 32  # rows one segment advances step by step; a power of 2
 _SEGMENT_LOG2 = SEGMENT_ROWS.bit_length() - 1
 
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
@@ -117,12 +124,12 @@ _U64_1 = np.uint64(1)
 
 def _xorshift_step(s: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """out = one xorshift64* state step of s (elementwise, any shape)."""
-    np.right_shift(s, _U64_12, out=tmp)
-    np.bitwise_xor(s, tmp, out=out)
-    np.left_shift(out, _U64_25, out=tmp)
-    out ^= tmp
-    np.right_shift(out, _U64_27, out=tmp)
-    out ^= tmp
+    np.right_shift(s, _U64_12, tmp)
+    np.bitwise_xor(s, tmp, out)
+    np.left_shift(out, _U64_25, tmp)
+    np.bitwise_xor(out, tmp, out)
+    np.right_shift(out, _U64_27, tmp)
+    np.bitwise_xor(out, tmp, out)
 
 
 def _apply(columns: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -143,34 +150,23 @@ def _power_of_two_steps() -> tuple:
 
 
 _POW2 = _power_of_two_steps()
+_JUMP_TABLES: dict = {}  # p -> byte table of M^(2^p), built on first use
 
 
-def _bulk_states(start: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, lanes) xorshift64* states; row r is lane state after r+1 steps.
-
-    The rows are cut into segments of ``SEGMENT_ROWS``.  Segment starts
-    come from jump matrices by doubling (segments [2^m, 2^(m+1)) are
-    segments [0, 2^m) jumped by M^(2^m * SEGMENT_ROWS)), then every
-    segment of every lane advances together, one step per row.
-    """
-    lanes = start.size
-    n_seg = -(-rows // SEGMENT_ROWS)
-    seeds = np.empty((n_seg, lanes), dtype=np.uint64)
-    seeds[0] = start
-    filled, m = 1, 0
-    while filled < n_seg:
-        n = min(filled, n_seg - filled)
-        jump = _POW2[_SEGMENT_LOG2 + m]
-        seeds[filled:filled + n] = _apply(jump, seeds[:n])
-        filled += n
-        m += 1
-    states = np.empty((n_seg, SEGMENT_ROWS, lanes), dtype=np.uint64)
-    tmp = np.empty((n_seg, lanes), dtype=np.uint64)
-    prev = seeds
-    for r in range(SEGMENT_ROWS):
-        _xorshift_step(prev, states[:, r], tmp)
-        prev = states[:, r]
-    return states.reshape(n_seg * SEGMENT_ROWS, lanes)[:rows]
+def _jump(p: int, states: np.ndarray) -> np.ndarray:
+    """``_apply(_POW2[p], states)`` by an (8, 256) table: row b maps each
+    value of byte b to the XOR of the columns its set bits pick, so a
+    jump is 8 lookups and 7 XORs."""
+    table = _JUMP_TABLES.get(p)
+    if table is None:
+        values = np.arange(256, dtype=np.uint64) << _BIT_SHIFTS[::8, None]
+        table = _JUMP_TABLES[p] = _apply(_POW2[p], values)
+    octets = states.astype("<u8", copy=False).view(np.uint8)
+    octets = octets.reshape(states.shape + (8,))  # little-endian bytes
+    out = table[0][octets[..., 0]]
+    for b in range(1, 8):
+        out ^= table[b][octets[..., b]]
+    return out
 
 
 class SeededRng:

@@ -49,7 +49,7 @@ from .problems import (DecisionSpace, PatternABinding, PatternBBinding,  # noqa:
                        QueryTerm, continuous_space, decode_selection,
                        materialize, selection_space)
 from .querylang import parse_query, parse_template
-from .rng import SeededRng
+from .rng import LaneRng, SeededRng
 
 PROBLEM_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 SCALES = ("small", "medium")
@@ -974,15 +974,15 @@ def detect_degenerate_terms(instance: Instance, samples: int = 200,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    rng = SeededRng(seed, stream=2001)
     space = instance.space
+    # coordinate j of sample i is draw i * dim + j of stream 2001
+    draws = LaneRng(seed, 1, stream_offset=2001).uniform_block(
+        samples * space.dim).reshape(samples, space.dim)
     # a fresh binding leaves the instance's counters and memo untouched
     binding = fresh_binding(instance)
-    span = space.upper - space.lower
     values: dict[str, list[float]] = {}
     kinds: dict[str, str] = {}
-    for _ in range(samples):
-        x = space.lower + span * np.array([rng.u01() for _ in range(space.dim)])
+    for x in space.lower + (space.upper - space.lower) * draws:
         fit = binding.evaluate(x)
         for name, v in fit.objective_terms.items():
             values.setdefault(name, []).append(float(v))

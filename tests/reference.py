@@ -159,6 +159,40 @@ def xorshift64star_sequence(state, count):
     return out
 
 
+def degeneracy_by_scalar_draws(instance, samples, seed):
+    """The degeneracy scan one scalar draw at a time: coordinate j of
+    sample i is draw i * dim + j of stream 2001, and each sample is one
+    ``evaluate`` of a fresh binding.  Returns one (name, kind, minimum,
+    maximum, variance, missing_property_count, flagged) tuple per term,
+    in first-seen order."""
+    import dataclasses
+
+    from graphopt.rng import stream_state
+    space = instance.space
+    outputs = xorshift64star_sequence(stream_state(seed, 2001),
+                                      samples * space.dim)
+    binding = dataclasses.replace(instance.binding)
+    series, kinds = {}, {}
+    for i in range(samples):
+        u = [(out >> 11) * 2.0 ** -53
+             for out in outputs[i * space.dim:(i + 1) * space.dim]]
+        x = space.lower + (space.upper - space.lower) * np.array(u)
+        fit = binding.evaluate(x)
+        for kind, terms in (("objective", fit.objective_terms),
+                            ("violation", fit.violation_terms)):
+            for name, value in terms.items():
+                series.setdefault(name, []).append(float(value))
+                kinds[name] = kind
+    rows = []
+    for name, values in series.items():
+        arr = np.array(values)
+        missing = sum(binding.missing_counts.get(array, 0)
+                      for array in binding.term_sources.get(name, ()))
+        rows.append((name, kinds[name], float(arr.min()), float(arr.max()),
+                     float(arr.var()), missing, bool(arr.max() == arr.min())))
+    return rows
+
+
 # ---- the built-in Pattern B fitness formulas, one row at a time ----
 #
 # Each returns a row's term values in the binding's column order (its

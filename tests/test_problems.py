@@ -258,6 +258,20 @@ def test_pattern_b_permuted_vector_same_fitness():
     assert b is a
 
 
+@pytest.mark.parametrize("memoize", [False, True])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_pattern_b_fitness_fn_rejects_non_finite_total(bad, memoize):
+    space = selection_space(2, 4)
+    binding = PatternBBinding(space=space, arrays={}, memoize=memoize,
+                              fitness_fn=lambda x, a: ({"o": bad}, {}))
+    x = np.array([0.0, 1.0])
+    for _ in range(2):  # nothing was stored: the second call raises too
+        with pytest.raises(ValueError,
+                           match=f"batch row 0 has a non-finite total {bad}"):
+            binding.evaluate(x)
+    assert binding.memo_hits == 0
+
+
 def gap_binding():
     """Continuous terms binding: objective x0 + x1, violation |x0 - x1|
     with penalty weight 10."""

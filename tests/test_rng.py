@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphopt.rng import (BULK_MIN_ROWS, MASK64, SEGMENT_ROWS, STREAM_STEP,
-                          LaneRng, SeededRng, splitmix64, stream_state)
+from graphopt.rng import (_POW2, _SEGMENT_LOG2, MASK64, SEGMENT_ROWS,
+                          STREAM_STEP, LaneRng, SeededRng, _apply, _jump,
+                          splitmix64, stream_state)
+from graphopt.solvers import MEMBER_CHUNK_DOUBLES
 from tests.reference import xorshift64star_sequence
 
 
@@ -78,10 +82,10 @@ def test_bulk_block_matches_row_by_row():
     leaves every lane where the row-by-row draws would."""
     seed, lanes, offset = 23, 5, 7
     rows = 20 * SEGMENT_ROWS + 37  # several doubling rounds, ragged tail
-    assert rows >= BULK_MIN_ROWS and rows % SEGMENT_ROWS
+    assert rows % SEGMENT_ROWS
     bulk_rng = LaneRng(seed, lanes, stream_offset=offset)
     bulk = bulk_rng.uniform_block(rows)
-    bulk_next = bulk_rng.uniform_block(7)  # small block: row-by-row path
+    bulk_next = bulk_rng.uniform_block(7)  # small block: one segment
 
     ref = LaneRng(seed, lanes, stream_offset=offset)
     rowwise = np.stack([ref.uniforms() for _ in range(rows)])
@@ -93,6 +97,37 @@ def test_bulk_block_matches_row_by_row():
     scalar = SeededRng(seed, stream=offset + lanes - 1)
     expected = [scalar.u01() for _ in range(rows + 7)]
     assert np.concatenate([bulk, bulk_next])[:, -1].tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=st.integers(0, 4 * SEGMENT_ROWS + 3),
+       second=st.integers(0, 4 * SEGMENT_ROWS + 3),
+       lanes=st.sampled_from([1, 2, 30]),
+       offset=st.integers(0, 2**32), seed=st.integers(0, MASK64))
+def test_uniform_block_matches_uniforms(first, second, lanes, offset, seed):
+    """Two consecutive blocks of any size equal row-by-row ``uniforms()``
+    bit for bit, and leave every lane in the same state."""
+    block_rng = LaneRng(seed, lanes, stream_offset=offset)
+    ref = LaneRng(seed, lanes, stream_offset=offset)
+    for rows in (first, second):
+        block = block_rng.uniform_block(rows)
+        assert block.shape == (rows, lanes)
+        expected = np.array([ref.uniforms() for _ in range(rows)])
+        assert block.tobytes() == expected.tobytes()
+        assert block_rng._state.tobytes() == ref._state.tobytes()
+
+
+def test_jump_matches_bit_matrix():
+    """The byte-table jump equals the bit-matrix product for every power a
+    member chunk's segment starts use, on edge states too."""
+    top = _SEGMENT_LOG2 + (MEMBER_CHUNK_DOUBLES // SEGMENT_ROWS).bit_length()
+    rng = np.random.default_rng(5)
+    states = np.concatenate([
+        np.array([0, 1, MASK64, 1 << 63], dtype=np.uint64),
+        rng.integers(0, MASK64, size=60, dtype=np.uint64, endpoint=True),
+    ]).reshape(8, 8)
+    for p in range(_SEGMENT_LOG2, top + 1):
+        assert _jump(p, states).tobytes() == _apply(_POW2[p], states).tobytes()
 
 
 def test_empirical_mean_uniform():

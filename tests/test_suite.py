@@ -785,6 +785,19 @@ def test_pattern_a_twin_reports_pattern_b_missing_counts(dropped):
     assert sorted(counts.values()) == [0, 20]
 
 
+@pytest.mark.parametrize("problem_id,dropped",
+                         [(pid, ()) for pid in PROBLEM_IDS]
+                         + [("P4", ("who_region",))])
+def test_degeneracy_report_matches_scalar_draws(problem_id, dropped):
+    """The one-block draw gives the samples, and so the report, of one
+    scalar draw per coordinate."""
+    for seed in range(3):
+        inst = generate(problem_id, "small", seed, drop_properties=dropped)
+        report = detect_degenerate_terms(inst, samples=200, seed=seed)
+        assert ([dataclasses.astuple(t) for t in report.terms]
+                == reference.degeneracy_by_scalar_draws(inst, 200, seed))
+
+
 def test_degeneracy_requires_two_samples():
     with pytest.raises(ValueError):
         detect_degenerate_terms(generate("P4", "small", 0), samples=1)
