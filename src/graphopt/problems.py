@@ -3,9 +3,9 @@
 A problem binds a decision space to a fitness function in one of two
 ways.  Pattern A substitutes the decoded selection into query templates
 and executes them per evaluation.  Pattern B runs its queries once at
-startup, keeps the resulting per-candidate arrays, and evaluates as a
-pure function over them.  Both memoize on the same exact key, the
-sorted tuple of decoded indices (``subset_key``), both report missing
+startup, keeps the resulting per-candidate arrays, and evaluates one
+``terms`` formula over them.  Both memoize on the same exact key, the
+sorted tuple of decoded indices (``subset_keys``), both report missing
 properties per node, and both name the queries behind their terms in
 ``provenance``.
 
@@ -13,17 +13,16 @@ Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
 ``evaluate`` would.  A Pattern A binding decodes the batch once and runs
 its queries for each subset the memo does not hold; a Pattern B binding
-with a ``terms`` formula (every built-in one) scores the batch in numpy.
-Either way ``evaluate`` is a batch of one.  Any other binding loops over
-its own ``evaluate``.
+scores the batch in numpy through its ``terms``.  Either way
+``evaluate`` is a batch of one.  A ``CallableBinding`` loops over its
+own ``evaluate``.
 """
 
 from __future__ import annotations
 
-from math import isfinite
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -121,16 +120,12 @@ def decode_selection(x, space: DecisionSpace) -> list[int]:
     return chosen
 
 
-def subset_key(indices: Sequence[int]) -> tuple:
-    """Exact memo key of a decoded selection: its sorted indices, so
-    permutations of one subset share a memo entry."""
-    return tuple(sorted(indices))
-
-
 def subset_keys(X: np.ndarray, space: DecisionSpace) -> list[tuple]:
-    """``subset_key(decode_selection(row))`` of every row of a finite
-    (m, k) batch.  Rows are clamped, truncated and sorted in numpy; only
-    a row with a repeated index goes through ``decode_selection``."""
+    """The exact memo key of every row of a finite (m, k) batch: the
+    sorted tuple of ``decode_selection(row)``, so permutations of one
+    subset share a memo entry.  Rows are clamped, truncated and sorted
+    in numpy; only a row with a repeated index goes through
+    ``decode_selection``."""
     # clamped while still float, so a huge coordinate cannot overflow
     # the cast; this gives what int() then clamping gives per value
     top = space.n_candidates - 1
@@ -141,7 +136,7 @@ def subset_keys(X: np.ndarray, space: DecisionSpace) -> list[tuple]:
     if repeats.size:
         rows = ints.tolist()
         for i in repeats.tolist():
-            keys[i] = subset_key(decode_selection(rows[i], space))
+            keys[i] = tuple(sorted(decode_selection(rows[i], space)))
     return keys
 
 
@@ -178,13 +173,6 @@ def _check_totals(totals: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"batch row {row} has a non-finite total {float(totals[row])!r}")
     return totals
-
-
-def _evaluate_each(binding, X) -> np.ndarray:
-    """The batch as m calls of ``binding.evaluate``, in row order."""
-    X = _finite_rows(X)
-    return _check_totals(np.array([binding.evaluate(x).total for x in X],
-                                  dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +249,7 @@ class PatternABinding:
     query templates and executing them against the graph.
 
     The memo is keyed exactly on the sorted decoded indices
-    (``subset_key``), so a subset already scored never touches the
+    (``subset_keys``), so a subset already scored never touches the
     graph again.  ``missing_counts`` holds, per term, the missing
     property lookups of one execution of its template over every
     candidate: the per-node count Pattern B's materialization gives.
@@ -406,37 +394,30 @@ def materialize(graph: PropertyGraph, queries: Mapping[str, Query]):
 class PatternBBinding:
     """Pure-function evaluation over arrays materialized at startup.
 
-    Its fitness is one of two formulas, whichever the caller sets:
+    Its one formula is ``terms(rows) -> (m, T)``.  Its columns are the
+    ``term_sources`` keys in order; a column with a penalty weight is a
+    violation.  A selection binding passes the (m, k) sorted decoded
+    index rows, a continuous one the raw (m, d) block.  Row i must not
+    depend on the other rows (so no BLAS reductions): ``evaluate(x)`` is
+    a batch of one, bit for bit, with the total ``assemble_fitness``
+    gives.  Arrays never change after construction and evaluation
+    performs no queries.
 
-    - ``terms(rows) -> (m, T)``, the formula of every built-in problem.
-      Its columns are the ``term_sources`` keys in order; a column with
-      a penalty weight is a violation.  A selection binding passes the
-      (m, k) sorted decoded index rows, a continuous one the raw (m, d)
-      block.  Row i must not depend on the other rows (so no BLAS
-      reductions): ``evaluate(x)`` is a batch of one, bit for bit.
-    - ``fitness_fn(x, arrays) -> (objective_terms, violation_terms)``, a
-      scalar formula; the batch loops over ``evaluate``.
-
-    Either way the total is ``assemble_fitness``'s.  Arrays never change
-    after construction and evaluation performs no queries.
-
-    ``memoize`` caches per decoded subset (``subset_key``), as Pattern A
-    does; only valid on selection spaces whose fitness depends on the
-    subset alone.  It never changes results.  A ``terms`` binding keeps
-    the total of each subset, a ``fitness_fn`` one its ``Fitness``.
+    ``memoize`` keeps the total of each decoded subset (``subset_keys``),
+    as Pattern A does; only valid on selection spaces whose fitness
+    depends on the subset alone.  It never changes results.
     """
 
     space: DecisionSpace
     arrays: Mapping[str, tuple]
-    fitness_fn: Optional[Callable[..., tuple[dict, dict]]] = None
+    terms: Callable[[np.ndarray], np.ndarray]
     penalty_weights: dict = field(default_factory=dict)
     provenance: tuple = ()
     missing_counts: Mapping[str, int] = field(default_factory=dict)
     # which arrays feed which term, for per-term missing-data reporting;
-    # with ``terms``, also the names of its columns
+    # also the names of the ``terms`` columns
     term_sources: Mapping[str, tuple] = field(default_factory=dict)
     memoize: bool = False
-    terms: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     evaluations: int = field(init=False, default=0)
     memo_hits: int = field(init=False, default=0)
@@ -444,8 +425,6 @@ class PatternBBinding:
     query_executions: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if (self.fitness_fn is None) == (self.terms is None):
-            raise ValueError("set exactly one of fitness_fn and terms")
         if self.memoize and self.space.kind != "selection":
             raise ValueError("subset memoization needs a selection space")
         self._memo: dict = {}
@@ -482,27 +461,8 @@ class PatternBBinding:
         return self.terms(X if keys is None else np.array(keys, dtype=np.int64))
 
     def evaluate(self, x) -> Fitness:
-        if self.terms is not None:
-            return self._evaluate_terms(x)
-        self.evaluations += 1
-        if self.memoize:
-            key = subset_key(decode_selection(x, self.space))
-            cached = self._memo.get(key)
-            if cached is not None:
-                self.memo_hits += 1
-                return cached
-        objective, violations = self.fitness_fn(x, self.arrays)
-        fitness = assemble_fitness(objective, violations, self.penalty_weights)
-        if not isfinite(fitness.total):  # no array per call
-            raise ValueError("batch row 0 has a non-finite total "
-                             f"{float(fitness.total)!r}")
-        if self.memoize:
-            self._memo[key] = fitness
-        return fitness
-
-    def _evaluate_terms(self, x) -> Fitness:
-        """``evaluate`` as a batch of one, with its ``Fitness`` built
-        from the row's terms."""
+        """``evaluate_batch`` of the one row x, with its ``Fitness``
+        built from the row's terms."""
         X, keys = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
         terms = dict(zip(self._columns, self._terms_of(X, keys)[0].tolist()))
         weights = self.penalty_weights
@@ -520,14 +480,11 @@ class PatternBBinding:
         """Totals of the (m, d) batch X, with the counters m calls of
         ``evaluate`` would leave.
 
-        A ``terms`` binding decodes each row once (``subset_keys``).
-        With the memo on, only the distinct subsets the memo does not
-        hold are scored, in one ``terms`` call, and their totals stored;
-        a subset repeated within the batch is a miss the first time and
-        a hit after that.
+        Each row is decoded once (``subset_keys``).  With the memo on,
+        only the distinct subsets the memo does not hold are scored, in
+        one ``terms`` call, and their totals stored; a subset repeated
+        within the batch is a miss the first time and a hit after that.
         """
-        if self.terms is None:
-            return _evaluate_each(self, X)
         X, keys = _decoded(X, self.space)
         self.evaluations += len(X)
         if not self.memoize:
@@ -567,4 +524,6 @@ class CallableBinding:
         return self.fn(x)
 
     def evaluate_batch(self, X) -> np.ndarray:
-        return _evaluate_each(self, X)
+        """The batch as m calls of ``evaluate``, in row order."""
+        return _check_totals(np.array(
+            [self.evaluate(x).total for x in _finite_rows(X)], dtype=np.float64))

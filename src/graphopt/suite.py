@@ -12,6 +12,11 @@ Every reduction is a numpy sum or an explicit loop of adds, never a
 BLAS call, so row i of a batch does not depend on the other rows.
 SOLVERS.md writes down the P3/P5/P7 arithmetic.
 
+P3 and P7 are one capacitated transportation formulation over two
+graphs.  They share one builder, ``_assemble_flow``, which reads all
+that tells them apart (labels, array and data names, spec order, the
+disruption they take and the oracle note) from the ``_FLOWS`` table.
+
 Problems:
   P1 drug-portfolio selection: k drugs maximizing distinct target-gene
      coverage minus a weighted side-effect sum.
@@ -35,7 +40,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -399,59 +404,100 @@ def _gen_p3(scale: str, seed: int, drop_properties: tuple) -> Instance:
 
     distance = _pairwise_distances(g, port_road, city_road)  # (cities, ports)
     data = {"distance": distance, "demands": demands, "capacities": capacities}
-    return _assemble_p3(scale, seed, g, data, disruption=None)
+    return _assemble_flow("P3", scale, seed, g, data, disruption=None)
 
 
-def _assemble_p3(scale, seed, g, data, disruption) -> Instance:
-    distance = data["distance"]
-    demands = data["demands"]
-    capacities = data["capacities"]
-    n_cities, n_ports = distance.shape
+@dataclass(frozen=True)
+class _Flow:
+    """What tells the two transportation problems apart; the shared
+    builder, the oracle and the disruption read nothing else of them."""
+    data: tuple           # params["data"] keys of cost, supply, capacity
+    arrays: tuple         # binding array names of the same three
+    nodes: tuple          # (label, property) of the supply and sink nodes
+    cost_query: str       # provenance of the cost array
+    cost_term: str
+    spec: tuple           # (spec key, "cost" | "supply" | "capacity" |
+                          #  "sources" | "sinks"), in spec order
+    disruption: str       # the DisruptionSpec mode this problem takes
+    target: str           # the params["data"] key it scales
+    factor: Callable      # DisruptionSpec -> the scale factor
+    record: tuple         # DisruptionSpec fields of the spec's record
+    affected: str         # record key of the scaled indices
+    note: str
 
-    d_arrays, d_missing, _ = _materialize_props(
-        g, "City", {"demands": "demand"})
-    c_arrays, c_missing, _ = _materialize_props(
-        g, "Port", {"capacities": "capacity"})
-    arrays = {
-        "distance_km": tuple(float(v) for v in distance.ravel()),
-        "demands": tuple(float(v) for v in demands),
-        "capacities": tuple(float(v) for v in capacities),
-    }
-    missing = {"distance_km": 0, **d_missing, **c_missing}
-    provenance = (
-        "distance_km: shortest_paths(ports -> cities, length_km, ROAD)",
-        f"demands: {_bare_query('City', 'demand')}",
-        f"capacities: {_bare_query('Port', 'capacity')}",
-    )
 
-    space = continuous_space(np.zeros(n_cities * n_ports),
-                             np.ones(n_cities * n_ports))
-    weight = PENALTY_SCALE * float(distance.mean())
+_FLOWS = {
+    "P3": _Flow(
+        data=("distance", "demands", "capacities"),
+        arrays=("distance_km", "demands", "capacities"),
+        nodes=(("City", "demand"), ("Port", "capacity")),
+        cost_query="shortest_paths(ports -> cities, length_km, ROAD)",
+        cost_term="transport_cost",
+        spec=(("distance_km", "cost"), ("demands", "supply"),
+              ("capacities", "capacity")),
+        disruption="capacity_halving", target="capacities",
+        factor=lambda dspec: 0.5,
+        record=("mode", "fraction", "seed"), affected="ports_halved",
+        note=("soft-penalty comparison: the oracle enforces balance "
+              "and capacity exactly while the binding penalizes them")),
+    "P7": _Flow(
+        data=("travel_time", "pop", "capacity"),
+        arrays=("travel_time", "pop", "capacity"),
+        nodes=(("Centroid", "pop"), ("Exit", "capacity")),
+        cost_query="shortest_paths(exits -> centroids, length_km, ROAD) / 50",
+        cost_term="person_hours",
+        spec=(("n_centroids", "sources"), ("n_exits", "sinks"),
+              ("pop", "supply"), ("capacity", "capacity"),
+              ("travel_time", "cost")),
+        disruption="time_inflation", target="travel_time",
+        factor=lambda dspec: dspec.factor,
+        record=("mode", "fraction", "factor", "seed"),
+        affected="routes_inflated",
+        note=("soft-penalty comparison: fitness may dip below the "
+              "oracle cost because balance is penalized, not enforced")),
+}
+
+
+def _assemble_flow(problem_id, scale, seed, g, data, disruption) -> Instance:
+    """The P3/P7 instance over ``data``, its (source, sink) cost matrix
+    and its supply and capacity vectors; ``_FLOWS`` names them."""
+    flow = _FLOWS[problem_id]
+    cost, supply, capacity = (data[key] for key in flow.data)
+    cost_name, supply_name, capacity_name = flow.arrays
+    n_src, n_snk = cost.shape
+
+    arrays = {name: tuple(float(v) for v in array.ravel())
+              for name, array in zip(flow.arrays, (cost, supply, capacity))}
+    missing = {cost_name: 0}
+    provenance = [f"{cost_name}: {flow.cost_query}"]
+    for name, (label, prop) in zip(flow.arrays[1:], flow.nodes):
+        missing.update(_materialize_props(g, label, {name: prop})[1])
+        provenance.append(f"{name}: {_bare_query(label, prop)}")
+
+    space = continuous_space(np.zeros(n_src * n_snk), np.ones(n_src * n_snk))
+    weight = PENALTY_SCALE * float(cost.mean())
     binding = PatternBBinding(
         space=space, arrays=arrays,
-        terms=_fraction_terms(distance, demands, capacities),
+        terms=_fraction_terms(cost, supply, capacity),
         penalty_weights={"balance": weight, "capacity": weight},
-        provenance=provenance, missing_counts=missing,
-        term_sources={"transport_cost": ("distance_km", "demands"),
-                      "balance": ("demands",),
-                      "capacity": ("capacities",)})
+        provenance=tuple(provenance), missing_counts=missing,
+        term_sources={flow.cost_term: (cost_name, supply_name),
+                      "balance": (supply_name,),
+                      "capacity": (capacity_name,)})
 
-    spec = {
-        "distance_km": [float(v) for v in distance.ravel()],
-        "demands": [float(v) for v in demands],
-        "capacities": [float(v) for v in capacities],
-    }
+    values = {"cost": list(arrays[cost_name]),
+              "supply": list(arrays[supply_name]),
+              "capacity": list(arrays[capacity_name]),
+              "sources": n_src, "sinks": n_snk}
+    spec = {key: values[held] for key, held in flow.spec}
     if disruption is not None:
-        spec["disruption"] = {
-            "mode": disruption.mode, "fraction": disruption.fraction,
-            "seed": disruption.seed,
-            "ports_halved": data["affected"],
-        }
+        record = {key: getattr(disruption, key) for key in flow.record}
+        record[flow.affected] = data["affected"]
+        spec["disruption"] = record
     return Instance(
-        problem_id="P3", scale=scale, seed=seed, graph=g, binding=binding,
-        space=space, spec=spec, oracle_kind="transportation",
-        oracle_note=("soft-penalty comparison: the oracle enforces balance "
-                     "and capacity exactly while the binding penalizes them"),
+        problem_id=problem_id, scale=scale, seed=seed, graph=g,
+        binding=binding, space=space, spec=spec,
+        oracle_kind="transportation", oracle_note=flow.note,
         params={"data": data, "penalty_weight": weight},
         disruption=disruption)
 
@@ -726,61 +772,7 @@ def _gen_p7(scale: str, seed: int, drop_properties: tuple) -> Instance:
     distance = _pairwise_distances(g, exit_road, cen_road)  # (centroids, exits)
     travel_time = distance / 50.0  # hours on foot-and-vehicle mix
     data = {"travel_time": travel_time, "pop": pop, "capacity": capacity}
-    return _assemble_p7(scale, seed, g, data, disruption=None)
-
-
-def _assemble_p7(scale, seed, g, data, disruption) -> Instance:
-    travel_time = data["travel_time"]
-    pop = data["pop"]
-    capacity = data["capacity"]
-    n_cen, n_exit = travel_time.shape
-
-    p_arrays, p_missing, _ = _materialize_props(g, "Centroid", {"pop": "pop"})
-    e_arrays, e_missing, _ = _materialize_props(g, "Exit",
-                                                {"capacity": "capacity"})
-    arrays = {
-        "travel_time": tuple(float(v) for v in travel_time.ravel()),
-        "pop": tuple(float(v) for v in pop),
-        "capacity": tuple(float(v) for v in capacity),
-    }
-    missing = {"travel_time": 0, **p_missing, **e_missing}
-    provenance = (
-        "travel_time: shortest_paths(exits -> centroids, length_km, ROAD) / 50",
-        f"pop: {_bare_query('Centroid', 'pop')}",
-        f"capacity: {_bare_query('Exit', 'capacity')}",
-    )
-
-    space = continuous_space(np.zeros(n_cen * n_exit), np.ones(n_cen * n_exit))
-    weight = PENALTY_SCALE * float(travel_time.mean())
-    binding = PatternBBinding(
-        space=space, arrays=arrays,
-        terms=_fraction_terms(travel_time, pop, capacity),
-        penalty_weights={"balance": weight, "capacity": weight},
-        provenance=provenance, missing_counts=missing,
-        term_sources={"person_hours": ("travel_time", "pop"),
-                      "balance": ("pop",),
-                      "capacity": ("capacity",)})
-
-    spec = {
-        "n_centroids": n_cen,
-        "n_exits": n_exit,
-        "pop": [float(v) for v in pop],
-        "capacity": [float(v) for v in capacity],
-        "travel_time": [float(v) for v in travel_time.ravel()],
-    }
-    if disruption is not None:
-        spec["disruption"] = {
-            "mode": disruption.mode, "fraction": disruption.fraction,
-            "factor": disruption.factor, "seed": disruption.seed,
-            "routes_inflated": data["affected"],
-        }
-    return Instance(
-        problem_id="P7", scale=scale, seed=seed, graph=g, binding=binding,
-        space=space, spec=spec, oracle_kind="transportation",
-        oracle_note=("soft-penalty comparison: fitness may dip below the "
-                     "oracle cost because balance is penalized, not enforced"),
-        params={"data": data, "penalty_weight": weight},
-        disruption=disruption)
+    return _assemble_flow("P7", scale, seed, g, data, disruption=None)
 
 
 # ---------------------------------------------------------------------------
@@ -858,33 +850,21 @@ def inject_disruption(instance: Instance, dspec: DisruptionSpec) -> Instance:
     A fraction affecting zero entities is a no-op: the instance comes
     back unchanged, with no disruption record.
     """
-    if dspec.mode == "capacity_halving":
-        if instance.problem_id != "P3":
-            raise ValueError("capacity_halving applies to P3 only")
-        data = dict(instance.params["data"])
-        affected = disruption_targets(data["capacities"].size,
-                                      dspec.fraction, dspec.seed)
-        if not affected:
-            return instance
-        capacities = data["capacities"].copy()
-        capacities[affected] *= 0.5
-        data["capacities"] = capacities
-        data["affected"] = affected
-        return _assemble_p3(instance.scale, instance.seed, instance.graph,
-                            data, dspec)
-
-    if instance.problem_id != "P7":
-        raise ValueError("time_inflation applies to P7 only")
+    flow = _FLOWS.get(instance.problem_id)
+    if flow is None or flow.disruption != dspec.mode:
+        owner = next(pid for pid, f in _FLOWS.items()
+                     if f.disruption == dspec.mode)
+        raise ValueError(f"{dspec.mode} applies to {owner} only")
     data = dict(instance.params["data"])
-    flat = data["travel_time"].copy().ravel()
-    affected = disruption_targets(flat.size, dspec.fraction, dspec.seed)
+    values = data[flow.target].copy()
+    affected = disruption_targets(values.size, dspec.fraction, dspec.seed)
     if not affected:
         return instance
-    flat[affected] *= dspec.factor
-    data["travel_time"] = flat.reshape(data["travel_time"].shape)
+    values.ravel()[affected] *= flow.factor(dspec)  # a view of the copy
+    data[flow.target] = values
     data["affected"] = affected
-    return _assemble_p7(instance.scale, instance.seed, instance.graph,
-                        data, dspec)
+    return _assemble_flow(instance.problem_id, instance.scale, instance.seed,
+                          instance.graph, data, dspec)
 
 
 @dataclass(frozen=True)
@@ -909,16 +889,11 @@ def solve_oracle(instance: Instance) -> Optional[OracleResult]:
         return OracleResult(kind, fit.total, instance.oracle_note, subset)
     if kind == "transportation":
         data = instance.params["data"]
-        if instance.problem_id == "P3":
-            ti = TransportationInstance(cost=data["distance"],
-                                        supply=data["demands"],
-                                        capacity=data["capacities"])
-        else:
-            ti = TransportationInstance(cost=data["travel_time"],
-                                        supply=data["pop"],
-                                        capacity=data["capacity"])
-        flow, cost = solve_transportation(ti)
-        return OracleResult(kind, cost, instance.oracle_note, flow)
+        cost, supply, capacity = (data[key]
+                                  for key in _FLOWS[instance.problem_id].data)
+        solution, optimum = solve_transportation(TransportationInstance(
+            cost=cost, supply=supply, capacity=capacity))
+        return OracleResult(kind, optimum, instance.oracle_note, solution)
     if kind == "merit_order":
         dispatch = instance.params["dispatch"]
         schedule, cost = merit_order_dispatch(

@@ -1,15 +1,28 @@
 """CLI verbs: generate / solve / bench / stats / inspect-degeneracy."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import graphopt
 from graphopt.cli import main
 from graphopt.suite import generate, solve_oracle
 
 FAST = ["--pop", "8", "--iters", "10"]
+
+
+def run_module(*args):
+    """``python -m graphopt.cli *args`` in a subprocess that imports the
+    same ``graphopt`` package as this test run."""
+    package_root = str(Path(graphopt.__file__).resolve().parent.parent)
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "graphopt.cli", *args],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_generate_writes_contract_json_to_stdout(capsys):
@@ -46,10 +59,8 @@ def test_generate_records_dropped_property(capsys):
 
 
 def test_generate_rejects_undroppable_property():
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphopt.cli", "generate", "--problem", "P6",
-         "--drop-property", "burden"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_module("generate", "--problem", "P6",
+                      "--drop-property", "burden")
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "P6 cannot drop node property 'burden'" in proc.stderr
@@ -172,10 +183,7 @@ def test_inspect_degeneracy_exit_codes(capsys):
 
 
 def test_module_entrypoint_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphopt.cli", "generate",
-         "--problem", "P7"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_module("generate", "--problem", "P7")
     assert proc.returncode == 0
     spec = json.loads(proc.stdout)
     assert spec["n_centroids"] * spec["n_exits"] == len(spec["travel_time"])

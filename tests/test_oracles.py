@@ -2,7 +2,6 @@
 merit-order dispatch.  The transportation solver is also swept against a
 complete integer enumeration on tiny instances."""
 
-import dataclasses
 import itertools
 import math
 
@@ -14,7 +13,8 @@ from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance,
                               OracleTooLarge, TransportationInstance,
                               brute_force_selection, merit_order_dispatch,
                               solve_transportation)
-from graphopt.problems import (PatternBBinding, decode_selection,
+from graphopt.problems import (CallableBinding, PatternBBinding,
+                               assemble_fitness, decode_selection,
                                selection_space)
 from graphopt.rng import SeededRng
 from graphopt.suite import generate, solve_oracle
@@ -22,51 +22,61 @@ from tests.reference import transportation_by_enumeration
 
 
 def value_pick_binding(values, k):
-    """fitness = -(sum of selected values); the classic hand example."""
+    """fitness = -(sum of selected values); the classic hand example,
+    as a ``terms`` binding the oracle sweeps through its ``terms``."""
+    arr = -np.asarray(values, dtype=np.float64)
+    return PatternBBinding(space=selection_space(k, len(values)),
+                           arrays={"v": tuple(values)},
+                           terms=lambda rows: arr[rows].sum(axis=1)[:, None],
+                           term_sources={"value": ("v",)})
+
+
+def value_pick_callable(values, k):
+    """The same fitness as a ``CallableBinding``, which the oracle
+    sweeps through its ``evaluate_batch``."""
     space = selection_space(k, len(values))
 
-    def fitness_fn(x, arrays):
+    def fn(x):
         sel = decode_selection(x, space)
-        return ({"value": -float(sum(arrays["v"][i] for i in sel))}, {})
+        return assemble_fitness({"value": -float(sum(values[i] for i in sel))},
+                                {}, {})
 
-    return PatternBBinding(space=space, arrays={"v": tuple(values)},
-                           fitness_fn=fitness_fn)
+    return CallableBinding(space=space, fn=fn)
+
+
+def both_sweeps(values, k):
+    return value_pick_binding(values, k), value_pick_callable(values, k)
 
 
 # ---- brute force ----
 
 def test_brute_force_hand_example():
     # N=5, k=2, values {3,1,4,1,5} -> pick {2,4}, fitness -9
-    subset, fit = brute_force_selection(value_pick_binding([3, 1, 4, 1, 5], 2))
-    assert subset == (2, 4)
-    assert fit.total == -9.0
+    for binding in both_sweeps([3, 1, 4, 1, 5], 2):
+        subset, fit = brute_force_selection(binding)
+        assert subset == (2, 4)
+        assert fit.total == -9.0
 
 
 def test_brute_force_k_equals_n():
-    subset, fit = brute_force_selection(value_pick_binding([2, 2, 2], 3))
-    assert subset == (0, 1, 2)
-    assert fit.total == -6.0
+    for binding in both_sweeps([2, 2, 2], 3):
+        subset, fit = brute_force_selection(binding)
+        assert subset == (0, 1, 2)
+        assert fit.total == -6.0
 
 
 def test_brute_force_tie_lexicographic():
     # values make {0,1} and {0,2} tie; lexicographically smaller wins
-    subset, _ = brute_force_selection(value_pick_binding([5, 3, 3, 1], 2))
-    assert subset == (0, 1)
-
-
-def with_terms(binding, values):
-    """value_pick_binding with its formula as a ``terms`` batch."""
-    arr = -np.asarray(values, dtype=np.float64)
-    return dataclasses.replace(
-        binding, fitness_fn=None, term_sources={"value": ("v",)},
-        terms=lambda rows: arr[rows].sum(axis=1)[:, None])
+    for binding in both_sweeps([5, 3, 3, 1], 2):
+        subset, _ = brute_force_selection(binding)
+        assert subset == (0, 1)
 
 
 def test_vectorized_brute_force_tie_lexicographic():
     # C(21, 5) = 20,349 subsets span two sweep chunks; any 5 of the ten
     # 5s tie, from (0..4) in the first chunk to (16..20) in the last
     values = [5] * 5 + [1] * 11 + [5] * 5
-    binding = with_terms(value_pick_binding(values, 5), values)
+    binding = value_pick_binding(values, 5)
     subset, fit = brute_force_selection(binding)
     assert subset == (0, 1, 2, 3, 4)
     assert fit.total == -25.0
@@ -75,7 +85,7 @@ def test_vectorized_brute_force_tie_lexicographic():
 def test_batch_brute_force_tie_lexicographic():
     # the same tie across two sweep chunks, on a binding without terms
     values = [5] * 5 + [1] * 11 + [5] * 5
-    binding = value_pick_binding(values, 5)
+    binding = value_pick_callable(values, 5)
     subset, fit = brute_force_selection(binding)
     assert subset == (0, 1, 2, 3, 4)
     assert fit.total == -25.0

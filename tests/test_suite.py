@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import graphopt.problems
 from graphopt.oracles import brute_force_selection
-from graphopt.problems import (PatternABinding, PatternBBinding,
-                               decode_selection, selection_space,
-                               subset_key, subset_keys)
+from graphopt.problems import (CallableBinding, PatternABinding,
+                               PatternBBinding, assemble_fitness,
+                               decode_selection, selection_space, subset_keys)
 from graphopt.rng import SeededRng
 from graphopt.solvers import VARIANTS, SolverConfig, run
 from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
@@ -344,24 +344,21 @@ def _reference_terms(inst, row):
 
 
 def _reference_binding(inst):
-    """The instance's binding with the per-row reference as a scalar
-    ``fitness_fn`` in place of its ``terms``, memo off."""
-    binding = inst.binding
-    space = inst.space
+    """A ``CallableBinding`` that scores each row by the per-row
+    reference of the instance's problem, so the oracle sweeps it through
+    ``evaluate_batch``, not through the binding's ``terms``."""
+    binding, space = inst.binding, inst.space
+    weights = binding.penalty_weights
 
-    def fitness_fn(x, _arrays):
+    def fn(x):
         if space.kind == "selection":
-            x = subset_key(decode_selection(x, space))
-        objective, violations = {}, {}
-        for name, value in zip(binding.term_sources, _reference_terms(inst, x)):
-            if name in binding.penalty_weights:
-                violations[name] = value
-            else:
-                objective[name] = value
-        return objective, violations
+            x = tuple(sorted(decode_selection(x, space)))
+        terms = dict(zip(binding.term_sources, _reference_terms(inst, x)))
+        return assemble_fitness(
+            {name: v for name, v in terms.items() if name not in weights},
+            {name: v for name, v in terms.items() if name in weights}, weights)
 
-    return dataclasses.replace(binding, memoize=False, terms=None,
-                               fitness_fn=fitness_fn)
+    return CallableBinding(space=space, fn=fn)
 
 
 def _random_rows(space, count, seed):
@@ -414,7 +411,7 @@ def test_numpy_decode_equals_the_cyclic_rule(data):
                          -3.0, n - 0.5, float(n), n + 2.5, 1e300, -1e300]))
     X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=k, max_size=k),
                                     min_size=1, max_size=6)))
-    assert subset_keys(X, space) == [subset_key(decode_selection(row, space))
+    assert subset_keys(X, space) == [tuple(sorted(decode_selection(row, space)))
                                      for row in X]
 
 
@@ -734,6 +731,38 @@ def test_disrupted_spec_records_disruption():
     assert record["fraction"] == 0.5
     # core keys still lead the snapshot in contract order
     assert list(hit.spec.keys())[:3] == SPEC_KEYS["P3"]
+
+
+@pytest.mark.parametrize(
+    "problem_id, dspec, provenance, term_sources, record, affected_key", [
+    ("P3", DisruptionSpec(mode="capacity_halving", fraction=0.5, seed=1),
+     ("distance_km: shortest_paths(ports -> cities, length_km, ROAD)",
+      "demands: MATCH (n:City) RETURN n.demand",
+      "capacities: MATCH (n:Port) RETURN n.capacity"),
+     {"transport_cost": ("distance_km", "demands"), "balance": ("demands",),
+      "capacity": ("capacities",)},
+     {"mode": "capacity_halving", "fraction": 0.5, "seed": 1}, "ports_halved"),
+    ("P7", DisruptionSpec(mode="time_inflation", fraction=0.5, factor=2.5,
+                          seed=1),
+     ("travel_time: shortest_paths(exits -> centroids, length_km, ROAD) / 50",
+      "pop: MATCH (n:Centroid) RETURN n.pop",
+      "capacity: MATCH (n:Exit) RETURN n.capacity"),
+     {"person_hours": ("travel_time", "pop"), "balance": ("pop",),
+      "capacity": ("capacity",)},
+     {"mode": "time_inflation", "fraction": 0.5, "factor": 2.5, "seed": 1},
+     "routes_inflated"),
+])
+def test_flow_problem_names_its_sources(problem_id, dspec, provenance,
+                                        term_sources, record, affected_key):
+    """P3 and P7 share one builder; each keeps its own array names,
+    queries, terms and disruption record."""
+    hit = inject_disruption(generate(problem_id, "small", 0), dspec)
+    assert hit.binding.provenance == provenance
+    assert dict(hit.binding.term_sources) == term_sources
+    assert dict(hit.binding.missing_counts) == dict.fromkeys(hit.binding.arrays, 0)
+    disruption = hit.spec["disruption"]
+    assert list(disruption) == [*record, affected_key]
+    assert {key: disruption[key] for key in record} == record
 
 
 # ---- degeneracy detection ----
