@@ -189,15 +189,16 @@ def results_csv_text(report: BenchReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["problem", "solver", "seed", "fitness", "evals",
-                     "memo_hits", "wall_ms", "error"])
+                     "memo_hits", "query_executions", "wall_ms", "error"])
     for cell in report.cells:
         if cell.run is None:
             writer.writerow([cell.problem, cell.variant, cell.seed,
-                             "", 0, 0, "", cell.error])
+                             "", 0, 0, 0, "", cell.error])
         else:
             r = cell.run
             writer.writerow([cell.problem, cell.variant, cell.seed,
                              repr(r.best_total), r.evaluations, r.memo_hits,
+                             r.query_executions,
                              round(r.wall_seconds * 1000.0, 3), ""])
     return buf.getvalue()
 

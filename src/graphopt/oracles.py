@@ -3,7 +3,9 @@
 Three oracles: exhaustive k-subset enumeration for the discrete
 selection problems, a successive-shortest-paths transportation solver
 for the flow problems, and a ramp-relaxed merit-order dispatch for the
-linear scheduling mode.
+linear scheduling mode.  The enumeration and the bindings' subset memos
+number k-subsets the same way, by the combinatorial number system
+(``subset_ranks``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from functools import cache
 
 import numpy as np
 
@@ -37,12 +39,46 @@ class InfeasibleDispatch(ValueError):
 _COMBO_CHUNK = 1 << 14  # subsets scored per call
 
 
+@cache
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """C(u + j, j + 1) at [j, u], for u <= n - k: the terms of the rank of
+    a sorted k-subset c of range(n), whose c_j - j lies in [0, n - k].
+    Every entry is at most C(n, k).  Read-only, since callers share it."""
+    table = np.array([[math.comb(u + j, j + 1) for u in range(n - k + 1)]
+                      for j in range(k)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def subset_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """The rank sum(C(c_j, j + 1)) of each sorted k-subset row c of
+    range(n), one to one onto range(C(n, k)): the combinatorial number
+    system (Knuth, TAOCP 4A, 7.2.1.3)."""
+    j = np.arange(rows.shape[1])
+    return _rank_table(n, rows.shape[1])[j, rows - j].sum(axis=1)
+
+
+def lex_subset_rows(n: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Rows start to stop - 1 of the lexicographic list of the k-subsets
+    of range(n).  Mirrored by c -> n - 1 - c, position p is the subset of
+    rank C(n, k) - 1 - p, unranked one column at a time from the top."""
+    table = _rank_table(n, k)
+    rank = math.comb(n, k) - 1 - np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((rank.size, k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        u = np.searchsorted(table[j], rank, side="right") - 1
+        rank -= table[j, u]
+        rows[:, k - 1 - j] = n - 1 - j - u
+    return rows
+
+
 def brute_force_selection(binding, space=None):
     """Exhaustive optimum over all k-of-N selections.
 
     Subsets are swept in lexicographic order, in chunks of sorted index
-    rows, each scored by the binding's ``weighted_sum`` of its ``terms``
-    where it has that formula and by its ``evaluate_batch`` otherwise.
+    rows (``lex_subset_rows``), each scored by the binding's
+    ``weighted_sum`` of its ``terms`` where it has that formula and by
+    its ``evaluate_batch`` otherwise.
     A chunk's first minimum replaces the best only if strictly lower, so
     ties resolve to the lexicographically smallest index set.  Only the
     winner goes through ``evaluate``.  Returns (indices tuple, Fitness).
@@ -51,23 +87,18 @@ def brute_force_selection(binding, space=None):
     if space.kind != "selection":
         raise ValueError("brute force enumeration needs a selection space")
     n, k = space.n_candidates, space.k
-    if math.comb(n, k) > BRUTE_FORCE_LIMIT:
-        raise OracleTooLarge(
-            f"C({n},{k}) = {math.comb(n, k)} exceeds {BRUTE_FORCE_LIMIT}")
+    size = math.comb(n, k)
+    if size > BRUTE_FORCE_LIMIT:
+        raise OracleTooLarge(f"C({n},{k}) = {size} exceeds {BRUTE_FORCE_LIMIT}")
     if getattr(binding, "terms", None) is not None:
         def score(rows):
             return binding.weighted_sum(binding.terms(rows))
     else:
         # sorted distinct integers floor back to exactly their subset
         score = binding.evaluate_batch
-    combos = combinations(range(n), k)
     best_subset, best_total = None, math.inf
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(combos, _COMBO_CHUNK)),
-                           dtype=np.int64)
-        if flat.size == 0:
-            break
-        rows = flat.reshape(-1, k)
+    for start in range(0, size, _COMBO_CHUNK):
+        rows = lex_subset_rows(n, k, start, min(start + _COMBO_CHUNK, size))
         totals = score(rows)
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
         if best_subset is None or totals[j] < best_total:

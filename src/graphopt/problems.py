@@ -5,9 +5,9 @@ ways.  Pattern A substitutes the decoded selection into query templates
 and executes them per evaluation.  Pattern B runs its queries once at
 startup, keeps the resulting per-candidate arrays, and evaluates one
 ``terms`` formula over them.  Both memoize on the same exact key, the
-sorted tuple of decoded indices (``subset_keys``), both report missing
-properties per node, and both name the queries behind their terms in
-``provenance``.
+rank of the decoded subset (``subset_rows``, ``subset_ranks``), both
+report missing properties per node, and both name the queries behind
+their terms in ``provenance``.
 
 Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
@@ -20,6 +20,7 @@ own ``evaluate``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -27,6 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .graph import PropertyGraph
+from .oracles import BRUTE_FORCE_LIMIT, subset_ranks
 from .querylang import ExecutionError, Query, QueryTemplate, execute, substitute
 
 SELECTION_EPS = 1e-6
@@ -120,24 +122,32 @@ def decode_selection(x, space: DecisionSpace) -> list[int]:
     return chosen
 
 
-def subset_keys(X: np.ndarray, space: DecisionSpace) -> list[tuple]:
-    """The exact memo key of every row of a finite (m, k) batch: the
-    sorted tuple of ``decode_selection(row)``, so permutations of one
-    subset share a memo entry.  Rows are clamped, truncated and sorted
-    in numpy; only a row with a repeated index goes through
-    ``decode_selection``."""
+def subset_rows(X: np.ndarray, space: DecisionSpace) -> np.ndarray:
+    """The sorted ``decode_selection`` of every row of a finite (m, k)
+    batch, as an (m, k) int64 array.  The cyclic rule is linear probing,
+    whose filled set does not depend on insertion order, so a running
+    maximum over each sorted row gives it (SOLVERS.md, "Selection
+    decode")."""
+    n, j = space.n_candidates, np.arange(space.k)
     # clamped while still float, so a huge coordinate cannot overflow
     # the cast; this gives what int() then clamping gives per value
-    top = space.n_candidates - 1
-    ints = np.maximum(np.minimum(X, top), 0.0).astype(np.int64)
-    ordered = np.sort(ints, axis=1)
-    keys = list(map(tuple, ordered.tolist()))
-    repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    if repeats.size:
-        rows = ints.tolist()
-        for i in repeats.tolist():
-            keys[i] = tuple(sorted(decode_selection(rows[i], space)))
-    return keys
+    s = np.maximum(np.minimum(X, n - 1), 0.0).astype(np.int64)
+    s.sort(axis=1)
+    c = np.maximum.accumulate(s - j, axis=1) + j
+    if (c >= n).any():
+        # past n - 1 an index wraps to 0; k <= n, so this cannot overflow
+        c[c >= n] = 0
+        c = np.maximum.accumulate(np.sort(c, axis=1) - j, axis=1) + j
+    return c
+
+
+def _check_memo_space(space: DecisionSpace, memoize: bool) -> None:
+    if memoize and space.kind != "selection":
+        raise ValueError("subset memoization needs a selection space")
+    size = math.comb(space.n_candidates, space.k) if memoize else 0
+    if size > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"subset memoization needs C(n, k) <= "
+                         f"{BRUTE_FORCE_LIMIT}, this space has {size}")
 
 
 def _finite_rows(X) -> np.ndarray:
@@ -155,15 +165,15 @@ def _finite_rows(X) -> np.ndarray:
     return X
 
 
-def _decoded(X, space: DecisionSpace) -> tuple[np.ndarray, Optional[list]]:
-    """The finite batch checked against the space, and on a selection
-    space the subset key of each row."""
+def _decoded(X, space: DecisionSpace) -> np.ndarray:
+    """The finite batch checked against the space; on a selection space,
+    its ``subset_rows``."""
     X = _finite_rows(X)
     width = space.k if space.kind == "selection" else space.dim
     if X.shape[1] != width:
         raise ValueError(f"batch rows have {X.shape[1]} coordinates, "
                          f"the space has {width}")
-    return X, subset_keys(X, space) if space.kind == "selection" else None
+    return subset_rows(X, space) if space.kind == "selection" else X
 
 
 def _check_totals(totals: np.ndarray) -> np.ndarray:
@@ -248,8 +258,8 @@ class PatternABinding:
     """Evaluates fitness by substituting each decoded selection into
     query templates and executing them against the graph.
 
-    The memo is keyed exactly on the sorted decoded indices
-    (``subset_keys``), so a subset already scored never touches the
+    The memo maps the rank of each decoded subset (``subset_ranks``)
+    to its ``Fitness``, so a subset already scored never touches the
     graph again.  ``missing_counts`` holds, per term, the missing
     property lookups of one execution of its template over every
     candidate: the per-node count Pattern B's materialization gives.
@@ -272,7 +282,8 @@ class PatternABinding:
             raise ValueError("Pattern A needs a selection space")
         if len(self.candidates) != self.space.n_candidates:
             raise ValueError("candidate list does not match the selection space")
-        self._memo: dict[tuple, Fitness] = {}
+        _check_memo_space(self.space, self.memoize)
+        self._memo: dict[int, Fitness] = {}
 
     @property
     def _terms(self) -> list[QueryTerm]:
@@ -324,21 +335,23 @@ class PatternABinding:
 
     def _scored(self, X):
         """The ``Fitness`` of each row of the batch X, decoded once
-        (``subset_keys``), as a generator: a long batch, such as an
+        (``subset_rows``), as a generator: a long batch, such as an
         oracle chunk with the memo off, keeps no ``Fitness`` alive.
         Rows are walked in order: with the memo on, a subset it holds is
         a hit, and any other is scored and stored, so a subset repeated
         within the batch is a miss the first time and a hit after that."""
-        _, keys = _decoded(X, self.space)
-        self.evaluations += len(keys)
+        rows = _decoded(X, self.space)
+        self.evaluations += len(rows)
         candidates = self.candidates
         memo = self._memo if self.memoize else None
-        for key in keys:
-            fit = None if memo is None else memo.get(key)
+        ranks = ([None] * len(rows) if memo is None
+                 else subset_ranks(rows, self.space.n_candidates).tolist())
+        for row, rank in zip(rows.tolist(), ranks):
+            fit = None if memo is None else memo.get(rank)
             if fit is None:
-                fit = self._fitness([candidates[i] for i in key])
+                fit = self._fitness([candidates[i] for i in row])
                 if memo is not None:
-                    memo[key] = fit
+                    memo[rank] = fit
             else:
                 self.memo_hits += 1
             yield fit
@@ -403,9 +416,10 @@ class PatternBBinding:
     gives.  Arrays never change after construction and evaluation
     performs no queries.
 
-    ``memoize`` keeps the total of each decoded subset (``subset_keys``),
-    as Pattern A does; only valid on selection spaces whose fitness
-    depends on the subset alone.  It never changes results.
+    ``memoize`` keeps each decoded subset's total in a float64 array
+    indexed by its rank (``subset_ranks``), NaN for "not scored"; only
+    valid on selection spaces whose fitness depends on the subset alone.
+    It never changes results.
     """
 
     space: DecisionSpace
@@ -425,9 +439,7 @@ class PatternBBinding:
     query_executions: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.memoize and self.space.kind != "selection":
-            raise ValueError("subset memoization needs a selection space")
-        self._memo: dict = {}
+        _check_memo_space(self.space, self.memoize)
         frozen = {}
         for name, values in self.arrays.items():
             if isinstance(values, np.ndarray):
@@ -457,14 +469,16 @@ class PatternBBinding:
             total += terms[:, j] if weight is None else weight * terms[:, j]
         return total
 
-    def _terms_of(self, X: np.ndarray, keys: Optional[list]) -> np.ndarray:
-        return self.terms(X if keys is None else np.array(keys, dtype=np.int64))
+    @cached_property
+    def _memo(self) -> np.ndarray:
+        """Allocated on first memoized use."""
+        return np.full(math.comb(self.space.n_candidates, self.space.k), np.nan)
 
     def evaluate(self, x) -> Fitness:
         """``evaluate_batch`` of the one row x, with its ``Fitness``
         built from the row's terms."""
-        X, keys = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
-        terms = dict(zip(self._columns, self._terms_of(X, keys)[0].tolist()))
+        rows = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
+        terms = dict(zip(self._columns, self.terms(rows)[0].tolist()))
         weights = self.penalty_weights
         fitness = assemble_fitness(
             {name: v for name, v in terms.items() if name not in weights},
@@ -472,37 +486,38 @@ class PatternBBinding:
         _check_totals(np.array([fitness.total]))
         self.evaluations += 1
         if self.memoize:
-            self.memo_hits += keys[0] in self._memo
-            self._memo.setdefault(keys[0], fitness.total)
+            (rank,) = subset_ranks(rows, self.space.n_candidates)
+            memo = self._memo
+            if np.isnan(memo[rank]):
+                memo[rank] = fitness.total
+            else:
+                self.memo_hits += 1
         return fitness
 
     def evaluate_batch(self, X) -> np.ndarray:
         """Totals of the (m, d) batch X, with the counters m calls of
         ``evaluate`` would leave.
 
-        Each row is decoded once (``subset_keys``).  With the memo on,
-        only the distinct subsets the memo does not hold are scored, in
+        Each row is decoded once (``subset_rows``).  With the memo on,
+        only the rows whose subsets the memo does not hold are scored, in
         one ``terms`` call, and their totals stored; a subset repeated
         within the batch is a miss the first time and a hit after that.
         """
-        X, keys = _decoded(X, self.space)
-        self.evaluations += len(X)
+        rows = _decoded(X, self.space)
+        self.evaluations += len(rows)
         if not self.memoize:
-            return _check_totals(self.weighted_sum(self._terms_of(X, keys)))
+            return _check_totals(self.weighted_sum(self.terms(rows)))
 
-        memo = self._memo
-        found = [memo.get(key) for key in keys]
-        # the distinct subsets neither the memo nor an earlier row scored
-        new = dict.fromkeys(
-            key for key, value in zip(keys, found) if value is None)
-        self.memo_hits += len(keys) - len(new)
-        if new:
-            scored = self.weighted_sum(self._terms_of(X, list(new)))
-            new = dict(zip(new, scored.tolist()))
-        totals = _check_totals(np.array(
-            [new[key] if value is None else value
-             for key, value in zip(keys, found)], dtype=np.float64))
-        memo.update(new)
+        memo, ranks = self._memo, subset_ranks(rows, self.space.n_candidates)
+        totals = memo[ranks]
+        missed = np.isnan(totals).nonzero()[0]
+        # one miss per distinct subset the memo lacks: a repeat within
+        # the batch scores to the same bits, so it counts as a hit
+        self.memo_hits += len(rows) - len(set(ranks[missed].tolist()))
+        if missed.size:
+            totals[missed] = self.weighted_sum(self.terms(rows[missed]))
+            _check_totals(totals)
+            memo[ranks[missed]] = totals[missed]
         return totals
 
 

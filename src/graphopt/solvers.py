@@ -101,6 +101,7 @@ class RunResult:
     curve: np.ndarray             # best-so-far total per iteration
     evaluations: int
     memo_hits: int
+    query_executions: int
     wall_seconds: float
 
 
@@ -270,6 +271,7 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
     start = time.perf_counter()
     evals_before = binding.evaluations
     hits_before = binding.memo_hits
+    queries_before = binding.query_executions
 
     members = LaneRng(config.seed, lanes=pop_size)
     control = SeededRng(config.seed, stream=pop_size)
@@ -342,5 +344,6 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
         curve=curve,
         evaluations=binding.evaluations - evals_before,
         memo_hits=binding.memo_hits - hits_before,
+        query_executions=binding.query_executions - queries_before,
         wall_seconds=time.perf_counter() - start,
     )

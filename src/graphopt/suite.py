@@ -903,10 +903,14 @@ def solve_oracle(instance: Instance) -> Optional[OracleResult]:
 
 
 def gap_ratio(best_total: float, oracle_total: float) -> Optional[float]:
-    """Oracle-relative gap, 1.0 = hit.  For negative totals (negated
-    maximization problems) the ratio flips so that worse stays >= 1."""
+    """Oracle-relative gap: 1.0 is a hit, and a best at or above the
+    optimum reads >= 1.  Totals of one sign compare as a ratio, flipped
+    for negative totals (negated maximization problems); a best of 0 or
+    of the other sign reads 1 + (best - oracle) / |oracle|."""
     if oracle_total == 0:
         return None
+    if best_total == 0 or (best_total > 0) != (oracle_total > 0):
+        return 1.0 + (best_total - oracle_total) / abs(oracle_total)
     if oracle_total > 0:
         return best_total / oracle_total
     return oracle_total / best_total

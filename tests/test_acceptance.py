@@ -182,6 +182,10 @@ class BoundsChecked:
     def memo_hits(self):
         return self.inner.memo_hits
 
+    @property
+    def query_executions(self):
+        return self.inner.query_executions
+
     def evaluate(self, x):
         if np.any(x < self.space.lower) or np.any(x > self.space.upper):
             self.out_of_bounds += 1

@@ -146,12 +146,13 @@ def test_results_csv_shape():
     report = small_report()
     rows = list(csv.reader(io.StringIO(results_csv_text(report))))
     assert rows[0] == ["problem", "solver", "seed", "fitness", "evals",
-                       "memo_hits", "wall_ms", "error"]
+                       "memo_hits", "query_executions", "wall_ms", "error"]
     assert len(rows) == 1 + len(report.cells)
     for row, cell in zip(rows[1:], report.cells):
         # repr round-trip keeps fitness bit-exact through the csv
         assert float(row[3]) == cell.run.best_total
         assert int(row[4]) == cell.run.evaluations
+        assert int(row[6]) == cell.run.query_executions
 
 
 def test_summary_md_content():

@@ -262,6 +262,18 @@ def test_pattern_b_memo_needs_selection_space():
                         arrays={}, terms=lambda X: X, memoize=True)
 
 
+def test_memo_over_the_size_limit_raises():
+    space = selection_space(10, 30)  # C(30, 10) = 30,045,015 subsets
+    with pytest.raises(ValueError, match=r"C\(n, k\) <= 1000000"):
+        PatternBBinding(space=space, arrays={}, terms=lambda X: X,
+                        memoize=True)
+    g, drugs = drug_graph()
+    with pytest.raises(ValueError, match=r"C\(n, k\) <= 1000000"):
+        PatternABinding(graph=g, space=space,
+                        candidates=list(range(30)), objective_terms=[])
+    PatternBBinding(space=space, arrays={}, terms=lambda X: X, memoize=False)
+
+
 def test_pattern_b_permuted_vector_same_fitness():
     binding = site_binding(memoize=True)
     a = binding.evaluate(np.array([0.3, 1.7, 2.4]))

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphopt.problems
-from graphopt.oracles import brute_force_selection
+from graphopt.oracles import (brute_force_selection, lex_subset_rows,
+                              subset_ranks)
 from graphopt.problems import (CallableBinding, PatternABinding,
                                PatternBBinding, assemble_fitness,
-                               decode_selection, selection_space, subset_keys)
+                               decode_selection, selection_space, subset_rows)
 from graphopt.rng import SeededRng
 from graphopt.solvers import VARIANTS, SolverConfig, run
 from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
@@ -299,6 +300,14 @@ def test_oracle_scores_the_degraded_instance(problem_id, dropped, optimum):
     assert inst.binding.evaluate(list(oracle.solution)).total == optimum
 
 
+def test_gap_ratio_opposite_signs():
+    # a best of 0 or of the other sign: 1 + (best - optimum) / |optimum|
+    assert gap_ratio(0.0, -100.0) == 2.0
+    assert gap_ratio(5.0, -100.0) == pytest.approx(2.05)
+    assert gap_ratio(150.0, -100.0) == pytest.approx(3.5)
+    assert gap_ratio(0.0, 100.0) == 0.0
+
+
 def test_gap_ratio_orientation():
     assert gap_ratio(10.0, 10.0) == 1.0
     assert gap_ratio(12.0, 10.0) == pytest.approx(1.2)
@@ -381,7 +390,7 @@ def test_terms_match_the_per_row_reference(problem_id, scale, kwargs):
     binding, space = fresh_binding(inst), inst.space
     X = _random_rows(space, 200, seed=7)
     if space.kind == "selection":
-        rows = np.array(subset_keys(X, space))
+        rows = subset_rows(X, space)
         X = rows.astype(np.float64)
     else:
         rows = X
@@ -411,8 +420,38 @@ def test_numpy_decode_equals_the_cyclic_rule(data):
                          -3.0, n - 0.5, float(n), n + 2.5, 1e300, -1e300]))
     X = np.array(data.draw(st.lists(st.lists(coordinate, min_size=k, max_size=k),
                                     min_size=1, max_size=6)))
-    assert subset_keys(X, space) == [tuple(sorted(decode_selection(row, space)))
-                                     for row in X]
+    want = [sorted(decode_selection(row, space)) for row in X]
+    assert subset_rows(X, space).tolist() == want
+
+
+def test_numpy_decode_equals_the_cyclic_rule_exhaustively():
+    """Every integer-plus-0.5 row, and rows at the clamp extremes, for
+    every (n, k) with n <= 20 and n^k <= 50,000."""
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            if n ** k > 50_000:
+                break
+            space = selection_space(k, n)
+            X = np.array(list(itertools.product(range(n), repeat=k))) + 0.5
+            extremes = [-1e300, -3.0, -0.5, 0.0, float(space.upper[0]),
+                        float(n - 1), n - 0.5, float(n), n + 2.5, 1e300]
+            rng = np.random.default_rng(n * 100 + k)
+            X = np.vstack([X, rng.choice(extremes, size=(200, k))])
+            want = [sorted(decode_selection(row, space)) for row in X]
+            assert subset_rows(X, space).tolist() == want, (n, k)
+
+
+def test_subset_ranks_are_a_bijection_and_lex_rows_enumerate():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            rows = np.array(list(itertools.combinations(range(n), k)))
+            size = math.comb(n, k)
+            assert sorted(subset_ranks(rows, n).tolist()) == list(range(size))
+            chunk = max(1, size // 3)  # the oracle's sweep, in uneven chunks
+            swept = np.vstack([
+                lex_subset_rows(n, k, start, min(start + chunk, size))
+                for start in range(0, size, chunk)])
+            assert swept.tolist() == rows.tolist(), (n, k)
 
 
 # ---- population batches against the scalar route ----
@@ -508,6 +547,41 @@ def test_evaluate_batch_equals_scalar_route(problem_id, memoize, data):
             == (scalar.evaluations, scalar.memo_hits, scalar.query_executions))
 
 
+@pytest.mark.parametrize("problem_id", ["P2", "P4", "P6"])
+def test_memo_counts_permutations_and_stored_subsets(problem_id):
+    """One batch holds one subset in three permutations, one of them
+    through the cyclic rule, and a subset an earlier ``evaluate``
+    stored: with the memo on, the first permutation is the only miss."""
+    inst = generate(problem_id, "medium", 0)
+    k = inst.space.k
+    subset = np.array([*range(0, 2 * k - 2, 2), 2 * k - 3], dtype=np.float64)
+    cyclic = subset.copy()
+    cyclic[-1] = subset[-2]  # 2k - 4 twice: the second advances to 2k - 3
+    stored = np.arange(k, 2 * k) + 0.25
+    X = np.stack([subset + 0.5, subset[::-1] + 0.5, stored,
+                  np.roll(cyclic, 2) + 0.2])
+    results = []
+    for memoize in (True, False):
+        binding = dataclasses.replace(fresh_binding(inst), memoize=memoize)
+        first = binding.evaluate(stored)
+        totals = binding.evaluate_batch(X)
+        assert binding.evaluations == 5
+        assert binding.memo_hits == (3 if memoize else 0)
+        assert totals[0] == totals[1] == totals[3]
+        assert totals[2] == first.total
+        results.append(totals.tobytes())
+    assert results[0] == results[1]
+
+
+def test_run_counts_its_own_query_executions():
+    binding = fresh_binding(generate("P1", "small", 0))
+    config = SolverConfig("jaya", pop_size=10, iterations=20, seed=1)
+    first = run(binding, config)
+    again = run(binding, config)  # the same subsets: every one is a hit
+    assert first.query_executions == binding.query_executions > 0
+    assert again.query_executions == 0
+
+
 def test_batch_scored_subset_is_a_hit_for_evaluate():
     binding = fresh_binding(generate("P2", "small", 0))
     X = np.array([[0.5, 3.2, 7.9, 1.1, 12.0], [12.9, 7.0, 3.9, 1.5, 0.0]])
@@ -530,6 +604,7 @@ class _LoopedBatch:
 
     evaluations = property(lambda self: self.inner.evaluations)
     memo_hits = property(lambda self: self.inner.memo_hits)
+    query_executions = property(lambda self: self.inner.query_executions)
 
     def evaluate_batch(self, X):
         return np.array([self.inner.evaluate(x).total for x in X])
