@@ -11,11 +11,11 @@ their terms in ``provenance``.
 
 Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
-``evaluate`` would.  A Pattern A binding decodes the batch once and runs
-its queries for each subset the memo does not hold; a Pattern B binding
-scores the batch in numpy through its ``terms``.  Either way
-``evaluate`` is a batch of one.  A ``CallableBinding`` loops over its
-own ``evaluate``.
+``evaluate`` would.  Both patterns decode the batch once and score the
+subsets the memo does not hold in one ``terms`` call: Pattern A runs
+each term's query once over that block of subsets, Pattern B computes
+in numpy over its arrays.  Either way ``evaluate`` is a batch of one.
+A ``CallableBinding`` loops over its own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -176,12 +176,15 @@ def _decoded(X, space: DecisionSpace) -> np.ndarray:
     return subset_rows(X, space) if space.kind == "selection" else X
 
 
-def _check_totals(totals: np.ndarray) -> np.ndarray:
+def _check_totals(totals: np.ndarray, rows=None) -> np.ndarray:
+    """The totals, if all finite; ``rows`` names each one's batch row
+    when they are not the whole batch in order."""
     bad = ~np.isfinite(totals)
     if bad.any():
-        row = int(np.argmax(bad))
+        i = int(np.argmax(bad))
+        row = i if rows is None else int(rows[i])
         raise ValueError(
-            f"batch row {row} has a non-finite total {float(totals[row])!r}")
+            f"batch row {row} has a non-finite total {float(totals[i])!r}")
     return totals
 
 
@@ -192,8 +195,7 @@ def _check_totals(totals: np.ndarray) -> np.ndarray:
 class Fitness(NamedTuple):
     """Minimization fitness with its penalty decomposition.
 
-    An immutable ``NamedTuple`` (cheaper to build than a frozen
-    dataclass; one is made per evaluation).  total is exactly
+    An immutable ``NamedTuple``.  total is exactly
     sum(objective_terms.values()) plus
     sum(weight[name] * violation_terms[name]) in insertion order.
     """
@@ -208,19 +210,9 @@ class Fitness(NamedTuple):
         return all(v == 0 for v in self.violation_terms.values())
 
 
-# builds a Fitness without the NamedTuple's Python-level __new__, which
-# costs a third of the no-violation path below
-_new_fitness = tuple.__new__
-
-
 def assemble_fitness(objective_terms: Mapping[str, float],
                      violation_terms: Mapping[str, float],
                      penalty_weights: Mapping[str, float]) -> Fitness:
-    if not violation_terms:
-        total = 0.0
-        for value in objective_terms.values():
-            total += value
-        return _new_fitness(Fitness, (total, dict(objective_terms), {}, {}))
     total = 0.0
     for value in objective_terms.values():
         total += value
@@ -230,12 +222,147 @@ def assemble_fitness(objective_terms: Mapping[str, float],
         if name not in penalty_weights:
             raise ValueError(f"violation term {name!r} has no penalty weight")
         total += penalty_weights[name] * violation
-    return _new_fitness(Fitness, (total, dict(objective_terms),
-                                  dict(violation_terms), dict(penalty_weights)))
+    return Fitness(total, dict(objective_terms), dict(violation_terms),
+                   dict(penalty_weights) if violation_terms else {})
 
 
 # ---------------------------------------------------------------------------
-# Pattern A: per-evaluation queries with memoization
+# what both patterns share: one terms formula, its weighted sum, the memo
+# ---------------------------------------------------------------------------
+
+class _TermsBinding:
+    """Evaluation over one ``terms(rows) -> (m, T)`` formula, for Pattern
+    A and Pattern B alike.
+
+    The columns are the ``term_sources`` keys in order; a column with a
+    penalty weight is a violation.  A selection binding passes the (m, k)
+    sorted decoded index rows, a continuous one the raw (m, d) block.
+    Row i must not depend on the other rows (so no BLAS reductions):
+    ``evaluate(x)`` is a batch of one, bit for bit, with the total
+    ``assemble_fitness`` gives.
+
+    ``memoize`` keeps what each decoded subset scored in a float64
+    array indexed by its rank (``subset_ranks``), NaN for "not scored";
+    only valid on selection spaces whose fitness depends on the subset
+    alone.  A binding whose terms run queries keeps each subset's terms
+    (``_memo_keeps_terms``), so a hit builds its ``Fitness`` without
+    running one; the others keep the total alone and recompute a hit's
+    terms in ``evaluate``.  The memo never changes results.
+    ``query_executions`` grows by ``_queries_per_subset`` for each
+    subset scored into the memo, or for each row with the memo off.
+    """
+
+    _queries_per_subset = 0
+    _memo_keeps_terms = False
+
+    def _init_columns(self) -> None:
+        self._columns = list(self.term_sources)
+        # (column, weight or None) in the order of the total: objectives,
+        # then weighted violations, each in column order (a stable sort)
+        self._weighted_columns = sorted(
+            ((j, self.penalty_weights.get(name))
+             for j, name in enumerate(self._columns)),
+            key=lambda column: column[1] is not None)
+
+    def weighted_sum(self, terms: np.ndarray) -> np.ndarray:
+        """The (m,) totals of an (m, T) ``terms`` matrix: from 0.0, each
+        objective column, then weight x each violation column, in
+        column order."""
+        if terms.shape[1] != len(self._columns):
+            raise ValueError(f"terms gave {terms.shape[1]} columns for "
+                             f"{len(self._columns)} terms")
+        total = np.zeros(terms.shape[0])
+        for j, weight in self._weighted_columns:
+            total += terms[:, j] if weight is None else weight * terms[:, j]
+        return total
+
+    def term_columns(self, X) -> list[tuple[str, str, np.ndarray]]:
+        """(name, kind, values) of each term over the (m, d) batch X, in
+        the order of a ``Fitness``: objectives, then violations, each in
+        column order.  Neither the memo nor the counters are touched; a
+        non-finite total raises as in ``evaluate_batch``."""
+        block = self.terms(_decoded(X, self.space))
+        _check_totals(self.weighted_sum(block))
+        return [(self._columns[j], "objective" if weight is None else "violation",
+                 block[:, j].copy())  # contiguous, as a per-term array is
+                for j, weight in self._weighted_columns]
+
+    @cached_property
+    def _memo(self) -> np.ndarray:
+        """Allocated on first memoized use: (C(n, k), T) terms or
+        (C(n, k),) totals.  A kept row is finite in every column (its
+        total passed ``_check_totals``), so NaN in column 0 marks it
+        unscored."""
+        size = math.comb(self.space.n_candidates, self.space.k)
+        width = len(self._columns) if self._memo_keeps_terms else None
+        return np.full(size if width is None else (size, width), np.nan)
+
+    def evaluate(self, x) -> Fitness:
+        """``evaluate_batch`` of the one row x, with its ``Fitness``
+        built from the row's terms: the memo's where it keeps them, else
+        computed again (a hit adds no ``query_executions`` either way)."""
+        rows = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
+        hit = False
+        if self.memoize:
+            (rank,) = subset_ranks(rows, self.space.n_candidates)
+            hit = not np.isnan(self._memo[rank]).any()
+        if hit and self._memo_keeps_terms:
+            row = self._memo[rank]
+        else:
+            row = self.terms(rows)[0]
+        terms = dict(zip(self._columns, row.tolist()))
+        weights = self.penalty_weights
+        fitness = assemble_fitness(
+            {name: v for name, v in terms.items() if name not in weights},
+            {name: v for name, v in terms.items() if name in weights}, weights)
+        _check_totals(np.array([fitness.total]))
+        self.evaluations += 1
+        if hit:
+            self.memo_hits += 1
+            return fitness
+        if self.memoize:
+            self._memo[rank] = row if self._memo_keeps_terms else fitness.total
+        self.query_executions += self._queries_per_subset
+        return fitness
+
+    def evaluate_batch(self, X) -> np.ndarray:
+        """Totals of the (m, d) batch X, with the counters m calls of
+        ``evaluate`` would leave.
+
+        Each row is decoded once (``subset_rows``).  With the memo on,
+        only the subsets the memo does not hold are scored, each once at
+        its first row, in one ``terms`` call, and stored; a subset
+        repeated within the batch is a miss the first time and a hit
+        after that.
+        """
+        rows = _decoded(X, self.space)
+        self.evaluations += len(rows)
+        if not self.memoize:
+            self.query_executions += self._queries_per_subset * len(rows)
+            return _check_totals(self.weighted_sum(self.terms(rows)))
+
+        memo, ranks = self._memo, subset_ranks(rows, self.space.n_candidates)
+        kept = memo[ranks]
+        new = missed = np.isnan(kept if kept.ndim == 1 else kept[:, 0]).nonzero()[0]
+        if missed.size:
+            new_ranks = ranks[missed]
+            if len(set(new_ranks.tolist())) < missed.size:
+                # a subset repeated among the misses is scored at its
+                # first row only (np.unique costs more than the common
+                # case, no repeat, needs)
+                first = np.sort(np.unique(new_ranks, return_index=True)[1])
+                new, new_ranks = missed[first], new_ranks[first]
+            scored = self.terms(rows[new])
+            totals = _check_totals(self.weighted_sum(scored), new)
+            memo[new_ranks] = scored if self._memo_keeps_terms else totals
+            kept[missed] = memo[ranks[missed]]
+        self.memo_hits += len(rows) - new.size
+        self.query_executions += self._queries_per_subset * new.size
+        return self.weighted_sum(kept) if self._memo_keeps_terms else kept
+
+
+# ---------------------------------------------------------------------------
+# Pattern A: per-evaluation queries
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -254,15 +381,19 @@ class QueryTerm:
 
 
 @dataclass
-class PatternABinding:
-    """Evaluates fitness by substituting each decoded selection into
-    query templates and executing them against the graph.
+class PatternABinding(_TermsBinding):
+    """Evaluates fitness by substituting decoded selections into query
+    templates and executing them against the graph.
 
-    The memo maps the rank of each decoded subset (``subset_ranks``)
-    to its ``Fitness``, so a subset already scored never touches the
-    graph again.  ``missing_counts`` holds, per term, the missing
-    property lookups of one execution of its template over every
-    candidate: the per-node count Pattern B's materialization gives.
+    Its ``terms`` binds the candidate ids of a whole block of subsets to
+    each template at once, so one ``substitute`` and one ``execute``
+    per term score every subset of a batch the memo lacks.  Evaluation
+    and the memo are ``_TermsBinding``'s, as Pattern B's are; each
+    scored subset runs one query per term, and the memo keeps its terms,
+    so a subset already scored never touches the graph again.
+    ``missing_counts`` holds, per term, the missing property lookups of
+    one execution of its template over every candidate: the per-node
+    count Pattern B's materialization gives.
     """
 
     graph: PropertyGraph
@@ -282,12 +413,31 @@ class PatternABinding:
             raise ValueError("Pattern A needs a selection space")
         if len(self.candidates) != self.space.n_candidates:
             raise ValueError("candidate list does not match the selection space")
+        if len(self.term_sources) != len(self._terms):
+            raise ValueError("Pattern A term names must be distinct")
+        for term in self._terms:
+            if self.selection_param not in term.template.block_placeholders:
+                raise ValueError(
+                    f"term {term.name!r}: the template must be an aggregate "
+                    f"query over ${self.selection_param} outside RETURN")
         _check_memo_space(self.space, self.memoize)
-        self._memo: dict[int, Fitness] = {}
+        self.penalty_weights = {term.name: term.coefficient
+                                for term in self.constraint_terms}
+        self._init_columns()
+        self._candidate_ids = np.array(self.candidates, dtype=np.int64)
+
+    _memo_keeps_terms = True
+
+    # the layer tracer wraps ``evaluate`` on each binding class
+    evaluate = _TermsBinding.evaluate
 
     @property
     def _terms(self) -> list[QueryTerm]:
         return [*self.objective_terms, *self.constraint_terms]
+
+    @property
+    def _queries_per_subset(self) -> int:
+        return len(self._terms)
 
     @property
     def term_sources(self) -> dict[str, tuple]:
@@ -305,69 +455,42 @@ class PatternABinding:
                 self._execute(term, self.candidates).missing_property_count
                 for term in self._terms}
 
-    def _execute(self, term: QueryTerm, selected_ids: list[int]):
+    def _execute(self, term: QueryTerm, selected):
         query = substitute(term.template, scalars=term.scalars,
-                           lists={self.selection_param: selected_ids})
+                           lists={self.selection_param: selected})
         try:
             return execute(self.graph, query)
         except ExecutionError as err:
             raise ExecutionError(f"term {term.name!r}: {err}") from err
 
-    def _run(self, term: QueryTerm, selected_ids: list[int]):
-        table = self._execute(term, selected_ids)
-        self.query_executions += 1
-        value = table.scalar()
-        if value is None or isinstance(value, (list, str)):
-            raise ExecutionError(
-                f"term {term.name!r}: query produced a non-numeric value {value!r}")
-        return value
-
-    def _fitness(self, selected_ids: list[int]) -> Fitness:
-        objective = {}
-        for term in self.objective_terms:
-            objective[term.name] = term.coefficient * self._run(term, selected_ids)
-        violations = {}
-        weights = {}
-        for term in self.constraint_terms:
-            violations[term.name] = float(self._run(term, selected_ids))
-            weights[term.name] = term.coefficient
-        return assemble_fitness(objective, violations, weights)
-
-    def _scored(self, X):
-        """The ``Fitness`` of each row of the batch X, decoded once
-        (``subset_rows``), as a generator: a long batch, such as an
-        oracle chunk with the memo off, keeps no ``Fitness`` alive.
-        Rows are walked in order: with the memo on, a subset it holds is
-        a hit, and any other is scored and stored, so a subset repeated
-        within the batch is a miss the first time and a hit after that."""
-        rows = _decoded(X, self.space)
-        self.evaluations += len(rows)
-        candidates = self.candidates
-        memo = self._memo if self.memoize else None
-        ranks = ([None] * len(rows) if memo is None
-                 else subset_ranks(rows, self.space.n_candidates).tolist())
-        for row, rank in zip(rows.tolist(), ranks):
-            fit = None if memo is None else memo.get(rank)
-            if fit is None:
-                fit = self._fitness([candidates[i] for i in row])
-                if memo is not None:
-                    memo[rank] = fit
-            else:
-                self.memo_hits += 1
-            yield fit
-
-    def evaluate(self, x) -> Fitness:
-        """``evaluate_batch`` of the one row x, with its ``Fitness``."""
-        (fit,) = self._scored(np.asarray(x, dtype=np.float64)[None])
-        _check_totals(np.array([fit.total]))
-        return fit
-
-    def evaluate_batch(self, X) -> np.ndarray:
-        """Totals of the (m, k) batch X, with the counters m calls of
-        ``evaluate`` would leave; each scored subset runs every term's
-        query once."""
-        return _check_totals(np.array([fit.total for fit in self._scored(X)],
-                                      dtype=np.float64))
+    def terms(self, rows: np.ndarray) -> np.ndarray:
+        """The (m, T) terms of the (m, k) index rows: each term's query
+        runs once over the block of the rows' candidate ids.  An
+        objective column is coefficient x value, a constraint column the
+        raw violation (its coefficient is the penalty weight)."""
+        ids = self._candidate_ids[rows]
+        out = np.empty((len(rows), len(self._columns)))
+        n_objectives = len(self.objective_terms)
+        for j, term in enumerate(self._terms):
+            table = self._execute(term, ids)
+            if len(table.columns) != 1:
+                raise ExecutionError(f"term {term.name!r}: expected a 1x1 result, "
+                                     f"got 1x{len(table.columns)}")
+            values = table.column()
+            try:
+                column = np.array(values)
+            except ValueError:  # lists of unequal lengths
+                column = None
+            if column is None or column.ndim != 1 or column.dtype.kind not in "biuf":
+                for value in values:  # None, a list or a text; or a huge int
+                    if value is None or isinstance(value, (list, str)):
+                        raise ExecutionError(f"term {term.name!r}: query produced "
+                                             f"a non-numeric value {value!r}")
+                column = values
+            out[:, j] = column
+            if j < n_objectives:
+                out[:, j] *= term.coefficient
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +527,12 @@ def materialize(graph: PropertyGraph, queries: Mapping[str, Query]):
 
 
 @dataclass
-class PatternBBinding:
+class PatternBBinding(_TermsBinding):
     """Pure-function evaluation over arrays materialized at startup.
 
-    Its one formula is ``terms(rows) -> (m, T)``.  Its columns are the
-    ``term_sources`` keys in order; a column with a penalty weight is a
-    violation.  A selection binding passes the (m, k) sorted decoded
-    index rows, a continuous one the raw (m, d) block.  Row i must not
-    depend on the other rows (so no BLAS reductions): ``evaluate(x)`` is
-    a batch of one, bit for bit, with the total ``assemble_fitness``
-    gives.  Arrays never change after construction and evaluation
-    performs no queries.
-
-    ``memoize`` keeps each decoded subset's total in a float64 array
-    indexed by its rank (``subset_ranks``), NaN for "not scored"; only
-    valid on selection spaces whose fitness depends on the subset alone.
-    It never changes results.
+    Its one formula is the ``terms`` field; evaluation and the memo are
+    ``_TermsBinding``'s.  Arrays never change after construction and
+    evaluation performs no queries.
     """
 
     space: DecisionSpace
@@ -449,76 +562,10 @@ class PatternBBinding:
                 values = tuple(values)
             frozen[name] = values
         self.arrays = frozen
-        self._columns = list(self.term_sources)
-        # (column, weight or None) in the order of the total: objectives,
-        # then weighted violations, each in column order (a stable sort)
-        self._weighted_columns = sorted(
-            ((j, self.penalty_weights.get(name))
-             for j, name in enumerate(self._columns)),
-            key=lambda column: column[1] is not None)
+        self._init_columns()
 
-    def weighted_sum(self, terms: np.ndarray) -> np.ndarray:
-        """The (m,) totals of an (m, T) ``terms`` matrix: from 0.0, each
-        objective column, then weight x each violation column, in
-        column order."""
-        if terms.shape[1] != len(self._columns):
-            raise ValueError(f"terms gave {terms.shape[1]} columns for "
-                             f"{len(self._columns)} terms")
-        total = np.zeros(terms.shape[0])
-        for j, weight in self._weighted_columns:
-            total += terms[:, j] if weight is None else weight * terms[:, j]
-        return total
-
-    @cached_property
-    def _memo(self) -> np.ndarray:
-        """Allocated on first memoized use."""
-        return np.full(math.comb(self.space.n_candidates, self.space.k), np.nan)
-
-    def evaluate(self, x) -> Fitness:
-        """``evaluate_batch`` of the one row x, with its ``Fitness``
-        built from the row's terms."""
-        rows = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
-        terms = dict(zip(self._columns, self.terms(rows)[0].tolist()))
-        weights = self.penalty_weights
-        fitness = assemble_fitness(
-            {name: v for name, v in terms.items() if name not in weights},
-            {name: v for name, v in terms.items() if name in weights}, weights)
-        _check_totals(np.array([fitness.total]))
-        self.evaluations += 1
-        if self.memoize:
-            (rank,) = subset_ranks(rows, self.space.n_candidates)
-            memo = self._memo
-            if np.isnan(memo[rank]):
-                memo[rank] = fitness.total
-            else:
-                self.memo_hits += 1
-        return fitness
-
-    def evaluate_batch(self, X) -> np.ndarray:
-        """Totals of the (m, d) batch X, with the counters m calls of
-        ``evaluate`` would leave.
-
-        Each row is decoded once (``subset_rows``).  With the memo on,
-        only the rows whose subsets the memo does not hold are scored, in
-        one ``terms`` call, and their totals stored; a subset repeated
-        within the batch is a miss the first time and a hit after that.
-        """
-        rows = _decoded(X, self.space)
-        self.evaluations += len(rows)
-        if not self.memoize:
-            return _check_totals(self.weighted_sum(self.terms(rows)))
-
-        memo, ranks = self._memo, subset_ranks(rows, self.space.n_candidates)
-        totals = memo[ranks]
-        missed = np.isnan(totals).nonzero()[0]
-        # one miss per distinct subset the memo lacks: a repeat within
-        # the batch scores to the same bits, so it counts as a hit
-        self.memo_hits += len(rows) - len(set(ranks[missed].tolist()))
-        if missed.size:
-            totals[missed] = self.weighted_sum(self.terms(rows[missed]))
-            _check_totals(totals)
-            memo[ranks[missed]] = totals[missed]
-        return totals
+    # the layer tracer wraps ``evaluate`` on each binding class
+    evaluate = _TermsBinding.evaluate
 
 
 @dataclass

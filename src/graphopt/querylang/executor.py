@@ -9,7 +9,10 @@ node id, then ascending edge id for two-element patterns.  When the
 whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
 listed nodes instead of scanning the label; when, besides, every
 RETURN item is an aggregate free of placeholders, the plan aggregates
-per-node values it prepared once per graph (``Plan.by_node``).  A
+per-node values it prepared once per graph (``Plan.by_node``).  A list
+placeholder may also bind an (m, k) integer block of m lists; the query
+then answers one row per list (``execute``), in numpy where the plan
+allows it (``_NodeBlock``).  A
 missing property makes the enclosing WHERE clause non-matching and
 contributes nothing to aggregates; each such lookup increments
 ``missing_property_count`` on the result.
@@ -25,10 +28,12 @@ from numbers import Real
 from types import SimpleNamespace
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..graph import PropertyGraph
 from .ast import (Aggregate, Binary, InExpr, ListLiteral, Literal, Param,
                   Prop, QueryAst, ReturnItem, Unary, render_item)
-from .parser import Query, _param_uses
+from .parser import Query, _param_uses, block_binding
 
 
 class ExecutionError(ValueError):
@@ -255,6 +260,9 @@ class Plan:
     plan then keeps, per frozen graph, a table from each seek value seen
     to its node's entry (``_entry``) and combines the entries of the
     listed nodes (``aggregate_by_node``) instead of walking their rows.
+    If, besides, every item is a ``count`` or a ``sum``, a block of
+    lists is answered from per-node arrays built once per graph
+    (``node_block``).
     """
 
     def __init__(self, ast: QueryAst):
@@ -285,9 +293,13 @@ class Plan:
         self.columns = None if per_query else _columns(items)
         self.by_node = (self.aggregated and isinstance(self.seek, Param)
                         and not any(any(_param_uses(item.value)) for item in items))
+        self.numpy_block = self.by_node and all(
+            agg.func in ("count", "sum") for agg, _ in self.returns)
         # id(graph) -> (graph, {seek value: entry or None}); holding the
         # graph keeps its id from being reused while its table lives
         self._tables: dict[int, tuple[PropertyGraph, dict]] = {}
+        # id(graph) -> (graph, _NodeBlock or None), the same way
+        self._blocks: dict[int, tuple[PropertyGraph, Optional[_NodeBlock]]] = {}
 
     def rows(self, graph: PropertyGraph, query: Query):
         if self.seek is None:
@@ -347,6 +359,31 @@ class Plan:
                 values.append(value)
         return src_ids[0], n_rows, kept, env.missing
 
+    def _cached_entry(self, graph: PropertyGraph, seek_value):
+        """``_entry``, kept in this graph's table."""
+        held = self._tables.get(id(graph))
+        if held is None:
+            held = self._tables[id(graph)] = (graph, {})
+        table = held[1]
+        entry = table.get(seek_value, table)  # the table itself: not seen yet
+        if entry is table:
+            entry = table[seek_value] = self._entry(graph, seek_value)
+        return entry
+
+    def node_block(self, graph: PropertyGraph) -> Optional[_NodeBlock]:
+        """The ``_NodeBlock`` of a ``numpy_block`` plan over this graph,
+        built on first use; None if some node's entry raises or holds a
+        value the numpy sums cannot add exactly (the lists then run one
+        at a time)."""
+        held = self._blocks.get(id(graph))
+        if held is None:
+            try:
+                block = _NodeBlock(self, graph)
+            except ExecutionError:
+                block = None
+            held = self._blocks[id(graph)] = (graph, block)
+        return held[1]
+
     def aggregate_by_node(self, graph: PropertyGraph, values) -> ResultTable:
         """The result of a ``by_node`` plan for the seek list ``values``.
 
@@ -356,15 +393,9 @@ class Plan:
         the counts add up integers, and any other aggregate runs
         ``_Acc`` over the kept values.
         """
-        held = self._tables.get(id(graph))
-        if held is None:
-            held = self._tables[id(graph)] = (graph, {})
-        table = held[1]
         chosen = {}
         for value in values:
-            entry = table.get(value, table)  # the table itself: not seen yet
-            if entry is table:
-                entry = table[value] = self._entry(graph, value)
+            entry = self._cached_entry(graph, value)
             if entry is not None:
                 chosen[entry[0]] = entry
         entries = [chosen[nid] for nid in sorted(chosen)]
@@ -385,6 +416,106 @@ class Plan:
                 out.append(acc.result())
         return ResultTable(columns=list(self.columns), rows=[tuple(out)],
                            missing_property_count=sum(entry[3] for entry in entries))
+
+
+# an int sum stays exact in float64 while every partial sum is below this
+_EXACT_INT = 2 ** 53
+
+
+class _NodeBlock:
+    """Per-node arrays of a ``numpy_block`` plan over one graph, indexed
+    by node id, with one more row (id ``len(graph.nodes)``, the pad) of
+    zeros for an id that names no node of the source label.
+
+    ``answer`` runs an (m, k) id block.  Each row is sorted, so nodes
+    come in ascending id, and a repeated id is sent to the pad, so a node
+    counts once: ``aggregate_by_node``'s order and ``chosen`` dict.  Per
+    RETURN item:
+
+    - ``count(*)`` and ``count`` add up per-node integer counts;
+    - ``count(DISTINCT …)`` ORs the rows of an incidence matrix over
+      codes of the kept values' ``_hashable`` forms, which a dict
+      assigns with the set's equality, and counts the codes;
+    - ``sum`` runs one sequential sum (``np.add.accumulate``) along
+      each row over the listed nodes' kept values, node by node in row
+      order, each node's padded with 0.0 to the longest node's length.
+      The row path adds the same values in the same order from 0.
+      Adding 0.0 changes no partial sum, as one that starts at 0 is
+      never -0.0; and its int partial sums equal these floats, since
+      the ints of the table sum to less than ``_EXACT_INT``.  A row
+      that adds no float gives an int, as the row path's does.
+    """
+
+    def __init__(self, plan: Plan, graph: PropertyGraph):
+        n = self.pad = len(graph.nodes)
+        label = plan.pattern.src.label
+        entries = [plan._cached_entry(graph, nid) if label in node.labels
+                   else None for nid, node in enumerate(graph.nodes)]
+        entries.append(None)
+        missing = np.array([0 if e is None else e[3] for e in entries])
+        self.missing = missing if missing.any() else None
+        # per item: (kind, per-node array, per-node "holds a float" or None)
+        self.items = []
+        for j, (agg, arg) in enumerate(plan.returns):
+            kept = [() if e is None else e[2][j] for e in entries]
+            if arg is None:
+                self.items.append(("count", np.array(
+                    [0 if e is None else e[1] for e in entries]), None))
+            elif agg.func == "sum":
+                self.items.append(("sum", *self._sums(kept)))
+            elif agg.distinct:
+                codes: dict = {}
+                node_codes = [[codes.setdefault(v, len(codes)) for v in values]
+                              for values in kept]
+                incidence = np.zeros((n + 1, len(codes)), dtype=bool)
+                for nid, found in enumerate(node_codes):
+                    incidence[nid, found] = True
+                self.items.append(("distinct", incidence, None))
+            else:
+                self.items.append(("count", np.array(list(map(len, kept))), None))
+
+    @staticmethod
+    def _sums(kept):
+        """The padded per-node values of a ``sum`` and which nodes hold a
+        float (None if none does); ExecutionError, which keeps the plan
+        on the lists, if numpy cannot add them as the row path does."""
+        values = [v for node in kept for v in node]
+        if any(type(v) is not int and type(v) is not float for v in values):
+            raise ExecutionError("sum of a value that is not an int or a float")
+        if sum(abs(v) for v in values if type(v) is int) >= _EXACT_INT:
+            raise ExecutionError("int sum too large to add exactly in float64")
+        padded = np.zeros((len(kept), max(map(len, kept))))
+        for nid, node in enumerate(kept):
+            padded[nid, :len(node)] = node
+        floats = np.array([any(type(v) is float for v in node) for node in kept])
+        return padded, floats if floats.any() else None
+
+    def answer(self, block: np.ndarray) -> tuple[list[tuple], int]:
+        """The m result rows of the id block and their missing count."""
+        m, pad = len(block), self.pad
+        ids = np.sort(block, axis=1)
+        ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = pad
+        # read unsigned, a negative id is past the pad too
+        ids[ids.view(np.uint64) > pad] = pad
+        columns = []
+        for kind, table, floats in self.items:
+            per_node = table[ids]
+            if kind == "count":
+                columns.append(per_node.sum(axis=1).tolist())
+            elif kind == "distinct":
+                columns.append(np.count_nonzero(per_node.any(axis=1), axis=1).tolist())
+            else:
+                flat = per_node.reshape(m, -1)
+                # + 0.0: the row path starts from 0, so its sum is never -0.0
+                total = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
+                         if flat.shape[1] else np.zeros(m))
+                if floats is None:
+                    columns.append(total.astype(np.int64).tolist())
+                else:
+                    columns.append([t if f else int(t) for t, f in zip(
+                        total.tolist(), floats[ids].any(axis=1).tolist())])
+        missing = 0 if self.missing is None else int(self.missing[ids].sum())
+        return list(zip(*columns)), missing
 
 
 def _hashable(value):
@@ -467,7 +598,8 @@ class _Acc:
 def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     """Run a bound query and return its result table.
 
-    Aggregate queries yield exactly one row.  Bare item queries yield
+    Aggregate queries yield exactly one row, or one per list when a list
+    is bound to a block (``_execute_block``).  Bare item queries yield
     one row per surviving match, with missing values surfaced as None.
     """
     if not isinstance(query, Query):
@@ -475,6 +607,9 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     if not graph.frozen:
         raise ExecutionError("graph must be frozen before it can be queried")
     plan = query.template.plan
+    name = block_binding(query)
+    if name is not None:
+        return _execute_block(graph, query, name)
     if plan.by_node:
         try:
             return plan.aggregate_by_node(graph, query.lists[plan.seek.name])
@@ -504,3 +639,33 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
                else list(plan.columns))
     return ResultTable(columns=columns, rows=out_rows,
                        missing_property_count=env.missing)
+
+
+def _execute_block(graph: PropertyGraph, query: Query, name: str) -> ResultTable:
+    """The m-row table of a query whose list ``name`` is bound to an
+    (m, k) block: row i is the one row list i gives alone, bit for bit,
+    and the missing count is the sum of theirs.  A ``numpy_block`` plan
+    answers from its ``_NodeBlock``; any other plan, or one whose block
+    could not be built, runs the lists one at a time, so an error is the
+    one the first failing list raises."""
+    plan = query.template.plan
+    block = query.lists[name]
+    columns = plan.columns
+    if columns is None:
+        # the block's placeholder is in no RETURN item, so any list
+        # renders the same columns
+        columns = _columns(Query(query.template, query.scalars,
+                                 {**query.lists, name: ()}).ast.items)
+    node_block = plan.node_block(graph) if plan.numpy_block else None
+    if node_block is not None:
+        rows, missing = node_block.answer(block)
+        return ResultTable(columns=list(columns), rows=rows,
+                           missing_property_count=missing)
+    rows, missing = [], 0
+    for ids in block.tolist():
+        one = execute(graph, Query(query.template, query.scalars,
+                                   {**query.lists, name: tuple(ids)}))
+        rows.extend(one.rows)
+        missing += one.missing_property_count
+    return ResultTable(columns=list(columns), rows=rows,
+                       missing_property_count=missing)

@@ -903,17 +903,20 @@ def solve_oracle(instance: Instance) -> Optional[OracleResult]:
 
 
 def gap_ratio(best_total: float, oracle_total: float) -> Optional[float]:
-    """Oracle-relative gap: 1.0 is a hit, and a best at or above the
-    optimum reads >= 1.  Totals of one sign compare as a ratio, flipped
-    for negative totals (negated maximization problems); a best of 0 or
-    of the other sign reads 1 + (best - oracle) / |oracle|."""
+    """Oracle-relative gap: 1.0 is a hit, a best at or above the
+    optimum reads >= 1, and a larger best never reads a smaller gap.
+    Totals of one sign compare as a ratio, flipped for negative totals
+    (negated maximization problems).  Against a negative optimum a best
+    of 0 or above reads inf, the limit of optimum / best as best rises
+    to 0; against a positive one a best of 0 or below reads
+    1 + (best - oracle) / oracle, which is best / oracle."""
     if oracle_total == 0:
         return None
-    if best_total == 0 or (best_total > 0) != (oracle_total > 0):
+    if oracle_total < 0:
+        return oracle_total / best_total if best_total < 0 else math.inf
+    if best_total <= 0:
         return 1.0 + (best_total - oracle_total) / abs(oracle_total)
-    if oracle_total > 0:
-        return best_total / oracle_total
-    return oracle_total / best_total
+    return best_total / oracle_total
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +947,8 @@ class DegeneracyReport:
 
 def detect_degenerate_terms(instance: Instance, samples: int = 200,
                             seed: int = 0) -> DegeneracyReport:
-    """Evaluate random in-bounds vectors and flag constant fitness terms.
+    """Score random in-bounds vectors, in one ``terms`` call of the
+    decoded block, and flag constant fitness terms.
 
     A term whose value never moves across the sample (max == min) is
     degenerate: it cannot steer the search, typically because the
@@ -959,23 +963,13 @@ def detect_degenerate_terms(instance: Instance, samples: int = 200,
         samples * space.dim).reshape(samples, space.dim)
     # a fresh binding leaves the instance's counters and memo untouched
     binding = fresh_binding(instance)
-    values: dict[str, list[float]] = {}
-    kinds: dict[str, str] = {}
-    for x in space.lower + (space.upper - space.lower) * draws:
-        fit = binding.evaluate(x)
-        for name, v in fit.objective_terms.items():
-            values.setdefault(name, []).append(float(v))
-            kinds[name] = "objective"
-        for name, v in fit.violation_terms.items():
-            values.setdefault(name, []).append(float(v))
-            kinds[name] = "violation"
-
+    columns = binding.term_columns(space.lower + (space.upper - space.lower)
+                                   * draws)
     missing = _term_missing_counts(binding)
     terms = []
-    for name, series in values.items():
-        arr = np.asarray(series)
+    for name, kind, arr in columns:
         terms.append(TermStats(
-            name=name, kind=kinds[name],
+            name=name, kind=kind,
             minimum=float(arr.min()), maximum=float(arr.max()),
             variance=float(arr.var()),
             missing_property_count=missing.get(name, 0),

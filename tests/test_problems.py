@@ -1,6 +1,8 @@
 """Problem core: spaces, decode, fitness assembly, and both binding
 patterns on hand-built graphs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from graphopt.problems import (DecisionSpace, Fitness, PatternABinding,
                                PatternBBinding, QueryTerm, assemble_fitness,
                                continuous_space, decode_selection,
                                materialize, selection_space)
-from graphopt.querylang import parse_query, parse_template
+from graphopt.querylang import ExecutionError, parse_query, parse_template
 from graphopt.rng import SeededRng
 
 
@@ -142,16 +144,91 @@ def test_pattern_a_single_drug():
     assert binding.evaluate(np.array([3.2])).total == -2.0
 
 
+def test_pattern_a_constraint_term_is_a_weighted_violation():
+    # drugs {0, 1, 2}: 7 genes, burden 5; the burden as a violation
+    # weighted 4 rather than an objective
+    g, drugs = drug_graph()
+    base = coverage_binding(3)
+    coverage, burden = base.objective_terms
+    binding = PatternABinding(
+        graph=g, space=selection_space(3, len(drugs)), candidates=drugs,
+        objective_terms=[coverage],
+        constraint_terms=[QueryTerm(burden.name, burden.template, 4.0)])
+    fit = binding.evaluate(np.array([0.0, 1.0, 2.0]))
+    assert fit == Fitness(-7.0 + 4.0 * 5.0, {"gene_coverage": -7.0},
+                          {"side_effect_burden": 5.0},
+                          {"side_effect_burden": 4.0})
+    X = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    totals = binding.evaluate_batch(X)
+    assert totals[0] == fit.total
+    assert totals[1] == binding.evaluate(X[1]).total
+    assert binding.query_executions == 2 * 2  # two subsets, two terms
+
+
+def test_pattern_a_term_names_and_templates_checked():
+    g, drugs = drug_graph()
+    coverage, _ = coverage_binding(3).objective_terms
+    space = selection_space(3, len(drugs))
+    with pytest.raises(ValueError, match="distinct"):
+        PatternABinding(graph=g, space=space, candidates=drugs,
+                        objective_terms=[coverage, coverage])
+    bare = QueryTerm("bare", parse_template(
+        "MATCH (d:Drug) WHERE d.id IN $selected RETURN d.side_effect_count"))
+    with pytest.raises(ValueError, match="aggregate query"):
+        PatternABinding(graph=g, space=space, candidates=drugs,
+                        objective_terms=[bare])
+
+
+@pytest.mark.parametrize("aggregate, ragged", [
+    ("avg(d.absent)", False),
+    ("collect(d.side_effect_count)", False),
+    # one drug lacks the property: lists of lengths 1 and 2
+    ("collect(d.side_effect_count)", True)])
+def test_pattern_a_non_numeric_term_raises(aggregate, ragged):
+    g, drugs = drug_graph()
+    if ragged:
+        g = PropertyGraph()
+        drugs = [g.add_node({"Drug"}, {} if i == 0 else {"side_effect_count": i})
+                 for i in range(4)]
+        g.freeze()
+    term = QueryTerm("t", parse_template(
+        f"MATCH (d:Drug) WHERE d.id IN $selected RETURN {aggregate}"))
+    binding = PatternABinding(graph=g, space=selection_space(2, len(drugs)),
+                              candidates=drugs, objective_terms=[term])
+    with pytest.raises(ExecutionError,
+                       match="term 't': query produced a non-numeric value"):
+        binding.evaluate_batch(np.array([[0.0, 1.0], [2.0, 3.0]]))
+
+
 def test_pattern_a_memo_skips_queries():
     binding = coverage_binding(3)
     x = np.array([0.4, 1.9, 2.2])
     first = binding.evaluate(x)
     executed = binding.query_executions
     again = binding.evaluate(np.array([2.8, 0.0, 1.5]))  # same decoded subset
-    assert again is first
+    assert again == first
     assert binding.query_executions == executed
     assert binding.memo_hits == 1
     assert binding.evaluations == 2
+
+
+def test_pattern_a_memo_hit_runs_no_query(monkeypatch):
+    # the counters alone cannot show this: a hit rebuilds its Fitness
+    # from the memo's terms, so the graph is not touched at all
+    import graphopt.problems as problems
+    binding = coverage_binding(3)
+    X = np.array([[0.4, 1.9, 2.2], [3.0, 4.0, 5.0]])
+    first = binding.evaluate_batch(X)
+    fits = [binding.evaluate(x) for x in X]
+    calls = []
+    real_execute = problems.execute
+    monkeypatch.setattr(problems, "execute",
+                        lambda *a, **kw: calls.append(1) or real_execute(*a, **kw))
+    assert binding.evaluate_batch(X[::-1]).tolist() == first[::-1].tolist()
+    assert [binding.evaluate(x) for x in X] == fits
+    assert [f.total for f in fits] == first.tolist()
+    assert calls == []
+    assert binding.memo_hits == 6
 
 
 def test_pattern_a_memo_off_reruns_queries():
@@ -254,6 +331,17 @@ def test_pattern_b_memo_equivalence_and_counters(make_binding, n):
     assert memod.memo_hits > 0
     assert plain.memo_hits == 0
     assert memod.evaluations == plain.evaluations == 300
+
+
+def test_memo_keeps_terms_only_where_they_cost_queries():
+    # Pattern A keeps each subset's terms, so a hit runs no query;
+    # Pattern B keeps its total, the C(n, k) floats the size limit allows
+    x = np.array([0.5, 1.5, 2.5])
+    queried, arrays = coverage_binding(3), site_binding(memoize=True)
+    queried.evaluate(x)
+    arrays.evaluate(x)
+    assert queried._memo.shape == (math.comb(10, 3), 2)
+    assert arrays._memo.shape == (math.comb(6, 3),)
 
 
 def test_pattern_b_memo_needs_selection_space():

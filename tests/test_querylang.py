@@ -1,9 +1,11 @@
 """Query language: parse errors with offsets, substitution, execution
 semantics (aggregates, missing properties, DISTINCT), the brute-force
-filter-equivalence property, and the id-seek against a label scan."""
+filter-equivalence property, the id-seek against a label scan, and a
+block of lists against the lists run one at a time."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -454,6 +456,139 @@ def test_node_table_raises_the_row_path_error_every_time():
             assert str(got.value) == message
     template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
     assert execute(g, substitute(template, lists={"sel": [0, 1]})).scalar() == 3
+
+
+# ---- a block of lists equals its lists run one at a time ----
+
+_BLOCK_AGGREGATES = ("count(*), count({x}.v), count(DISTINCT {x}.v), "
+                     "sum({x}.v), count(DISTINCT {x}.w)")
+BLOCK_ONE = parse_template(
+    "MATCH (d:D) WHERE d.id IN $sel RETURN " + _BLOCK_AGGREGATES.format(x="d"))
+BLOCK_TWO = parse_template(
+    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
+    + _BLOCK_AGGREGATES.format(x="g"))
+# not by node: the WHERE holds more than the id seek
+SCAN_ONE = parse_template(
+    "MATCH (d:D) WHERE d.id IN $sel AND d.v > 0 RETURN "
+    + _AGGREGATES.format(x="d"))
+SCAN_TWO = parse_template(
+    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel AND g.v > 0 RETURN "
+    + _AGGREGATES.format(x="g"))
+
+
+def _signed_zeros():
+    """Two D nodes whose values are -0.0: the row path's sum, from the
+    integer 0, reads 0.0."""
+    g = PropertyGraph()
+    for _ in range(2):
+        d = g.add_node({"D"}, {"v": -0.0})
+        g.add_edge(d, "R", g.add_node({"G"}, {"v": -0.0}), {})
+    return g.freeze()
+
+
+# m lists of one length k, ids with repeats and ids that name no node
+_id_blocks = st.integers(0, 6).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 30), min_size=k, max_size=k),
+    min_size=1, max_size=4).map(lambda sels: np.array(sels, dtype=np.int64)
+                                .reshape(len(sels), k)))
+
+
+def _assert_block_equals_lists(g, template, block):
+    got = execute(g, substitute(template, lists={"sel": block}))
+    assert len(got.rows) == len(block)
+    missing = 0
+    for ids, row in zip(block.tolist(), got.rows):
+        want = execute(g, substitute(_row_path(template), lists={"sel": ids}))
+        assert _bits(ResultTable(got.columns, [row], want.missing_property_count)
+                     ) == _bits(want), ids
+        missing += want.missing_property_count
+    assert got.missing_property_count == missing
+
+
+@settings(max_examples=200, deadline=None)
+@example(g=_two_groups(), block=np.array([[0, 1]]))
+@example(g=_two_groups(), block=np.array([[1, 0, 1, 7, -1]]))
+@example(g=_two_groups(), block=np.zeros((3, 0), dtype=np.int64))
+@example(g=_signed_zeros(), block=np.array([[0, 2], [0, 0], [5, 5]]))
+@given(g=_labelled_graphs(_node_properties), block=_id_blocks)
+def test_block_equals_lists_run_one_at_a_time(g, block):
+    for template in (BLOCK_ONE, BLOCK_TWO):
+        assert template.plan.numpy_block
+        _assert_block_equals_lists(g, template, block)
+        assert template.plan.node_block(g) is not None  # numpy answered it
+    # by node, but avg, min, max and collect run the lists one at a time
+    for template in (BY_NODE_ONE, BY_NODE_TWO):
+        assert template.plan.by_node and not template.plan.numpy_block
+        _assert_block_equals_lists(g, template, block)
+
+
+@settings(max_examples=100, deadline=None)
+@example(g=_two_groups(), block=np.array([[0, 1], [1, 1]]))
+@given(g=_labelled_graphs(_node_properties), block=_id_blocks)
+def test_block_on_a_scanning_plan_equals_lists(g, block):
+    for template in (SCAN_ONE, SCAN_TWO):
+        assert not template.plan.by_node
+        _assert_block_equals_lists(g, template, block)
+
+
+def test_block_raises_the_row_path_error_every_time():
+    g = PropertyGraph()
+    g.add_node({"D"}, {"v": 1, "w": "a"})
+    g.add_node({"D"}, {"v": 2, "w": 3})
+    g.add_node({"D"}, {"v": "x"})
+    g.freeze()
+    cases = (
+        ("RETURN min(d.w), sum(d.v)", [[0, 1, 2]], "min saw mixed value kinds"),
+        ("RETURN sum(d.v)", [[2, 0]], "sum expects numbers"),
+        # the first list is fine; the second raises
+        ("RETURN sum(d.v), count(*)", [[0, 1], [2, 0]], "sum expects numbers"),
+    )
+    for items, block, message in cases:
+        template = parse_template(f"MATCH (d:D) WHERE d.id IN $sel {items}")
+        for _ in range(2):  # a failed entry is never kept
+            with pytest.raises(ExecutionError) as got:
+                execute(g, substitute(template, lists={"sel": np.array(block)}))
+            assert str(got.value) == message
+    # node 2 keeps this graph off the numpy route; its lists still answer
+    assert template.plan.node_block(g) is None
+    query = substitute(template, lists={"sel": np.array([[0, 1], [1, 0]])})
+    assert execute(g, query).rows == [(3, 2), (3, 2)]
+
+
+def test_block_of_ints_float64_cannot_add_runs_list_by_list():
+    g = PropertyGraph()
+    g.add_node({"D"}, {"v": 2 ** 53})
+    g.add_node({"D"}, {"v": 1})
+    g.freeze()
+    template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
+    block = np.array([[0, 1], [1, 1]])
+    assert execute(g, substitute(template, lists={"sel": block})).rows == [
+        (2 ** 53 + 1,), (1,)]
+    assert template.plan.node_block(g) is None
+
+
+def test_block_binding_rules():
+    template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN count(*)")
+    with pytest.raises(TypeError, match="must hold integers"):
+        substitute(template, lists={"sel": np.zeros((2, 2))})
+    query = substitute(template, lists={"sel": np.array([[0, 1]])})
+    with pytest.raises(TypeError, match="no single AST"):
+        query.text
+    # equality and hashing compare the bound block's shape and values
+    same = substitute(template, lists={"sel": np.array([[0, 1]], dtype=np.int32)})
+    assert query == same and hash(query) == hash(same)
+    assert len({query, same}) == 1
+    assert query != substitute(template, lists={"sel": np.array([[0], [1]])})
+    assert query != substitute(template, lists={"sel": np.array([[0, 2]])})
+    assert query != substitute(template, lists={"sel": [0, 1]})
+    assert query in [substitute(template, lists={"sel": [0, 1]}), same]
+    for text in (
+            "MATCH (d:D) WHERE d.id IN $sel RETURN d.v",  # rows per list
+            "MATCH (d:D) WHERE d.id IN $sel RETURN count(d.id IN $sel)",
+            "MATCH (d:D) WHERE d.id IN $sel AND d.id IN $b RETURN count(*)"):
+        with pytest.raises(SubstitutionError):
+            substitute(parse_template(text), lists={
+                name: np.array([[0]]) for name in parse_template(text).placeholders})
 
 
 def test_node_table_per_graph():

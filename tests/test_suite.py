@@ -196,20 +196,30 @@ def test_pattern_a_provenance_names_each_template():
 def test_pattern_a_queries_run_through_problems_names(monkeypatch):
     """The layer tracer times Pattern A at ``graphopt.problems.substitute``
     and ``graphopt.problems.execute``; every counted query must pass
-    through both, or the querylang layer reads 0."""
+    through both, or the querylang layer reads 0.  A query answers a
+    block of subsets, one row each, so the rows add up to the count."""
     calls = {"substitute": 0, "execute": 0}
-    for name in calls:
-        real = getattr(graphopt.problems, name)
+    rows = []
+    real_substitute = graphopt.problems.substitute
+    real_execute = graphopt.problems.execute
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(graphopt.problems, name, counted)
+    def substitute(*args, **kwargs):
+        calls["substitute"] += 1
+        return real_substitute(*args, **kwargs)
+
+    def execute(*args, **kwargs):
+        calls["execute"] += 1
+        table = real_execute(*args, **kwargs)
+        rows.append(len(table.rows))
+        return table
+    monkeypatch.setattr(graphopt.problems, "substitute", substitute)
+    monkeypatch.setattr(graphopt.problems, "execute", execute)
     binding = fresh_binding(generate("P1", "small", 0))
     run(binding, SolverConfig("rao1", pop_size=8, iterations=10, seed=3))
     assert binding.query_executions > 0
-    assert calls == {"substitute": binding.query_executions,
-                     "execute": binding.query_executions}
+    assert sum(rows) == binding.query_executions
+    assert calls["substitute"] == calls["execute"] == len(rows)
+    assert len(rows) < binding.query_executions  # blocks, not one per subset
 
 
 # ---- pattern A twin for P2 ----
@@ -301,11 +311,25 @@ def test_oracle_scores_the_degraded_instance(problem_id, dropped, optimum):
 
 
 def test_gap_ratio_opposite_signs():
-    # a best of 0 or of the other sign: 1 + (best - optimum) / |optimum|
-    assert gap_ratio(0.0, -100.0) == 2.0
-    assert gap_ratio(5.0, -100.0) == pytest.approx(2.05)
-    assert gap_ratio(150.0, -100.0) == pytest.approx(3.5)
+    # against a negative optimum a best of 0 or above reads inf, the
+    # limit of optimum / best as best rises to 0
+    assert gap_ratio(0.0, -100.0) == math.inf
+    assert gap_ratio(5.0, -100.0) == math.inf
+    assert gap_ratio(150.0, -100.0) == math.inf
+    # against a positive one, 1 + (best - optimum) / optimum
     assert gap_ratio(0.0, 100.0) == 0.0
+
+
+@pytest.mark.parametrize("optimum", [-100.0, -0.5, 0.5, 100.0])
+def test_gap_ratio_is_monotone_in_the_best(optimum):
+    """A larger best never reads a smaller gap, across the sign change
+    of the best too."""
+    bests = sorted({optimum * f for f in (-3, -1, -0.5, -1e-9, 0, 1e-9, 0.5,
+                                          0.99, 1, 1.01, 2, 50)}
+                   | {-1e-300, 1e-300, -250.0, 250.0})
+    gaps = [gap_ratio(best, optimum) for best in bests]
+    assert all(a <= b for a, b in zip(gaps, gaps[1:])), list(zip(bests, gaps))
+    assert gap_ratio(optimum, optimum) == 1.0
 
 
 def test_gap_ratio_orientation():
@@ -610,19 +634,23 @@ class _LoopedBatch:
         return np.array([self.inner.evaluate(x).total for x in X])
 
 
-@pytest.mark.parametrize("problem_id", ["P2", "P4", "P6"])
+@pytest.mark.parametrize("problem_id", ["P1", "P2-twin", "P2", "P4", "P6"])
 def test_batched_run_equals_looped_run(problem_id):
-    inst = generate(problem_id, "small", 3)
+    twin = problem_id == "P2-twin"
+    inst = generate("P2" if twin else problem_id, "small", 3)
+
+    def binding():
+        return pattern_a_binding(inst) if twin else fresh_binding(inst)
     for variant in VARIANTS:
         config = SolverConfig(variant=variant, pop_size=20, iterations=80,
                               seed=11)
-        fast = run(fresh_binding(inst), config)
-        slow = run(_LoopedBatch(fresh_binding(inst)), config)
+        fast = run(binding(), config)
+        slow = run(_LoopedBatch(binding()), config)
         assert fast.best_total == slow.best_total, variant
         assert fast.curve.tobytes() == slow.curve.tobytes(), variant
         assert fast.best_x.tobytes() == slow.best_x.tobytes(), variant
-        assert (fast.evaluations, fast.memo_hits) == (
-            slow.evaluations, slow.memo_hits), variant
+        assert (fast.evaluations, fast.memo_hits, fast.query_executions) == (
+            slow.evaluations, slow.memo_hits, slow.query_executions), variant
 
 
 _EVERY_BINDING = ("P1", "P2-twin", "P2", "P3", "P4", "P5", "P6", "P7")
