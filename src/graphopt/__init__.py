@@ -21,7 +21,7 @@ from .oracles import (DispatchInstance, InfeasibleDispatch,
 from .problems import (DecisionSpace, Fitness, PatternABinding,
                        PatternBBinding, decode_selection)
 from .rng import LaneRng, SeededRng
-from .solvers import VARIANTS, RunResult, SolverConfig, run
+from .solvers import VARIANTS, RunResult, SolverConfig, run, run_group
 from .stats import build_summary, holm, wilcoxon_signed_rank
 from .suite import (PROBLEM_IDS, DisruptionSpec, Instance,
                     detect_degenerate_terms, generate, inject_disruption,
@@ -37,6 +37,6 @@ __all__ = [
     "build_summary", "decode_selection", "detect_degenerate_terms",
     "emit_report", "generate", "graph", "holm", "inject_disruption",
     "merit_order_dispatch", "oracles", "problems", "querylang", "rng",
-    "run", "run_matrix", "solve_oracle", "solve_transportation",
+    "run", "run_group", "run_matrix", "solve_oracle", "solve_transportation",
     "solvers", "stats", "suite", "wilcoxon_signed_rank",
 ]

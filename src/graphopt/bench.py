@@ -1,10 +1,11 @@
 """Benchmark matrix: problems x solver variants x seeds, with reports.
 
-A bench run generates each instance once, runs every (variant, seed)
-cell against a cell-private binding, collects oracle optima, builds the
-statistical summary, and emits spec.json / results.csv / summary.md /
-degeneracy.md.  Everything except wall-clock timings is a pure function
-of the config, at any worker count.
+A bench run generates each instance once, runs the seeds of every
+(problem, variant) cell in lockstep groups (``solvers.run_group``), each
+group against a group-private binding, collects oracle optima, builds
+the statistical summary, and emits spec.json / results.csv / summary.md
+/ degeneracy.md.  Everything except wall-clock timings is a pure
+function of the config, at any worker count.
 """
 
 from __future__ import annotations
@@ -23,13 +24,17 @@ from . import __version__
 from .oracles import OracleTooLarge
 from .rng import SeededRng
 from .solvers import (DISPLAY_NAMES, VARIANT_LABELS, RunResult, SolverConfig,
-                      normalize_variant, run)
+                      normalize_variant, run_group)
 from .stats import SummaryTable, build_summary
 from .suite import (PROBLEM_IDS, Instance, detect_degenerate_terms,
                     fresh_binding, gap_ratio, generate, solve_oracle)
 
 DEFAULT_VARIANTS = ("bmwr", "jaya", "samp_jaya", "ehr_jaya", "rao1")
 _SEED_STREAM = 4242
+
+# upper bound on the population doubles (runs x pop x d) of one lockstep
+# group; measured in SOLVERS.md, "Lockstep runs"
+GROUP_DOUBLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,43 +111,70 @@ def _cached_instance(problem: str, scale: str, seed: int, p5_mode: str) -> Insta
     return inst
 
 
-def _cell_worker(task: tuple) -> tuple[int, CellResult]:
-    (index, problem, scale, master_seed, p5_mode, variant, run_seed,
-     pop_size, iterations) = task
-    label = VARIANT_LABELS[variant]
+def seed_groups(seeds: list, rows_per_run: int) -> list[list]:
+    """The seeds split into consecutive groups of near-equal size, as few
+    as keep each group's ``len(group) * rows_per_run`` within
+    ``GROUP_DOUBLES`` (a single seed may exceed it)."""
+    per_group = max(1, GROUP_DOUBLES // rows_per_run)
+    n_groups = -(-len(seeds) // per_group)
+    size, extra = divmod(len(seeds), n_groups)
+    groups, start = [], 0
+    for g in range(n_groups):
+        stop = start + size + (g < extra)
+        groups.append(seeds[start:stop])
+        start = stop
+    return groups
+
+
+def _run_cells(problem: str, instance_key: tuple, configs: list) -> list:
+    """The cells of one seed group; if the group raises, each seed
+    reruns alone, so only the failing seeds' cells record the error."""
+    label = VARIANT_LABELS[configs[0].variant]
     try:
-        inst = _cached_instance(problem, scale, master_seed, p5_mode)
-        cfg = SolverConfig(variant=variant, pop_size=pop_size,
-                           iterations=iterations, seed=run_seed)
-        result = run(fresh_binding(inst), cfg)
-        return index, CellResult(problem, label, run_seed, result)
+        inst = _cached_instance(problem, *instance_key)
+        results = run_group(fresh_binding(inst), configs)
     except Exception as err:  # recorded per-cell, the matrix keeps going
-        return index, CellResult(problem, label, run_seed, None,
-                                 f"{type(err).__name__}: {err}")
+        if len(configs) > 1:
+            return [cell for config in configs
+                    for cell in _run_cells(problem, instance_key, [config])]
+        return [CellResult(problem, label, configs[0].seed, None,
+                           f"{type(err).__name__}: {err}")]
+    return [CellResult(problem, label, r.seed, r) for r in results]
+
+
+def _group_worker(task: tuple) -> tuple[int, list]:
+    (index, problem, instance_key, variant, seeds, pop_size,
+     iterations) = task
+    configs = [SolverConfig(variant=variant, pop_size=pop_size,
+                            iterations=iterations, seed=seed)
+               for seed in seeds]
+    return index, _run_cells(problem, instance_key, configs)
 
 
 def run_matrix(config: BenchConfig) -> BenchReport:
     """Execute the full matrix; deterministic at any worker count."""
     seeds = config.run_seeds()
+    instance_key = (config.scale, config.master_seed, config.p5_mode)
     tasks = []
     index = 0
     for problem in config.problems:
+        dim = _cached_instance(problem, *instance_key).space.dim
+        groups = seed_groups(seeds, config.pop_size * dim)
         for variant in config.variants:
-            for seed in seeds:
-                tasks.append((index, problem, config.scale,
-                              config.master_seed, config.p5_mode, variant,
-                              seed, config.pop_size, config.iterations))
-                index += 1
+            for group in groups:
+                tasks.append((index, problem, instance_key, variant, group,
+                              config.pop_size, config.iterations))
+                index += len(group)
 
-    slots: list = [None] * len(tasks)
+    slots: list = [None] * index
     if config.workers == 1:
-        for task in tasks:
-            i, cell = _cell_worker(task)
-            slots[i] = cell
+        for i, cells in map(_group_worker, tasks):
+            slots[i:i + len(cells)] = cells
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for i, cell in pool.map(_cell_worker, tasks, chunksize=8):
-                slots[i] = cell
+            # one task per chunk: there are few tasks, of unequal cost
+            for i, cells in pool.map(_group_worker, tasks, chunksize=1):
+                slots[i:i + len(cells)] = cells
 
     instances, oracles, oracle_errors, degeneracy = {}, {}, {}, {}
     for problem in config.problems:

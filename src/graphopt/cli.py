@@ -81,6 +81,7 @@ def _cmd_solve(args) -> int:
         "best_x": [float(v) for v in result.best_x],
         "evaluations": result.evaluations,
         "memo_hits": result.memo_hits,
+        "query_executions": result.query_executions,
         "wall_seconds": result.wall_seconds,
     }
     if args.oracle:

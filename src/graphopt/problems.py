@@ -239,17 +239,20 @@ class _TermsBinding:
     sorted decoded index rows, a continuous one the raw (m, d) block.
     Row i must not depend on the other rows (so no BLAS reductions):
     ``evaluate(x)`` is a batch of one, bit for bit, with the total
-    ``assemble_fitness`` gives.
+    ``assemble_fitness`` gives, and the runs stacked in one
+    ``evaluate_runs`` batch score as they would alone.
 
     ``memoize`` keeps what each decoded subset scored in a float64
-    array indexed by its rank (``subset_ranks``), NaN for "not scored";
-    only valid on selection spaces whose fitness depends on the subset
-    alone.  A binding whose terms run queries keeps each subset's terms
-    (``_memo_keeps_terms``), so a hit builds its ``Fitness`` without
-    running one; the others keep the total alone and recompute a hit's
-    terms in ``evaluate``.  The memo never changes results.
-    ``query_executions`` grows by ``_queries_per_subset`` for each
-    subset scored into the memo, or for each row with the memo off.
+    array indexed by its rank (``subset_ranks``), and one seen-bitmap
+    per run marks what that run has scored (``evaluate_batch`` and
+    ``evaluate`` are run 0); only valid on selection spaces whose
+    fitness depends on the subset alone.  A binding whose terms run
+    queries keeps each subset's terms (``_memo_keeps_terms``), so a hit
+    builds its ``Fitness`` without running one; the others keep the
+    total alone and recompute a hit's terms in ``evaluate``.  The memo
+    never changes results.  ``query_executions`` grows by
+    ``_queries_per_subset`` for each subset a run scores, or for each
+    row with the memo off.
     """
 
     _queries_per_subset = 0
@@ -290,12 +293,22 @@ class _TermsBinding:
     @cached_property
     def _memo(self) -> np.ndarray:
         """Allocated on first memoized use: (C(n, k), T) terms or
-        (C(n, k),) totals.  A kept row is finite in every column (its
-        total passed ``_check_totals``), so NaN in column 0 marks it
-        unscored."""
+        (C(n, k),) totals.  An entry is read only where a run's
+        seen-bitmap is set, so it is never read before it is written."""
         size = math.comb(self.space.n_candidates, self.space.k)
         width = len(self._columns) if self._memo_keeps_terms else None
-        return np.full(size if width is None else (size, width), np.nan)
+        return np.empty(size if width is None else (size, width))
+
+    def _seen(self, runs: int) -> np.ndarray:
+        """The (>= runs, C(n, k)) seen-bitmaps, row r run r's; a run that
+        has not scored a subset misses it, whoever else has."""
+        seen = getattr(self, "_seen_bits", None)
+        if seen is None or len(seen) < runs:
+            grown = np.zeros((runs, len(self._memo)), dtype=bool)
+            if seen is not None:
+                grown[:len(seen)] = seen
+            self._seen_bits = seen = grown
+        return seen
 
     def evaluate(self, x) -> Fitness:
         """``evaluate_batch`` of the one row x, with its ``Fitness``
@@ -305,7 +318,7 @@ class _TermsBinding:
         hit = False
         if self.memoize:
             (rank,) = subset_ranks(rows, self.space.n_candidates)
-            hit = not np.isnan(self._memo[rank]).any()
+            hit = self._seen(1)[0, rank]
         if hit and self._memo_keeps_terms:
             row = self._memo[rank]
         else:
@@ -322,43 +335,85 @@ class _TermsBinding:
             return fitness
         if self.memoize:
             self._memo[rank] = row if self._memo_keeps_terms else fitness.total
+            self._seen(1)[0, rank] = True
         self.query_executions += self._queries_per_subset
         return fitness
 
     def evaluate_batch(self, X) -> np.ndarray:
         """Totals of the (m, d) batch X, with the counters m calls of
-        ``evaluate`` would leave.
+        ``evaluate`` would leave: the batch is run 0 of
+        ``evaluate_runs``."""
+        totals, scored = self._score_runs(X, (0,))
+        rows = len(totals)
+        scored = rows if scored is None else len(scored)
+        self.evaluations += rows
+        self.memo_hits += rows - scored
+        self.query_executions += self._queries_per_subset * scored
+        return totals
 
-        Each row is decoded once (``subset_rows``).  With the memo on,
-        only the subsets the memo does not hold are scored, each once at
-        its first row, in one ``terms`` call, and stored; a subset
-        repeated within the batch is a miss the first time and a hit
-        after that.
+    def evaluate_runs(self, X, runs) -> tuple[np.ndarray, np.ndarray]:
+        """Totals of the (R m, d) batch X whose R blocks of m rows belong
+        to the distinct runs numbered ``runs``, and the (3, R) integer
+        evaluations, memo hits and query executions of each block.
+
+        Each run's counts are those ``evaluate_batch`` of its block gives
+        on a binding that has scored only that run's earlier subsets: the
+        runs share one memo of scores, and each has its own seen-bitmap.
+        The binding's counters grow by the sums.
+        """
+        runs = np.asarray(runs, dtype=np.int64)
+        if len(X) % len(runs):
+            raise ValueError(f"a batch of {len(X)} rows does not split "
+                             f"into {len(runs)} runs")
+        totals, scored = self._score_runs(X, runs)
+        rows, m = len(totals), len(totals) // len(runs)
+        n_scored = rows if scored is None else len(scored)
+        counts = np.empty((3, len(runs)), dtype=np.int64)
+        counts[0] = m
+        counts[1] = 0 if scored is None else m - np.bincount(
+            scored // m, minlength=len(runs))
+        counts[2] = self._queries_per_subset * (m - counts[1])
+        self.evaluations += rows
+        self.memo_hits += rows - n_scored
+        self.query_executions += self._queries_per_subset * n_scored
+        return totals, counts
+
+    def _score_runs(self, X, runs) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Totals of X in ``runs``' blocks, and the batch rows scored
+        (None: all of them).
+
+        Each row is decoded once (``subset_rows``).  With the memo on, a
+        row is scored only if its run's seen-bitmap lacks its subset, and
+        a subset its run misses twice is scored at its first row only;
+        all of them in one ``terms`` call, whose results are stored and
+        marked seen for their runs.  With the memo off every row is
+        scored.
         """
         rows = _decoded(X, self.space)
-        self.evaluations += len(rows)
         if not self.memoize:
-            self.query_executions += self._queries_per_subset * len(rows)
-            return _check_totals(self.weighted_sum(self.terms(rows)))
-
+            return _check_totals(self.weighted_sum(self.terms(rows))), None
         memo, ranks = self._memo, subset_ranks(rows, self.space.n_candidates)
-        kept = memo[ranks]
-        new = missed = np.isnan(kept if kept.ndim == 1 else kept[:, 0]).nonzero()[0]
+        if len(runs) == 1:  # the run's own bitmap, at the ranks
+            (run,) = runs
+            seen, at = self._seen(run + 1)[run], ranks
+        else:  # all bitmaps flat, at run * C(n, k) + rank
+            seen = self._seen(int(runs.max()) + 1).reshape(-1)
+            at = np.repeat(runs * len(memo), len(rows) // len(runs)) + ranks
+        new = missed = (~seen[at]).nonzero()[0]
         if missed.size:
-            new_ranks = ranks[missed]
-            if len(set(new_ranks.tolist())) < missed.size:
-                # a subset repeated among the misses is scored at its
-                # first row only (np.unique costs more than the common
-                # case, no repeat, needs)
-                first = np.sort(np.unique(new_ranks, return_index=True)[1])
-                new, new_ranks = missed[first], new_ranks[first]
+            new_at = at[missed]
+            if len(set(new_at.tolist())) < missed.size:
+                # a subset a run misses twice is scored at its first row
+                # only (np.unique costs more than the common case, no
+                # repeat, needs)
+                new = missed[np.sort(np.unique(new_at, return_index=True)[1])]
+            new_ranks = ranks[new]
             scored = self.terms(rows[new])
             totals = _check_totals(self.weighted_sum(scored), new)
             memo[new_ranks] = scored if self._memo_keeps_terms else totals
-            kept[missed] = memo[ranks[missed]]
-        self.memo_hits += len(rows) - new.size
-        self.query_executions += self._queries_per_subset * new.size
-        return self.weighted_sum(kept) if self._memo_keeps_terms else kept
+            seen[at[new]] = True
+        kept = memo[ranks]
+        return self.weighted_sum(kept) if self._memo_keeps_terms else kept, new
 
 
 # ---------------------------------------------------------------------------

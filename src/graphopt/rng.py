@@ -57,12 +57,25 @@ class LaneRng:
     """
 
     def __init__(self, seed: int, lanes: int, stream_offset: int = 0):
+        self._set_states([seed], lanes, stream_offset)
+
+    @classmethod
+    def runs(cls, seeds, lanes: int, stream_offset: int = 0) -> "LaneRng":
+        """One generator for several runs: lane block r, lanes
+        ``r * lanes`` to ``(r + 1) * lanes - 1``, draws what
+        ``LaneRng(seeds[r], lanes, stream_offset)`` draws."""
+        rng = cls.__new__(cls)
+        rng._set_states(seeds, lanes, stream_offset)
+        return rng
+
+    def _set_states(self, seeds, lanes: int, stream_offset: int) -> None:
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
-        states = [stream_state(seed, stream_offset + i) for i in range(lanes)]
+        states = [stream_state(seed, stream_offset + i)
+                  for seed in seeds for i in range(lanes)]
         self._state = np.array(states, dtype=np.uint64)
-        self._scratch = np.empty(lanes, dtype=np.uint64)
-        self.lanes = lanes
+        self._scratch = np.empty(len(states), dtype=np.uint64)
+        self.lanes = len(states)
 
     def next_u64(self) -> np.ndarray:
         """Advance all lanes one step; returns (lanes,) uint64 outputs."""
@@ -73,20 +86,24 @@ class LaneRng:
         """One double in [0, 1) per lane (top 53 bits of the output)."""
         return (self.next_u64() >> _U64_11) * _INV_2_53
 
-    def uniform_block(self, rows: int) -> np.ndarray:
+    def uniform_block(self, rows: int, lanes=None) -> np.ndarray:
         """(rows, lanes) doubles in [0, 1); row r is draw r of every lane.
 
         The values and the lane state left behind are those of ``rows``
         calls of :meth:`uniforms`.  Segments of ``SEGMENT_ROWS`` rows
         start by jump-ahead; then each step advances every segment of
-        every lane, one contiguous ``(segments, lanes)`` slab.
+        every lane, one contiguous ``(segments, lanes)`` slab.  Given
+        ``lanes``, an index array, only those lanes draw (column j is
+        lane ``lanes[j]``), and only they advance.
         """
+        at = slice(None) if lanes is None else lanes
+        start = self._state[at]
         n_seg = -(-rows // SEGMENT_ROWS)
-        states = np.empty((min(rows, SEGMENT_ROWS), n_seg, self.lanes),
+        states = np.empty((min(rows, SEGMENT_ROWS), n_seg, len(start)),
                           dtype=np.uint64)
         if rows:
             prev = np.empty_like(states[0])  # segment start states
-            prev[0] = self._state
+            prev[0] = start
             for m in range((n_seg - 1).bit_length()):
                 # segments [2^m, 2^(m+1)) are [0, 2^m) jumped 2^m segments
                 half = 1 << m
@@ -96,13 +113,13 @@ class LaneRng:
             for step in states:
                 _xorshift_step(prev, step, tmp)
                 prev = step
-            self._state[:] = states[(rows - 1) % SEGMENT_ROWS, -1]
+            self._state[at] = states[(rows - 1) % SEGMENT_ROWS, -1]
         states *= _NP_XS_MULT
         states >>= _U64_11
         # row k is step k % SEGMENT_ROWS of segment k // SEGMENT_ROWS
-        out = np.empty((n_seg * len(states), self.lanes), dtype=np.float64)
+        out = np.empty((n_seg * len(states), len(start)), dtype=np.float64)
         np.multiply(states.transpose(1, 0, 2), _INV_2_53,
-                    out=out.reshape(n_seg, len(states), self.lanes))
+                    out=out.reshape(n_seg, len(states), len(start)))
         return out[:rows]
 
 

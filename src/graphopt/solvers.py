@@ -13,6 +13,8 @@ population state frozen at the start of that iteration.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -42,8 +44,9 @@ VARIANT_LABELS = {
 # so human-readable reports star them to flag that provenance
 DISPLAY_NAMES = {**VARIANT_LABELS, "samp_jaya": "SAMP*", "ehr_jaya": "EHR*"}
 
-# upper bound on the member draws held at once (2^18 doubles, 2 MB)
-MEMBER_CHUNK_DOUBLES = 1 << 18
+# upper bound on the member draws held at once (2^17 doubles, 1 MB; a
+# block and its states then stay in cache: SOLVERS.md, "Lockstep runs")
+MEMBER_CHUNK_DOUBLES = 1 << 17
 
 
 def normalize_variant(name: str) -> str:
@@ -86,11 +89,6 @@ class Population:
     x: np.ndarray                 # (pop, d)
     totals: np.ndarray            # (pop,)
 
-    @property
-    def best_idx(self) -> int:
-        # ties resolve to the lowest index (first occurrence)
-        return int(np.argmin(self.totals))
-
 
 @dataclass
 class RunResult:
@@ -107,7 +105,7 @@ class RunResult:
 
 def clamp(candidate: np.ndarray, space: DecisionSpace) -> np.ndarray:
     """Coordinate-wise clip into the space's box."""
-    return np.clip(candidate, space.lower, space.upper)
+    return candidate.clip(space.lower, space.upper)
 
 
 def init_population(binding, pop_size: int, rng: LaneRng) -> Population:
@@ -129,6 +127,10 @@ def init_population(binding, pop_size: int, rng: LaneRng) -> Population:
 #   u_branch   exploit-vs-reinit decision (BMR/BWR/BMWR, r4 in the docs)
 #   u_pick     T in {1,2} (BMR family) or the elite pick (EHR)
 #   u_member   random other member (BMR family) or the bottom pick (EHR)
+#
+# The population of R lockstep runs is one flat (R * pop, d) array, run
+# r owning rows r * pop to (r + 1) * pop - 1; every statistic is taken
+# per run over its (R, pop) view.
 # ---------------------------------------------------------------------------
 
 def _pick_other(u: np.ndarray, ids: np.ndarray, pop_size: int) -> np.ndarray:
@@ -141,48 +143,74 @@ def _uniform_index(u: np.ndarray, n: int) -> np.ndarray:
     return np.minimum((u * n).astype(np.int64), n - 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(runs: int, pop_size: int) -> tuple[np.ndarray, ...]:
+    """(runs, 1) run numbers, (pop_size,) member numbers and (runs, 1)
+    flat rows of each run's member 0, to index (runs, pop_size) views."""
+    run_ids, members = np.arange(runs)[:, None], np.arange(pop_size)
+    starts = run_ids * pop_size
+    for table in (run_ids, members, starts):
+        table.setflags(write=False)
+    return run_ids, members, starts
+
+
+def _gather(pop_x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``pop_x[rows]`` for an (R, pop) index array, as an (R, pop, d)
+    view with the strides the population's own (R, pop, d) view has
+    (a take along the members of ``pop_x.T``): arithmetic over operands
+    of one layout runs as one contiguous loop."""
+    return pop_x.T.take(rows, axis=1).transpose(1, 2, 0)
+
+
+def _draws(block: np.ndarray, d: int) -> tuple:
+    """(r1, r2, r3, u_branch, u_pick, u_member) of a (3d+3, R, pop)
+    block: (R, pop, d) views, then (R, pop) rows."""
+    return (block[:d].transpose(1, 2, 0), block[d:2 * d].transpose(1, 2, 0),
+            block[2 * d:3 * d].transpose(1, 2, 0),
+            block[3 * d], block[3 * d + 1], block[3 * d + 2])
+
+
 def _proposals(variant: str, pop_x: np.ndarray, totals: np.ndarray,
-               ids: np.ndarray, r1, r2, r3, u_branch, u_pick, u_member,
-               space: DecisionSpace, config: SolverConfig,
-               group_best: Optional[np.ndarray] = None,
-               group_worst: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pre-clamp candidates for the members listed in ``ids``.
+               r1, r2, r3, u_branch, u_pick, u_member,
+               space: DecisionSpace, config: SolverConfig, runs: int = 1,
+               m: Optional[list] = None) -> np.ndarray:
+    """Pre-clamp candidates of every member of ``runs`` stacked runs.
 
-    ``pop_x``/``totals`` are the full start-of-iteration population; the
-    r blocks and scalar rows are aligned with ``ids``.  The scalar
-    `propose` path calls this with a single id, the vectorized run with
-    all of them, and both traverse identical arithmetic.
+    ``pop_x``/``totals`` are the start-of-iteration population; the
+    draws are (R, pop, d) and (R, pop) arrays (for one run, (pop, d)
+    and (pop,) do too).  ``m`` holds each run's SAMP subpopulation
+    count; without it samp_jaya takes the whole-population view, as
+    jaya does.  The candidates are elementwise in the rows and their
+    run's statistics, so a run's rows come out as they do alone.
     """
-    pop_size = pop_x.shape[0]
-    x = pop_x[ids]
-
-    if variant in ("jaya", "rao1", "qo_rao", "samp_jaya"):
-        if group_best is not None:
-            best, worst = group_best, group_worst
-        else:
-            best = pop_x[int(np.argmin(totals))]
-            worst = pop_x[int(np.argmax(totals))]
-        if variant in ("rao1", "qo_rao"):
-            return x + r1 * (best - worst)
-        ax = np.abs(x)
-        return x + r1 * (best - ax) - r2 * (worst - ax)
+    d = pop_x.shape[1]
+    pop_size = len(totals) // runs
+    x, fit = pop_x.reshape(runs, pop_size, d), totals.reshape(runs, pop_size)
+    run_ids, members, starts = _layout(runs, pop_size)
 
     if variant == "ehr_jaya":
         n_elite = math.ceil(config.elite_fraction * pop_size)
-        order = np.argsort(totals, kind="stable")
-        elite = order[:n_elite]
-        bottom = order[pop_size - n_elite:]
-        best = pop_x[elite[_uniform_index(u_pick, n_elite)]]
-        worst = pop_x[bottom[_uniform_index(u_member, n_elite)]]
-        ax = np.abs(x)
-        return x + r1 * (best - ax) - r2 * (worst - ax)
+        order = fit.argsort(axis=1, kind="stable") + starts
+        elite, bottom = order[:, :n_elite], order[:, pop_size - n_elite:]
+        best = _gather(pop_x, elite[run_ids, _uniform_index(u_pick, n_elite)])
+        worst = _gather(pop_x, bottom[run_ids, _uniform_index(u_member, n_elite)])
+    elif variant == "samp_jaya" and m is not None:
+        best, worst = _samp_group_stats(pop_x, fit, m, config.m_max)
+    else:
+        # (R, 1, d) rows; ties resolve to the lowest index
+        best = x[run_ids, fit.argmin(axis=1, keepdims=True)]
+        worst = x[run_ids, fit.argmax(axis=1, keepdims=True)]
+        if variant in ("rao1", "qo_rao"):
+            return (x + r1 * (best - worst)).reshape(-1, d)
 
-    # bmr / bwr / bmwr
-    best = pop_x[int(np.argmin(totals))]
-    worst = pop_x[int(np.argmax(totals))]
-    mean = pop_x.mean(axis=0)
-    t_factor = np.where(u_pick < 0.5, 1.0, 2.0)[:, None]
-    rand_rows = pop_x[_pick_other(u_member, ids, pop_size)]
+    if variant in ("jaya", "samp_jaya", "ehr_jaya"):
+        ax = np.abs(x)
+        return (x + r1 * (best - ax) - r2 * (worst - ax)).reshape(-1, d)
+
+    # bmr / bwr / bmwr; mean is add.reduce over count, as ndarray.mean
+    mean = np.add.reduce(x, axis=1, keepdims=True) / pop_size
+    t_factor = (1.0 + (u_pick >= 0.5))[..., None]  # T in {1, 2}
+    rand_rows = _gather(pop_x, _pick_other(u_member, members, pop_size) + starts)
     if variant == "bmr":
         main = x + r1 * (best - t_factor * mean) + r2 * (best - rand_rows)
     elif variant == "bwr":
@@ -191,8 +219,7 @@ def _proposals(variant: str, pop_x: np.ndarray, totals: np.ndarray,
         main = (x + r1 * (best - t_factor * mean) + r2 * (best - rand_rows)
                 - r3 * (worst - rand_rows))
     reinit = space.upper - (space.upper - space.lower) * r3
-    keep_main = (u_branch > 0.5)[:, None]
-    return np.where(keep_main, main, np.broadcast_to(reinit, main.shape))
+    return np.where((u_branch > 0.5)[..., None], main, reinit).reshape(-1, d)
 
 
 def propose(variant: str, population: Population, i: int, rng: SeededRng,
@@ -207,14 +234,12 @@ def propose(variant: str, population: Population, i: int, rng: SeededRng,
     variant = normalize_variant(variant)
     if config is None:
         config = SolverConfig(variant=variant, pop_size=population.x.shape[0])
-    d = population.x.shape[1]
-    draws = np.array([rng.u01() for _ in range(3 * d + 3)])
-    candidates = _proposals(
-        variant, population.x, population.totals, np.array([i]),
-        draws[:d][None, :], draws[d:2 * d][None, :], draws[2 * d:3 * d][None, :],
-        draws[3 * d:3 * d + 1], draws[3 * d + 1:3 * d + 2], draws[3 * d + 2:],
-        population.space, config)
-    return candidates[0]
+    pop_size, d = population.x.shape
+    block = np.zeros((3 * d + 3, 1, pop_size))  # the others' draws are unused
+    block[:, 0, i] = [rng.u01() for _ in range(3 * d + 3)]
+    candidates = _proposals(variant, population.x, population.totals,
+                            *_draws(block, d), population.space, config)
+    return candidates[i]
 
 
 def adapt_subpopulations(m: int, improved: bool, m_max: int) -> int:
@@ -223,70 +248,139 @@ def adapt_subpopulations(m: int, improved: bool, m_max: int) -> int:
     return min(m + 1, m_max) if improved else max(1, m - 1)
 
 
-def _samp_group_stats(pop_x: np.ndarray, totals: np.ndarray, m: int):
-    """Round-robin deal by fitness rank; per-member group best/worst rows."""
-    pop_size = pop_x.shape[0]
-    order = np.argsort(totals, kind="stable")
-    best_of = np.empty(pop_size, dtype=np.int64)
-    worst_of = np.empty(pop_size, dtype=np.int64)
-    for g in range(m):
-        members = order[g::m]
-        if members.size == 0:
-            continue
-        # dealt in ascending fitness, so first is the group best and
-        # last the group worst
-        best_of[members] = members[0]
-        worst_of[members] = members[-1]
-    return pop_x[best_of], pop_x[worst_of]
+@functools.lru_cache(maxsize=64)
+def _samp_positions(pop_size: int, m_max: int) -> np.ndarray:
+    """(2, m_max + 1, pop) table: [0, m] holds, for each rank position i,
+    the first position of its group when dealt into m groups (i % m),
+    and [1, m] the last (the last position congruent to i mod m)."""
+    m = np.arange(1, m_max + 1)[:, None]
+    group = np.arange(pop_size) % m
+    last = group + m * ((pop_size - 1 - group) // m)
+    table = np.zeros((2, m_max + 1, pop_size), dtype=np.int64)
+    table[0, 1:], table[1, 1:] = group, last
+    table.setflags(write=False)
+    return table
+
+
+def _samp_group_stats(pop_x: np.ndarray, fit: np.ndarray, m: list,
+                      m_max: int):
+    """Round-robin deal by fitness rank into m[r] groups in run r; the
+    (R, pop, d) group best and group worst rows of every member.
+
+    Dealt in ascending fitness, the first of a group is its best and
+    the last its worst."""
+    runs, pop_size = fit.shape
+    run_ids, _, starts = _layout(runs, pop_size)
+    order = fit.argsort(axis=1, kind="stable") + starts  # flat rows by rank
+    of = np.empty((2, runs, pop_size), dtype=np.int64)  # best, worst rows
+    positions = _samp_positions(pop_size, m_max)[:, m]  # (2, R, pop)
+    of.reshape(2, -1)[:, order] = order[run_ids, positions]
+    return _gather(pop_x, of[0]), _gather(pop_x, of[1])
+
+
+def _qo_jump_runs(population: Population, jumpers, pop_size: int,
+                  rng: LaneRng, evaluate) -> None:
+    """Quasi-opposition step of the runs numbered ``jumpers`` (None: all
+    of them): each of their members jumps to a uniform point between the
+    box center and its reflection L+U-x, drawn from its own lane of
+    ``rng``; the best pop_size of each run's 2*pop union survive, in
+    place.  ``evaluate`` scores the jumpers' (J * pop, d) quasi points."""
+    space = population.space
+    if jumpers is None:
+        lanes, rows = None, slice(None)
+    else:
+        lanes = rows = (jumpers[:, None] * pop_size + np.arange(pop_size)).ravel()
+    r = rng.uniform_block(space.dim, lanes).T  # (J * pop, d)
+    x = population.x[rows]
+    center = (space.lower + space.upper) / 2.0
+    opposite = space.lower + space.upper - x
+    quasi = clamp(center + r * (opposite - center), space)
+    q_tot = evaluate(quasi)
+
+    shape = (-1, pop_size, space.dim)
+    union_x = np.concatenate([x.reshape(shape), quasi.reshape(shape)], axis=1)
+    union_tot = np.concatenate([population.totals[rows].reshape(-1, pop_size),
+                                q_tot.reshape(-1, pop_size)], axis=1)
+    keep = union_tot.argsort(axis=1, kind="stable")[:, :pop_size]
+    run_ids = np.arange(len(keep))[:, None]
+    population.x[rows] = union_x[run_ids, keep].reshape(-1, space.dim)
+    population.totals[rows] = union_tot[run_ids, keep].ravel()
 
 
 def qo_jump(population: Population, rng: LaneRng, binding) -> int:
-    """Quasi-opposition step: each member jumps to a uniform point
-    between the box center and its reflection L+U-x; the best pop_size
-    of the 2*pop union survive.  Returns the number of evaluations."""
-    space = population.space
-    pop_size, d = population.x.shape
-    r = rng.uniform_block(d).T  # (pop, d)
-    center = (space.lower + space.upper) / 2.0
-    opposite = space.lower + space.upper - population.x
-    quasi = center + r * (opposite - center)
-    quasi = np.clip(quasi, space.lower, space.upper)
-    q_tot = binding.evaluate_batch(quasi)
-
-    union_x = np.vstack([population.x, quasi])
-    union_tot = np.concatenate([population.totals, q_tot])
-    keep = np.argsort(union_tot, kind="stable")[:pop_size]
-    population.x = union_x[keep]
-    population.totals = union_tot[keep]
+    """Quasi-opposition step of one run (see ``_qo_jump_runs``).
+    Returns the number of evaluations."""
+    pop_size = population.x.shape[0]
+    _qo_jump_runs(population, None, pop_size, rng, binding.evaluate_batch)
     return pop_size
 
 
-def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) -> RunResult:
-    """Full deterministic solver run against a problem binding."""
-    space = space or binding.space
-    pop_size = config.pop_size
-    d = space.dim
-    variant = config.variant
+class _RunGroup:
+    """The binding as R lockstep runs see it: a batch of R blocks of
+    pop rows, each block counted to its run.  A group of one scores
+    through ``evaluate_batch`` alone, so any binding can run solo; a
+    larger group needs ``evaluate_runs``, as every built-in binding has.
+    """
+
+    _COUNTERS = ("evaluations", "memo_hits", "query_executions")
+
+    def __init__(self, binding, runs: int):
+        self.binding, self.space = binding, binding.space
+        self.all_runs = np.arange(runs)
+        self.counts = np.zeros((3, runs), dtype=np.int64)
+        self._before = [getattr(binding, name) for name in self._COUNTERS]
+
+    def evaluate_batch(self, X, runs=None) -> np.ndarray:
+        """Totals of X, whose blocks are the ``runs`` (all, by default)."""
+        if len(self.all_runs) == 1:
+            return self.binding.evaluate_batch(X)
+        runs = self.all_runs if runs is None else runs
+        totals, counts = self.binding.evaluate_runs(X, runs)
+        self.counts[:, runs] += counts
+        return totals
+
+    def run_counts(self, run: int) -> list[int]:
+        """Run ``run``'s evaluations, memo hits and query executions."""
+        if len(self.all_runs) == 1:
+            return [getattr(self.binding, name) - before
+                    for name, before in zip(self._COUNTERS, self._before)]
+        return [int(c) for c in self.counts[:, run]]
+
+
+def run_group(binding, configs) -> list[RunResult]:
+    """Lockstep runs of one variant against one binding, one per config;
+    the configs may differ in seed only.
+
+    Run r draws its members from ``LaneRng.runs``' lane block r, its
+    qo_rao decision from its own control stream and its jumps from its
+    own jump lanes, takes every statistic over its own rows, and counts
+    its own evaluations, so each result equals ``run`` of its config
+    alone, bit for bit.  ``wall_seconds`` is the group's wall time over
+    the number of runs.
+    """
+    config = configs[0]
+    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("the configs of a run group may differ in seed only")
+    seeds = [c.seed for c in configs]
+    runs, pop_size, space = len(configs), config.pop_size, binding.space
+    d, variant = space.dim, config.variant
+    who = f"seed {seeds[0]}" if runs == 1 else f"seeds {seeds}"
 
     start = time.perf_counter()
-    evals_before = binding.evaluations
-    hits_before = binding.memo_hits
-    queries_before = binding.query_executions
-
-    members = LaneRng(config.seed, lanes=pop_size)
-    control = SeededRng(config.seed, stream=pop_size)
-    jump_rng = LaneRng(config.seed, lanes=pop_size, stream_offset=pop_size + 1)
-
-    population = init_population(binding, pop_size, members)
-    if population.x.shape[1] != d:
-        raise ValueError("binding space does not match the supplied space")
-
-    ids = np.arange(pop_size)
-    m = 1  # samp_jaya subpopulation count
-    curve = np.empty(config.iterations, dtype=np.float64)
+    group = _RunGroup(binding, runs)
+    members = LaneRng.runs(seeds, pop_size)
+    population = init_population(group, runs * pop_size, members)
+    totals = population.totals
+    fit = totals.reshape(runs, pop_size)  # a view: it follows every update
+    if variant == "qo_rao":
+        controls = [SeededRng(seed, stream=pop_size) for seed in seeds]
+        jump_rng = LaneRng.runs(seeds, pop_size, stream_offset=pop_size + 1)
+    m = [1] * runs if variant == "samp_jaya" else None  # SAMP counts
+    curve = np.empty((config.iterations, runs), dtype=np.float64)
+    best_now = fit.min(axis=1)
 
     per_iter = 3 * d + 3
-    chunk_iters = max(1, MEMBER_CHUNK_DOUBLES // (per_iter * pop_size))
+    chunk_iters = max(1, MEMBER_CHUNK_DOUBLES // (per_iter * runs * pop_size))
     for it in range(config.iterations):
         # member rows for many iterations are drawn at once; a chunk's
         # rows are the same consecutive draws a per-iteration call gives
@@ -294,56 +388,51 @@ def run(binding, config: SolverConfig, space: Optional[DecisionSpace] = None) ->
         if offset == 0:
             chunk = members.uniform_block(
                 per_iter * min(chunk_iters, config.iterations - it))
-        block = chunk[offset * per_iter:(offset + 1) * per_iter]  # (3d+3, pop)
-        r1 = block[:d].T
-        r2 = block[d:2 * d].T
-        r3 = block[2 * d:3 * d].T
-        u_branch = block[3 * d]
-        u_pick = block[3 * d + 1]
-        u_member = block[3 * d + 2]
+            chunk = chunk.reshape(len(chunk), runs, pop_size)
+        block = chunk[offset * per_iter:(offset + 1) * per_iter]  # (3d+3, R, pop)
 
-        group_best = group_worst = None
-        if variant == "samp_jaya":
-            group_best, group_worst = _samp_group_stats(
-                population.x, population.totals, m)
-
-        best_before = population.totals.min()
-        candidates = _proposals(
-            variant, population.x, population.totals, ids,
-            r1, r2, r3, u_branch, u_pick, u_member, space, config,
-            group_best=group_best, group_worst=group_worst)
-        candidates = np.clip(candidates, space.lower, space.upper)
+        candidates = _proposals(variant, population.x, totals,
+                                *_draws(block, d), space, config, runs, m)
+        candidates = clamp(candidates, space)
 
         try:
-            totals = binding.evaluate_batch(candidates)
+            cand_totals = group.evaluate_batch(candidates)
             # strict, so ties keep the parent
-            better = totals < population.totals
+            better = cand_totals < totals
             population.x[better] = candidates[better]
-            population.totals[better] = totals[better]
+            totals[better] = cand_totals[better]
 
             if variant == "qo_rao":
-                if control.u01() < config.jump_rate:
-                    qo_jump(population, jump_rng, binding)
+                jumpers = [r for r, control in enumerate(controls)
+                           if control.u01() < config.jump_rate]
+                if jumpers:
+                    jumpers = None if len(jumpers) == runs else np.array(jumpers)
+                    _qo_jump_runs(population, jumpers, pop_size, jump_rng,
+                                  lambda X: group.evaluate_batch(X, jumpers))
         except Exception as err:
-            raise RuntimeError(
-                f"{variant} seed {config.seed}: evaluation failed at "
-                f"iteration {it}") from err
+            raise RuntimeError(f"{variant} {who}: evaluation failed at "
+                               f"iteration {it}") from err
 
-        if variant == "samp_jaya":
-            improved = population.totals.min() < best_before
-            m = adapt_subpopulations(m, improved, config.m_max)
+        best_before, best_now = best_now, fit.min(axis=1)
+        if m is not None:
+            m = [adapt_subpopulations(k, up, config.m_max)
+                 for k, up in zip(m, (best_now < best_before).tolist())]
+        curve[it] = best_now
 
-        curve[it] = population.totals.min()
+    wall = (time.perf_counter() - start) / runs
+    results = []
+    for r, seed in enumerate(seeds):
+        best = r * pop_size + int(np.argmin(fit[r]))
+        evaluations, memo_hits, queries = group.run_counts(r)
+        results.append(RunResult(
+            variant=variant, seed=seed, best_x=population.x[best].copy(),
+            best_total=float(totals[best]), curve=curve[:, r].copy(),
+            evaluations=evaluations, memo_hits=memo_hits,
+            query_executions=queries, wall_seconds=wall))
+    return results
 
-    best_idx = population.best_idx
-    return RunResult(
-        variant=variant,
-        seed=config.seed,
-        best_x=population.x[best_idx].copy(),
-        best_total=float(population.totals[best_idx]),
-        curve=curve,
-        evaluations=binding.evaluations - evals_before,
-        memo_hits=binding.memo_hits - hits_before,
-        query_executions=binding.query_executions - queries_before,
-        wall_seconds=time.perf_counter() - start,
-    )
+
+def run(binding, config: SolverConfig) -> RunResult:
+    """Full deterministic solver run against a problem binding: a run
+    group of one."""
+    return run_group(binding, [config])[0]

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 from graphopt.bench import (BenchConfig, degeneracy_md_text, emit_report,
-                            results_csv_text, run_matrix, summary_md_text)
-from graphopt.solvers import run as real_run
+                            results_csv_text, run_matrix, seed_groups,
+                            summary_md_text)
+from graphopt.solvers import SolverConfig, normalize_variant, run
+from graphopt.solvers import run_group as real_run_group
+from graphopt.suite import fresh_binding
 
 _REPORTS = {}
 
@@ -116,12 +119,12 @@ def test_parallel_matches_serial():
 
 
 def test_failed_cell_recorded_not_fatal(monkeypatch):
-    def flaky(binding, cfg):
-        if cfg.variant == "jaya":
+    def flaky(binding, configs):
+        if configs[0].variant == "jaya":
             raise RuntimeError("boom")
-        return real_run(binding, cfg)
+        return real_run_group(binding, configs)
 
-    monkeypatch.setattr("graphopt.bench.run", flaky)
+    monkeypatch.setattr("graphopt.bench.run_group", flaky)
     report = run_matrix(small_config())
     by_variant = {}
     for cell in report.cells:
@@ -136,6 +139,60 @@ def test_failed_cell_recorded_not_fatal(monkeypatch):
     error_rows = [r for r in rows[1:] if r[-1]]
     assert len(error_rows) == 2
     assert all(r[3] == "" for r in error_rows)
+
+
+def test_failed_seed_costs_only_its_cells(monkeypatch):
+    """A group that raises reruns seed by seed: the failing seed records
+    the error, and every other cell equals its solo run, bit for bit."""
+    config = small_config(n_seeds=3)
+    bad = config.run_seeds()[1]
+
+    def flaky(binding, configs):
+        if any(c.seed == bad for c in configs):
+            raise RuntimeError("boom")
+        return real_run_group(binding, configs)
+
+    monkeypatch.setattr("graphopt.bench.run_group", flaky)
+    report = run_matrix(config)
+    assert len(report.cells) == 2 * 3
+    for cell in report.cells:
+        if cell.seed == bad:
+            assert cell.run is None and cell.error == "RuntimeError: boom"
+            continue
+        solo = run(fresh_binding(report.instances["P2"]),
+                   SolverConfig(normalize_variant(cell.variant),
+                                pop_size=config.pop_size,
+                                iterations=config.iterations, seed=cell.seed))
+        got = cell.run
+        assert (got.best_total, got.best_x.tobytes(), got.curve.tobytes(),
+                got.evaluations, got.memo_hits, got.query_executions) == (
+            solo.best_total, solo.best_x.tobytes(), solo.curve.tobytes(),
+            solo.evaluations, solo.memo_hits, solo.query_executions)
+
+
+def test_seed_groups_split_by_row_budget(monkeypatch):
+    seeds = list(range(30))
+    assert seed_groups(seeds, 30 * 4) == [seeds]
+    monkeypatch.setattr("graphopt.bench.GROUP_DOUBLES", 30 * 96 * 11)
+    groups = seed_groups(seeds, 30 * 96)
+    assert [len(g) for g in groups] == [10, 10, 10]
+    assert sum(groups, []) == seeds
+    assert seed_groups(seeds, 10 ** 9) == [[s] for s in seeds]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grouped_matrix_equals_groups_of_one(monkeypatch, workers):
+    """results.csv apart from wall_ms is the same whether each cell's
+    seeds run in one lockstep group or one by one."""
+    config = small_config(problems=("P1", "P2", "P3", "P5"),
+                          variants=("bmwr", "samp_jaya", "ehr_jaya", "qo_rao"),
+                          n_seeds=3, pop_size=6, iterations=8, workers=workers)
+    grouped = run_matrix(config)
+    assert all(c.run is not None for c in grouped.cells)
+    monkeypatch.setattr("graphopt.bench.GROUP_DOUBLES", 1)
+    alone = run_matrix(config)
+    assert (csv_rows_without_wall(results_csv_text(grouped))
+            == csv_rows_without_wall(results_csv_text(alone)))
 
 
 # --------------------------------------------------------------------------

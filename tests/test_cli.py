@@ -106,6 +106,11 @@ def test_solve_payload_deterministic(capsys):
     assert first["run_seed"] == 3
     assert len(first["best_x"]) == 5
     assert first["evaluations"] == 8 * (1 + 10)
+    assert first["query_executions"] == 0  # Pattern B queries at startup only
+    assert main(["solve", "--problem", "P1", "--variant", "rao1"] + FAST) == 0
+    p1 = json.loads(capsys.readouterr().out)
+    terms = len(generate("P1", "small", 0).binding.term_sources)
+    assert p1["query_executions"] == terms * (p1["evaluations"] - p1["memo_hits"]) > 0
 
 
 def test_solve_with_oracle_field(capsys):

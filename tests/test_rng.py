@@ -180,3 +180,29 @@ def test_lane_count_does_not_change_lane_zero(lanes):
     got = [int(LaneRng(17, lanes).next_u64()[0]) for _ in [0]]
     # same first draw regardless of how many sibling lanes exist
     assert got[0] == ref[0]
+
+
+def test_runs_stack_each_seeds_lanes():
+    """Lane block r of ``LaneRng.runs`` draws what the seed's own
+    generator draws, block after block."""
+    seeds, lanes, offset = [7, 3, 7], 4, 5
+    stacked = LaneRng.runs(seeds, lanes, stream_offset=offset)
+    alone = [LaneRng(s, lanes, stream_offset=offset) for s in seeds]
+    assert stacked.lanes == len(seeds) * lanes
+    for rows in (3, 40):
+        block = stacked.uniform_block(rows)
+        expected = np.hstack([rng.uniform_block(rows) for rng in alone])
+        assert block.tobytes() == expected.tobytes()
+
+
+def test_block_of_some_lanes_advances_only_them():
+    rng, ref = LaneRng(11, 6), LaneRng(11, 6)
+    picked = np.array([1, 4, 5])
+    block = rng.uniform_block(37, picked)
+    assert block.shape == (37, 3)
+    assert block.tobytes() == ref.uniform_block(37)[:, picked].tobytes()
+    # the lanes left out still draw their first values next
+    untouched = LaneRng(11, 6).uniform_block(5)
+    after = rng.uniform_block(5)
+    assert after[:, [0, 2, 3]].tobytes() == untouched[:, [0, 2, 3]].tobytes()
+    assert after[:, picked].tobytes() == ref.uniform_block(5)[:, picked].tobytes()

@@ -66,10 +66,10 @@ def test_jaya_hand_arithmetic():
     space = continuous_space([-10.0], [10.0])
     pop = make_population(space, [[2.0], [1.0], [3.0], [2.5]],
                           [5.0, 1.0, 9.0, 6.0])
-    half = np.array([[0.5]])
-    got = _proposals("jaya", pop.x, pop.totals, np.array([0]),
-                     half, half, half, np.array([0.9]), np.array([0.1]),
-                     np.array([0.1]), space, SolverConfig("jaya"))
+    half = np.full((4, 1), 0.5)  # every member's draws; member 0 is checked
+    got = _proposals("jaya", pop.x, pop.totals, half, half, half,
+                     np.full(4, 0.9), np.full(4, 0.1), np.full(4, 0.1),
+                     space, SolverConfig("jaya"))
     assert got[0, 0] == pytest.approx(1.0)
 
 
@@ -77,10 +77,10 @@ def test_rao1_hand_arithmetic():
     space = continuous_space([-10.0], [10.0])
     pop = make_population(space, [[2.0], [1.0], [3.0], [2.5]],
                           [5.0, 1.0, 9.0, 6.0])
-    half = np.array([[0.5]])
-    got = _proposals("rao1", pop.x, pop.totals, np.array([0]),
-                     half, half, half, np.array([0.9]), np.array([0.1]),
-                     np.array([0.1]), space, SolverConfig("rao1"))
+    half = np.full((4, 1), 0.5)  # every member's draws; member 0 is checked
+    got = _proposals("rao1", pop.x, pop.totals, half, half, half,
+                     np.full(4, 0.9), np.full(4, 0.1), np.full(4, 0.1),
+                     space, SolverConfig("rao1"))
     # x + r1 (best - worst) = 2 + 0.5 (1 - 3) = 1.0
     assert got[0, 0] == pytest.approx(1.0)
 
@@ -126,7 +126,7 @@ def test_scalar_propose_matches_vectorized_batch():
         pop = make_population(space, x, totals)
         block = LaneRng(seed, pop_size).uniform_block(3 * d + 3)
         batch = _proposals(
-            variant, pop.x, pop.totals, np.arange(pop_size),
+            variant, pop.x, pop.totals,
             block[:d].T, block[d:2 * d].T, block[2 * d:3 * d].T,
             block[3 * d], block[3 * d + 1], block[3 * d + 2], space, config)
         for i in range(pop_size):

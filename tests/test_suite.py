@@ -21,7 +21,7 @@ from graphopt.problems import (CallableBinding, PatternABinding,
                                PatternBBinding, assemble_fitness,
                                decode_selection, selection_space, subset_rows)
 from graphopt.rng import SeededRng
-from graphopt.solvers import VARIANTS, SolverConfig, run
+from graphopt.solvers import VARIANTS, SolverConfig, run, run_group
 from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
                             detect_degenerate_terms, disruption_targets,
                             fresh_binding, gap_ratio, generate,
@@ -651,6 +651,94 @@ def test_batched_run_equals_looped_run(problem_id):
         assert fast.best_x.tobytes() == slow.best_x.tobytes(), variant
         assert (fast.evaluations, fast.memo_hits, fast.query_executions) == (
             slow.evaluations, slow.memo_hits, slow.query_executions), variant
+
+
+_LOCKSTEP_CASES = (
+    [f"{pid}-small" for pid in PROBLEM_IDS]
+    + ["P1-medium", "P2-medium", "P5-nonlinear", "P3-disrupted",
+       "P7-disrupted", "P2-degraded"])
+
+
+@functools.lru_cache(maxsize=None)
+def _lockstep_instance(case):
+    if case == "P5-nonlinear":
+        return generate("P5", "small", 2, p5_mode="nonlinear")
+    if case == "P3-disrupted":
+        return inject_disruption(generate("P3", "small", 2),
+                                 DisruptionSpec("capacity_halving", 0.3, seed=1))
+    if case == "P7-disrupted":
+        return inject_disruption(generate("P7", "small", 2),
+                                 DisruptionSpec("time_inflation", 0.3, seed=1))
+    if case == "P2-degraded":
+        return generate("P2", "small", 2, drop_properties=("trial_count",))
+    problem_id, scale = case.split("-")
+    return generate(problem_id, scale, 2)
+
+
+def _run_fields(result):
+    return (result.best_total, result.best_x.tobytes(), result.curve.tobytes(),
+            result.evaluations, result.memo_hits, result.query_executions)
+
+
+@pytest.mark.parametrize("case", _LOCKSTEP_CASES)
+def test_lockstep_runs_equal_solo_runs(case):
+    """Every run of a group of 1, 2 or 3 equals its solo ``run`` on a
+    fresh binding, bit for bit and counter for counter, for every
+    variant, with the memo on and off.  The group of 3 holds seed 5
+    twice: each run has its own seen-bitmap, so both count alike."""
+    inst = _lockstep_instance(case)
+    memos = (True, False) if inst.space.kind == "selection" else (False,)
+    for memoize in memos:
+        def binding():
+            return dataclasses.replace(fresh_binding(inst), memoize=memoize)
+        for variant in VARIANTS:
+            def config(seed):
+                return SolverConfig(variant, pop_size=8, iterations=12,
+                                    seed=seed, jump_rate=0.5)
+            solo = {seed: _run_fields(run(binding(), config(seed)))
+                    for seed in (5, 9)}
+            for seeds in ((9,), (9, 5), (5, 9, 5)):
+                group = run_group(binding(), [config(s) for s in seeds])
+                assert [r.seed for r in group] == list(seeds)
+                for result in group:
+                    assert _run_fields(result) == solo[result.seed], (
+                        memoize, variant, seeds, result.seed)
+
+
+def test_callable_binding_runs_as_a_group_of_one():
+    space = selection_space(2, 6)
+    fn = lambda x: assemble_fitness({"v": float(sum(decode_selection(x, space)))},
+                                    {}, {})  # noqa: E731
+    config = SolverConfig("bmwr", pop_size=6, iterations=10, seed=4)
+    solo = run(CallableBinding(space=space, fn=fn), config)
+    binding = CallableBinding(space=space, fn=fn)
+    (grouped,) = run_group(binding, [config])
+    assert _run_fields(grouped) == _run_fields(solo)
+    assert binding.evaluations == grouped.evaluations == 6 * 11
+
+
+def test_run_group_refuses_configs_that_differ_beyond_seed():
+    binding = fresh_binding(generate("P2", "small", 0))
+    with pytest.raises(ValueError, match="differ in seed only"):
+        run_group(binding, [SolverConfig("jaya", seed=1),
+                            SolverConfig("jaya", seed=2, pop_size=10)])
+
+
+def test_evaluate_runs_counts_each_run_apart():
+    """Two runs scoring the same subsets: each misses them once, as it
+    would alone, and the binding's counters hold the sums."""
+    binding = fresh_binding(generate("P2", "small", 0))
+    X = np.array([[0.5, 3.2, 7.9, 1.1, 12.0], [12.9, 7.0, 3.9, 1.5, 0.0]])
+    totals, counts = binding.evaluate_runs(np.vstack([X, X]), [0, 1])
+    assert counts.tolist() == [[2, 2], [1, 1], [0, 0]]
+    again, counts = binding.evaluate_runs(np.vstack([X, X]), [1, 2])
+    assert counts.tolist() == [[2, 2], [2, 1], [0, 0]]
+    assert totals.tolist() == again.tolist()
+    assert (binding.evaluations, binding.memo_hits) == (8, 5)
+    assert binding.evaluate_batch(X).tolist() == totals[:2].tolist()  # run 0
+    assert binding.memo_hits == 7
+    with pytest.raises(ValueError, match="does not split into 2 runs"):
+        binding.evaluate_runs(X[:1], [0, 1])
 
 
 _EVERY_BINDING = ("P1", "P2-twin", "P2", "P3", "P4", "P5", "P6", "P7")
