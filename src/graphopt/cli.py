@@ -42,15 +42,16 @@ def _build_instance(args):
     disrupt = getattr(args, "disrupt", None)
     if disrupt:
         parts = disrupt.split(":")
-        if len(parts) < 2:
-            raise SystemExit("--disrupt needs MODE:FRACTION[:FACTOR[:SEED]]")
-        mode = parts[0]
-        fraction = float(parts[1])
-        factor = float(parts[2]) if len(parts) > 2 else 2.0
-        dseed = int(parts[3]) if len(parts) > 3 else 0
-        inst = inject_disruption(
-            inst, DisruptionSpec(mode=mode, fraction=fraction,
-                                 factor=factor, seed=dseed))
+        if not 2 <= len(parts) <= 4:
+            raise SystemExit("graphopt: --disrupt needs MODE:FRACTION[:FACTOR[:SEED]]")
+        try:
+            dspec = DisruptionSpec(
+                mode=parts[0], fraction=float(parts[1]),
+                factor=float(parts[2]) if len(parts) > 2 else 2.0,
+                seed=int(parts[3]) if len(parts) > 3 else 0)
+            inst = inject_disruption(inst, dspec)
+        except ValueError as err:
+            raise SystemExit(f"graphopt: --disrupt: {err}") from err
     return inst
 
 

@@ -7,23 +7,21 @@ per-execution environment, so every query bound from the template runs
 the same plan.  Rows stream in deterministic order: ascending source
 node id, then ascending edge id for two-element patterns.  When the
 whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
-listed nodes instead of scanning the label; when, besides, every
-RETURN item is an aggregate free of placeholders, the plan aggregates
-per-node values it prepared once per graph (``Plan.by_node``).  A list
-placeholder may also bind an (m, k) integer block of m lists; the query
-then answers one row per list (``execute``), in numpy where the plan
-allows it (``_NodeBlock``).  A
-missing property makes the enclosing WHERE clause non-matching and
-contributes nothing to aggregates; each such lookup increments
-``missing_property_count`` on the result.
+listed nodes instead of scanning the label.  A list placeholder may also
+bind an (m, k) integer block of m lists; the query then answers one row
+per list (``execute``).  When the list is a placeholder and every RETURN
+item is a count or a sum free of placeholders, the plan answers a block,
+or a single list of ints, from per-node numpy arrays (``_NodeBlock``);
+every other query walks its match rows.  A missing property makes the
+enclosing WHERE clause non-matching and contributes nothing to
+aggregates; each such lookup increments ``missing_property_count`` on
+the result.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
 from numbers import Real
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -254,15 +252,11 @@ class Plan:
     never raises, so skipping the other nodes changes no row, aggregate
     or missing count.
 
-    When that list is a placeholder and the RETURN items are aggregates
-    with no placeholder in their arguments (``by_node``), every row of a
-    listed node gives the same argument values in every query.  The
-    plan then keeps, per frozen graph, a table from each seek value seen
-    to its node's entry (``_entry``) and combines the entries of the
-    listed nodes (``aggregate_by_node``) instead of walking their rows.
-    If, besides, every item is a ``count`` or a ``sum``, a block of
-    lists is answered from per-node arrays built once per graph
-    (``node_block``).
+    When that list is a placeholder and every RETURN item is a ``count``
+    or a ``sum`` with no placeholder in its argument (``numpy_block``),
+    every row of a listed node gives the same argument values in every
+    query.  The plan then answers lists from per-node arrays it builds
+    once per frozen graph (``node_block``) instead of walking their rows.
     """
 
     def __init__(self, ast: QueryAst):
@@ -291,14 +285,12 @@ class Plan:
         per_query = any(item.alias is None and any(_param_uses(item.value))
                         for item in items)
         self.columns = None if per_query else _columns(items)
-        self.by_node = (self.aggregated and isinstance(self.seek, Param)
-                        and not any(any(_param_uses(item.value)) for item in items))
-        self.numpy_block = self.by_node and all(
-            agg.func in ("count", "sum") for agg, _ in self.returns)
-        # id(graph) -> (graph, {seek value: entry or None}); holding the
-        # graph keeps its id from being reused while its table lives
-        self._tables: dict[int, tuple[PropertyGraph, dict]] = {}
-        # id(graph) -> (graph, _NodeBlock or None), the same way
+        self.numpy_block = (
+            self.aggregated and isinstance(self.seek, Param)
+            and all(item.value.func in ("count", "sum")
+                    and not any(_param_uses(item.value)) for item in items))
+        # id(graph) -> (graph, _NodeBlock or None); holding the graph
+        # keeps its id from being reused while its block lives
         self._blocks: dict[int, tuple[PropertyGraph, Optional[_NodeBlock]]] = {}
 
     def rows(self, graph: PropertyGraph, query: Query):
@@ -331,50 +323,29 @@ class Plan:
                 if dst_label in dst.labels:
                     yield (src, edge, dst)
 
-    def _entry(self, graph: PropertyGraph, seek_value):
-        """The entry of the node that ``seek_value`` names, or None if it
-        names none: ``(node id, row count, kept values, missing
-        lookups)``, where kept values holds, per RETURN item, the
-        non-MISSING values of its argument in row order (``count``
-        DISTINCT keeps their ``_hashable`` form).  A ``sum`` of a
-        non-number raises here, where the row path would."""
-        src_ids = _seek_ids(graph, self.pattern.src.label, (seek_value,))
-        if not src_ids:
-            return None
+    def _entry(self, graph: PropertyGraph, nid: int):
+        """Node ``nid``'s row count, kept values and missing lookups,
+        where kept values holds, per RETURN item, the non-MISSING values
+        of its argument in row order (``count(DISTINCT …)`` keeps their
+        ``_hashable`` form)."""
         env = SimpleNamespace(params={}, missing=0)
         kept = tuple([] for _ in self.returns)
         n_rows = 0
-        for row in self._match(graph, src_ids):
+        for row in self._match(graph, (nid,)):
             n_rows += 1
             for values, (agg, arg) in zip(kept, self.returns):
                 if arg is None:
                     continue
                 value = arg(row, env)
-                if value is MISSING:
-                    continue
-                if agg.func == "count" and agg.distinct:
-                    value = _hashable(value)
-                elif agg.func == "sum" and not _is_number(value):
-                    raise ExecutionError("sum expects numbers")
-                values.append(value)
-        return src_ids[0], n_rows, kept, env.missing
-
-    def _cached_entry(self, graph: PropertyGraph, seek_value):
-        """``_entry``, kept in this graph's table."""
-        held = self._tables.get(id(graph))
-        if held is None:
-            held = self._tables[id(graph)] = (graph, {})
-        table = held[1]
-        entry = table.get(seek_value, table)  # the table itself: not seen yet
-        if entry is table:
-            entry = table[seek_value] = self._entry(graph, seek_value)
-        return entry
+                if value is not MISSING:
+                    values.append(_hashable(value) if agg.distinct else value)
+        return n_rows, kept, env.missing
 
     def node_block(self, graph: PropertyGraph) -> Optional[_NodeBlock]:
         """The ``_NodeBlock`` of a ``numpy_block`` plan over this graph,
         built on first use; None if some node's entry raises or holds a
-        value the numpy sums cannot add exactly (the lists then run one
-        at a time)."""
+        value the numpy sums cannot add exactly (the lists then run the
+        row path)."""
         held = self._blocks.get(id(graph))
         if held is None:
             try:
@@ -384,42 +355,11 @@ class Plan:
             held = self._blocks[id(graph)] = (graph, block)
         return held[1]
 
-    def aggregate_by_node(self, graph: PropertyGraph, values) -> ResultTable:
-        """The result of a ``by_node`` plan for the seek list ``values``.
-
-        The listed nodes' entries are combined in ascending node id, the
-        row path's order: ``sum`` adds from 0 in row order (``reduce``,
-        not the builtin, which compensates float sums from Python 3.12),
-        the counts add up integers, and any other aggregate runs
-        ``_Acc`` over the kept values.
-        """
-        chosen = {}
-        for value in values:
-            entry = self._cached_entry(graph, value)
-            if entry is not None:
-                chosen[entry[0]] = entry
-        entries = [chosen[nid] for nid in sorted(chosen)]
-        out = []
-        for j, (agg, arg) in enumerate(self.returns):
-            kept = [entry[2][j] for entry in entries]
-            if arg is None:
-                out.append(sum(entry[1] for entry in entries))
-            elif agg.func == "count":
-                out.append(len(set(chain.from_iterable(kept))) if agg.distinct
-                           else sum(map(len, kept)))
-            elif agg.func == "sum":
-                out.append(reduce(operator.add, chain.from_iterable(kept), 0))
-            else:
-                acc = _Acc(agg, arg)
-                for value in chain.from_iterable(kept):
-                    acc.add_value(value)
-                out.append(acc.result())
-        return ResultTable(columns=list(self.columns), rows=[tuple(out)],
-                           missing_property_count=sum(entry[3] for entry in entries))
-
 
 # an int sum stays exact in float64 while every partial sum is below this
 _EXACT_INT = 2 ** 53
+# a listed id answers in numpy only if it fits in int64: -_INT64 <= id < _INT64
+_INT64 = 2 ** 63
 
 
 class _NodeBlock:
@@ -429,7 +369,7 @@ class _NodeBlock:
 
     ``answer`` runs an (m, k) id block.  Each row is sorted, so nodes
     come in ascending id, and a repeated id is sent to the pad, so a node
-    counts once: ``aggregate_by_node``'s order and ``chosen`` dict.  Per
+    counts once: the nodes and order of the row path's id-seek.  Per
     RETURN item:
 
     - ``count(*)`` and ``count`` add up per-node integer counts;
@@ -449,18 +389,18 @@ class _NodeBlock:
     def __init__(self, plan: Plan, graph: PropertyGraph):
         n = self.pad = len(graph.nodes)
         label = plan.pattern.src.label
-        entries = [plan._cached_entry(graph, nid) if label in node.labels
-                   else None for nid, node in enumerate(graph.nodes)]
-        entries.append(None)
-        missing = np.array([0 if e is None else e[3] for e in entries])
+        empty = (0, tuple(() for _ in plan.returns), 0)  # a node of no row
+        entries = [plan._entry(graph, nid) if label in node.labels else empty
+                   for nid, node in enumerate(graph.nodes)]
+        n_rows, node_kept, missing = zip(*entries, empty)
+        missing = np.array(missing)
         self.missing = missing if missing.any() else None
         # per item: (kind, per-node array, per-node "holds a float" or None)
         self.items = []
         for j, (agg, arg) in enumerate(plan.returns):
-            kept = [() if e is None else e[2][j] for e in entries]
+            kept = [values[j] for values in node_kept]
             if arg is None:
-                self.items.append(("count", np.array(
-                    [0 if e is None else e[1] for e in entries]), None))
+                self.items.append(("count", np.array(n_rows), None))
             elif agg.func == "sum":
                 self.items.append(("sum", *self._sums(kept)))
             elif agg.distinct:
@@ -477,8 +417,8 @@ class _NodeBlock:
     @staticmethod
     def _sums(kept):
         """The padded per-node values of a ``sum`` and which nodes hold a
-        float (None if none does); ExecutionError, which keeps the plan
-        on the lists, if numpy cannot add them as the row path does."""
+        float (None if none does); ExecutionError, which sends the plan's
+        queries down the row path, if numpy cannot add them as it does."""
         values = [v for node in kept for v in node]
         if any(type(v) is not int and type(v) is not float for v in values):
             raise ExecutionError("sum of a value that is not an int or a float")
@@ -542,11 +482,8 @@ class _Acc:
             self.count += 1
             return
         value = self.arg(row, env)
-        if value is not MISSING:
-            self.add_value(value)
-
-    def add_value(self, value) -> None:
-        """Accumulate one non-MISSING argument value."""
+        if value is MISSING:
+            return
         func = self.func
         if func == "count":
             if self.distinct:
@@ -610,11 +547,15 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     name = block_binding(query)
     if name is not None:
         return _execute_block(graph, query, name)
-    if plan.by_node:
-        try:
-            return plan.aggregate_by_node(graph, query.lists[plan.seek.name])
-        except ExecutionError:
-            pass  # the row path raises the error it meets first in row order
+    if plan.numpy_block:
+        # a list of ids an int64 block holds as they are answers as a
+        # block of one; bools, floats, strings and wider ints walk the rows
+        ids = query.lists[plan.seek.name]
+        if all(type(v) is int and -_INT64 <= v < _INT64 for v in ids):
+            table = _numpy_table(graph, plan, np.array(ids, dtype=np.int64)
+                                 .reshape(1, -1))
+            if table is not None:
+                return table
     params = dict(query.scalars)
     for name, values in query.lists.items():
         params[name] = frozenset(values)
@@ -641,26 +582,36 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
                        missing_property_count=env.missing)
 
 
+def _numpy_table(graph: PropertyGraph, plan: Plan, block) -> Optional[ResultTable]:
+    """The table of an (m, k) id block from the plan's ``_NodeBlock``,
+    or None if the plan is not ``numpy_block`` or its block could not be
+    built."""
+    node_block = plan.node_block(graph) if plan.numpy_block else None
+    if node_block is None:
+        return None
+    rows, missing = node_block.answer(block)
+    return ResultTable(columns=list(plan.columns), rows=rows,
+                       missing_property_count=missing)
+
+
 def _execute_block(graph: PropertyGraph, query: Query, name: str) -> ResultTable:
     """The m-row table of a query whose list ``name`` is bound to an
     (m, k) block: row i is the one row list i gives alone, bit for bit,
     and the missing count is the sum of theirs.  A ``numpy_block`` plan
     answers from its ``_NodeBlock``; any other plan, or one whose block
-    could not be built, runs the lists one at a time, so an error is the
-    one the first failing list raises."""
+    could not be built, runs the lists one at a time down the row path,
+    so an error is the one the first failing list raises."""
     plan = query.template.plan
     block = query.lists[name]
+    table = _numpy_table(graph, plan, block)
+    if table is not None:
+        return table
     columns = plan.columns
     if columns is None:
         # the block's placeholder is in no RETURN item, so any list
         # renders the same columns
         columns = _columns(Query(query.template, query.scalars,
                                  {**query.lists, name: ()}).ast.items)
-    node_block = plan.node_block(graph) if plan.numpy_block else None
-    if node_block is not None:
-        rows, missing = node_block.answer(block)
-        return ResultTable(columns=list(columns), rows=rows,
-                           missing_property_count=missing)
     rows, missing = [], 0
     for ids in block.tolist():
         one = execute(graph, Query(query.template, query.scalars,

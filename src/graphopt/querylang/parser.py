@@ -544,15 +544,21 @@ def parse_template(text: str) -> QueryTemplate:
 _SCALAR_TYPES = (str, int, float, bool)
 
 
-def _check_scalar(name: str, value) -> None:
+def _check_scalar(name: str, value):
+    """The bound scalar, a numpy scalar as its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, _SCALAR_TYPES):
-        return
+        return value
     raise TypeError(f"${name}: scalar placeholder bound to {type(value).__name__}")
 
 
 def _check_list(name: str, values):
-    """The bound list as a tuple, or an (m, k) integer ndarray as a
-    read-only int64 block of m lists."""
+    """The bound list as a tuple of Python scalars (a 1-D ndarray as its
+    ``tolist()``), or an (m, k) integer ndarray as a read-only int64
+    block of m lists."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
     if isinstance(values, np.ndarray) and values.ndim == 2:
         if values.dtype.kind not in "iu":
             raise TypeError(f"${name}: a block of lists must hold integers, "
@@ -565,7 +571,7 @@ def _check_list(name: str, values):
         return block
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
         raise TypeError(f"${name}: list placeholder bound to {type(values).__name__}")
-    out = tuple(values)
+    out = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
     if len(out) > MAX_IN_LIST:
         raise SubstitutionError(
             f"${name}: IN list has {len(out)} elements (limit {MAX_IN_LIST})")
@@ -582,7 +588,9 @@ def substitute(template: QueryTemplate, scalars: Optional[dict] = None,
     ``scalars`` maps names to scalar values, ``lists`` maps names to
     sequences (allowed only where the placeholder follows IN).  One list
     may instead be an (m, k) integer ndarray, a block of m lists, where
-    ``block_placeholders`` allows it; ``execute`` then answers m rows.  Every
+    ``block_placeholders`` allows it; ``execute`` then answers m rows.  A
+    numpy scalar binds as its ``item()`` and a 1-D ndarray as its
+    ``tolist()``, so the bound text renders Python values.  Every
     placeholder must be bound exactly once; unknown or doubly bound
     names raise SubstitutionError, and a binding of the wrong kind
     raises TypeError.
@@ -601,8 +609,7 @@ def substitute(template: QueryTemplate, scalars: Optional[dict] = None,
     if extra:
         raise SubstitutionError("unknown placeholders: " + ", ".join(sorted(extra)))
 
-    for name, value in scalars.items():
-        _check_scalar(name, value)
+    scalars = {name: _check_scalar(name, v) for name, v in scalars.items()}
     checked_lists = {name: _check_list(name, v) for name, v in lists.items()}
     for name, is_list in template.param_uses:
         if is_list and name in scalars:

@@ -307,14 +307,6 @@ def _qo_jump_runs(population: Population, jumpers, pop_size: int,
     population.totals[rows] = union_tot[run_ids, keep].ravel()
 
 
-def qo_jump(population: Population, rng: LaneRng, binding) -> int:
-    """Quasi-opposition step of one run (see ``_qo_jump_runs``).
-    Returns the number of evaluations."""
-    pop_size = population.x.shape[0]
-    _qo_jump_runs(population, None, pop_size, rng, binding.evaluate_batch)
-    return pop_size
-
-
 class _RunGroup:
     """The binding as R lockstep runs see it: a batch of R blocks of
     pop rows, each block counted to its run.  A group of one scores

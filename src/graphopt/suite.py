@@ -388,18 +388,14 @@ def _gen_p3(scale: str, seed: int, drop_properties: tuple) -> Instance:
     shares = np.array([0.2 + rng.u01() for _ in range(n_ports)])
     capacities = shares / shares.sum() * (1.6 * demands.sum())
 
-    city_ids = []
     for i in range(n_cities):
         nid = g.add_node({"City"}, {"name": f"CITY-{i:02d}",
                                     "demand": float(demands[i])})
         g.add_edge(nid, "MAPPED_TO", city_road[i])
-        city_ids.append(nid)
-    port_ids = []
     for j in range(n_ports):
         nid = g.add_node({"Port"}, {"code": f"PORT-{j}",
                                     "capacity": float(capacities[j])})
         g.add_edge(nid, "MAPPED_TO", port_road[j])
-        port_ids.append(nid)
     g.freeze()
 
     distance = _pairwise_distances(g, port_road, city_road)  # (cities, ports)

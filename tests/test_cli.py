@@ -81,6 +81,20 @@ def test_disrupt_without_fraction_exits():
         main(["generate", "--problem", "P3", "--disrupt", "capacity_halving"])
 
 
+@pytest.mark.parametrize("problem, disrupt, cause", [
+    ("P1", "capacity_halving:0.5", "capacity_halving applies to P3 only"),
+    ("P3", "capacity_halving:abc", "could not convert string to float: 'abc'"),
+    ("P3", "capacity_halving:1.5", "fraction must be in [0, 1]"),
+    ("P3", "bogus:0.5", "unknown disruption mode 'bogus'"),
+    ("P3", "capacity_halving:0.5:2.0:1:9", "needs MODE:FRACTION"),
+])
+def test_bad_disrupt_exits_with_its_cause(problem, disrupt, cause):
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--problem", problem, "--disrupt", disrupt])
+    message = str(info.value.code)
+    assert message.startswith("graphopt: ") and cause in message
+
+
 def test_unknown_problem_rejected():
     with pytest.raises(ValueError):
         main(["generate", "--problem", "P9"])

@@ -321,6 +321,23 @@ def test_bound_query_text_is_a_parse_fixed_point(sel, k):
     assert render_query(again.ast) == q.text
 
 
+@pytest.mark.parametrize("k, sel, python_k, python_sel", [
+    (np.float64(0.5), np.array([0., 1.]), 0.5, (0.0, 1.0)),
+    (np.int64(3), np.array([0, 1]), 3, (0, 1)),
+    (np.bool_(True), [np.int32(2), np.float32(0.5), np.str_("x")], True, (2, 0.5, "x")),
+])
+def test_numpy_values_bind_as_python_values(k, sel, python_k, python_sel):
+    t = parse_template(
+        "MATCH (x:N) WHERE x.id IN $sel AND x.n <> $k RETURN count(*)")
+    q = substitute(t, scalars={"k": k}, lists={"sel": sel})
+    assert q == substitute(t, scalars={"k": python_k}, lists={"sel": python_sel})
+    assert type(q.scalars["k"]) is type(python_k)
+    assert [type(v) for v in q.lists["sel"]] == [type(v) for v in python_sel]
+    again = parse_query(q.text)
+    assert again.ast == q.ast
+    assert render_query(again.ast) == q.text
+
+
 # ---- id-seek equals a label scan ----
 
 # ids the seek must match (ints, bools, integral floats) or skip
@@ -386,12 +403,20 @@ BY_NODE_ONE = parse_template(
 BY_NODE_TWO = parse_template(
     "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
     + _AGGREGATES.format(x="g"))
+# every item a count or a sum: answered in numpy
+_BLOCK_AGGREGATES = ("count(*), count({x}.v), count(DISTINCT {x}.v), "
+                     "sum({x}.v), count(DISTINCT {x}.w)")
+BLOCK_ONE = parse_template(
+    "MATCH (d:D) WHERE d.id IN $sel RETURN " + _BLOCK_AGGREGATES.format(x="d"))
+BLOCK_TWO = parse_template(
+    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
+    + _BLOCK_AGGREGATES.format(x="g"))
 
 
 def _row_path(template):
-    """The template compiled again, with its per-node tables turned off."""
+    """The template compiled again, with its numpy route turned off."""
     twin = parse_template(template.text)
-    twin.plan.by_node = False
+    twin.plan.numpy_block = False
     return twin
 
 
@@ -409,28 +434,40 @@ def _two_groups():
     return g.freeze()
 
 
+# ids past int64 take the row path, as every non-int value does
+_wide_ids = st.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2 ** 70])
+
+
 @settings(max_examples=200, deadline=None)
 @example(g=_two_groups(), sels=[[0, 1]])
+@example(g=_two_groups(), sels=[[1, 2 ** 63 - 1, -2 ** 63], [1, 2 ** 63], [0, 1.5]])
 @given(g=_labelled_graphs(_node_properties),
-       sels=st.lists(st.lists(_id_values, max_size=12), min_size=1, max_size=3))
+       sels=st.lists(st.one_of(
+           st.lists(st.one_of(st.integers(-3, 30), _wide_ids), max_size=12),
+           st.lists(st.one_of(st.integers(-3, 30), st.sampled_from(
+               [1.0, 2.5, -0.0, True, False])), max_size=12),
+           st.lists(st.one_of(_id_values, _wide_ids), max_size=12)),
+           min_size=1, max_size=3))
 def test_node_table_equals_row_path(g, sels):
-    for template in (BY_NODE_ONE, BY_NODE_TWO):
-        assert template.plan.by_node
+    for template in (BLOCK_ONE, BLOCK_TWO):
+        assert template.plan.numpy_block
         reference = _row_path(template)
-        for sel in sels:  # later lists reuse the entries of earlier ones
+        for sel in sels:  # a list of ints runs in numpy, any other list its rows
             got = execute(g, substitute(template, lists={"sel": sel}))
             want = execute(g, substitute(reference, lists={"sel": sel}))
             assert _bits(got) == _bits(want)
+        assert template.plan.node_block(g) is not None
 
 
 def test_node_table_only_for_placeholder_free_aggregates():
-    by_node = {text: parse_template(text).plan.by_node for text in (
+    numpy_block = {text: parse_template(text).plan.numpy_block for text in (
         "MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v), count(*)",
         "MATCH (d:D) WHERE d.id IN $sel RETURN d.v",
         "MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v + $k)",
         "MATCH (d:D) WHERE d.id IN $sel AND d.v > 0 RETURN sum(d.v)",
-        "MATCH (d:D) WHERE d.id IN [1, 2] RETURN sum(d.v)")}
-    assert list(by_node.values()) == [True, False, False, False, False]
+        "MATCH (d:D) WHERE d.id IN [1, 2] RETURN sum(d.v)",
+        "MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v), avg(d.v)")}
+    assert list(numpy_block.values()) == [True, False, False, False, False, False]
 
 
 def test_node_table_raises_the_row_path_error_every_time():
@@ -450,7 +487,7 @@ def test_node_table_raises_the_row_path_error_every_time():
         with pytest.raises(ExecutionError) as want:
             execute(g, substitute(reference, lists={"sel": sel}))
         assert str(want.value) == message
-        for _ in range(2):  # a failed entry is never kept
+        for _ in range(2):  # a second run raises the same error
             with pytest.raises(ExecutionError) as got:
                 execute(g, substitute(template, lists={"sel": sel}))
             assert str(got.value) == message
@@ -460,14 +497,7 @@ def test_node_table_raises_the_row_path_error_every_time():
 
 # ---- a block of lists equals its lists run one at a time ----
 
-_BLOCK_AGGREGATES = ("count(*), count({x}.v), count(DISTINCT {x}.v), "
-                     "sum({x}.v), count(DISTINCT {x}.w)")
-BLOCK_ONE = parse_template(
-    "MATCH (d:D) WHERE d.id IN $sel RETURN " + _BLOCK_AGGREGATES.format(x="d"))
-BLOCK_TWO = parse_template(
-    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
-    + _BLOCK_AGGREGATES.format(x="g"))
-# not by node: the WHERE holds more than the id seek
+# scanning plans: the WHERE holds more than the id seek
 SCAN_ONE = parse_template(
     "MATCH (d:D) WHERE d.id IN $sel AND d.v > 0 RETURN "
     + _AGGREGATES.format(x="d"))
@@ -516,9 +546,9 @@ def test_block_equals_lists_run_one_at_a_time(g, block):
         assert template.plan.numpy_block
         _assert_block_equals_lists(g, template, block)
         assert template.plan.node_block(g) is not None  # numpy answered it
-    # by node, but avg, min, max and collect run the lists one at a time
+    # avg, min, max and collect run the lists one at a time down the row path
     for template in (BY_NODE_ONE, BY_NODE_TWO):
-        assert template.plan.by_node and not template.plan.numpy_block
+        assert not template.plan.numpy_block
         _assert_block_equals_lists(g, template, block)
 
 
@@ -527,7 +557,7 @@ def test_block_equals_lists_run_one_at_a_time(g, block):
 @given(g=_labelled_graphs(_node_properties), block=_id_blocks)
 def test_block_on_a_scanning_plan_equals_lists(g, block):
     for template in (SCAN_ONE, SCAN_TWO):
-        assert not template.plan.by_node
+        assert not template.plan.numpy_block
         _assert_block_equals_lists(g, template, block)
 
 
@@ -545,7 +575,7 @@ def test_block_raises_the_row_path_error_every_time():
     )
     for items, block, message in cases:
         template = parse_template(f"MATCH (d:D) WHERE d.id IN $sel {items}")
-        for _ in range(2):  # a failed entry is never kept
+        for _ in range(2):  # a second run raises the same error
             with pytest.raises(ExecutionError) as got:
                 execute(g, substitute(template, lists={"sel": np.array(block)}))
             assert str(got.value) == message

@@ -12,7 +12,7 @@ from graphopt.rng import LaneRng, SeededRng
 from graphopt.solvers import (DISPLAY_NAMES, VARIANT_LABELS, VARIANTS,
                               Population, SolverConfig, adapt_subpopulations,
                               clamp, init_population, normalize_variant,
-                              propose, qo_jump, run, _proposals)
+                              propose, run, _proposals, _qo_jump_runs)
 
 
 def objective_only(total_fn, name="objective"):
@@ -175,7 +175,7 @@ def test_init_population_in_bounds_and_deterministic():
     assert np.array_equal(a.x, b.x)
 
 
-# ---- qo_jump ----
+# ---- quasi-opposition jump ----
 
 def test_qo_jump_center_is_fixed_point():
     space = continuous_space([0.0, 0.0], [2.0, 2.0])
@@ -184,7 +184,7 @@ def test_qo_jump_center_is_fixed_point():
     center = np.array([[1.0, 1.0]] * 4)
     pop = Population(space=space, x=center.copy(),
                      totals=binding.evaluate_batch(center))
-    qo_jump(pop, LaneRng(0, 4), binding)
+    _qo_jump_runs(pop, None, 4, LaneRng(0, 4), binding.evaluate_batch)
     assert np.allclose(pop.x, center)
 
 
@@ -192,8 +192,9 @@ def test_qo_jump_union_is_elitist():
     binding = sphere_binding(d=2)
     pop = init_population(binding, 6, LaneRng(9, 6))
     worst_before = pop.totals.max()
-    evals = qo_jump(pop, LaneRng(9, 6, stream_offset=7), binding)
-    assert evals == 6
+    before = binding.evaluations
+    _qo_jump_runs(pop, None, 6, LaneRng(9, 6, stream_offset=7), binding.evaluate_batch)
+    assert binding.evaluations - before == 6
     assert pop.x.shape == (6, 2)
     assert pop.totals.max() <= worst_before
 

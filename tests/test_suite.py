@@ -222,6 +222,23 @@ def test_pattern_a_queries_run_through_problems_names(monkeypatch):
     assert len(rows) < binding.query_executions  # blocks, not one per subset
 
 
+def test_pattern_a_templates_answer_in_numpy():
+    """Every built-in Pattern A template answers a block from per-node
+    arrays; one that fell off that route would run its lists one at a
+    time, with no test failing."""
+    bindings = [
+        generate("P1", "small", 0).binding,
+        generate("P1", "medium", 0).binding,
+        generate("P1", "small", 0, drop_properties=("side_effect_count",)).binding,
+        pattern_a_binding(generate("P2", "small", 0)),
+        pattern_a_binding(generate("P2", "medium", 0)),
+    ]
+    for binding in bindings:
+        for term in binding._terms:
+            assert term.template.plan.numpy_block, term.name
+            assert term.template.plan.node_block(binding.graph) is not None, term.name
+
+
 # ---- pattern A twin for P2 ----
 
 def test_p2_pattern_equivalence_spot_check():
