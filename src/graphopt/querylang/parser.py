@@ -557,6 +557,9 @@ def _check_list(name: str, values):
     """The bound list as a tuple of Python scalars (a 1-D ndarray as its
     ``tolist()``), or an (m, k) integer ndarray as a read-only int64
     block of m lists."""
+    if isinstance(values, np.ndarray) and values.ndim not in (1, 2):
+        raise TypeError(f"${name}: list placeholder bound to a "
+                        f"{values.ndim}-d array")
     if isinstance(values, np.ndarray) and values.ndim == 1:
         values = values.tolist()
     if isinstance(values, np.ndarray) and values.ndim == 2:

@@ -86,41 +86,99 @@ class LaneRng:
         """One double in [0, 1) per lane (top 53 bits of the output)."""
         return (self.next_u64() >> _U64_11) * _INV_2_53
 
-    def uniform_block(self, rows: int, lanes=None) -> np.ndarray:
+    def uniform_block(self, rows: int, lanes=None, keep=None) -> np.ndarray:
         """(rows, lanes) doubles in [0, 1); row r is draw r of every lane.
 
         The values and the lane state left behind are those of ``rows``
-        calls of :meth:`uniforms`.  Segments of ``SEGMENT_ROWS`` rows
-        start by jump-ahead; then each step advances every segment of
-        every lane, one contiguous ``(segments, lanes)`` slab.  Given
-        ``lanes``, an index array, only those lanes draw (column j is
-        lane ``lanes[j]``), and only they advance.
+        calls of :meth:`uniforms`.  Given ``lanes``, an index array, only
+        those lanes draw (column j is lane ``lanes[j]``), and only they
+        advance.  Given ``keep=(period, spans)``, ``rows`` is a whole
+        number of periods, and only rows ``a`` to ``b - 1`` of each
+        period, for each ``(a, b)`` of the sorted, disjoint ``spans``,
+        are computed: the block holds them period by period, spans in
+        order, while every lane still advances by all ``rows``.  A plain
+        block is one span over all its rows.
+
+        Segment starts come by jump-ahead: the periods' starts by
+        doubling, each span's start from its period's, and the span's
+        near-equal segments of at most ``SEGMENT_ROWS`` rows by
+        doubling.  Then each step advances every segment of every
+        period and lane, one contiguous ``(segments, periods, lanes)``
+        slab.
         """
         at = slice(None) if lanes is None else lanes
         start = self._state[at]
-        n_seg = -(-rows // SEGMENT_ROWS)
-        states = np.empty((min(rows, SEGMENT_ROWS), n_seg, len(start)),
-                          dtype=np.uint64)
-        if rows:
-            prev = np.empty_like(states[0])  # segment start states
-            prev[0] = start
-            for m in range((n_seg - 1).bit_length()):
-                # segments [2^m, 2^(m+1)) are [0, 2^m) jumped 2^m segments
-                half = 1 << m
-                prev[half:2 * half] = _jump(_SEGMENT_LOG2 + m,
-                                            prev[:min(half, n_seg - half)])
-            tmp = np.empty_like(prev)
-            for step in states:
-                _xorshift_step(prev, step, tmp)
-                prev = step
-            self._state[at] = states[(rows - 1) % SEGMENT_ROWS, -1]
-        states *= _NP_XS_MULT
-        states >>= _U64_11
-        # row k is step k % SEGMENT_ROWS of segment k // SEGMENT_ROWS
-        out = np.empty((n_seg * len(states), len(start)), dtype=np.float64)
-        np.multiply(states.transpose(1, 0, 2), _INV_2_53,
-                    out=out.reshape(n_seg, len(states), len(start)))
-        return out[:rows]
+        period, spans = keep if keep else (rows, ((0, rows),))
+        if spans == ((0, period),):  # whole periods are one span
+            period, spans = rows, ((0, rows),)
+        if rows % max(period, 1):
+            raise ValueError("rows must be a whole number of periods")
+        periods = rows // period if rows else 0
+        spans_states = []
+        if periods:
+            firsts = _jumped(start, period, periods)  # state before each period
+            spans_states = [_span(_jump(a, firsts) if a else firsts, b - a)
+                            for a, b in spans]
+            # the state after the last row of the last period
+            self._state[at] = (spans_states[-1][1][-1] if spans[-1][1] == period
+                               else _jump(period, firsts[-1]))
+        # the block is allocated after the states, so that freeing them
+        # leaves a hole the next call reuses; freed from the top of the
+        # heap they are trimmed, and the next call faults in every page
+        kept = sum(b - a for a, b in spans)
+        out = np.empty((periods, kept, len(start)))
+        col = 0
+        for (a, b), (states, _) in zip(spans, spans_states):
+            _write(states, out[:, col:col + b - a])
+            col += b - a
+        return out.reshape(periods * kept, len(start))
+
+
+def _jumped(first: np.ndarray, steps: int, count: int) -> np.ndarray:
+    """(count,) + first.shape states: entry k is ``first`` advanced
+    k * steps, by doubling (entries [2^m, 2^(m+1)) are entries
+    [0, 2^m) jumped 2^m * steps)."""
+    states = np.empty((count,) + first.shape, dtype=np.uint64)
+    states[0] = first
+    for m in range((count - 1).bit_length()):
+        half = 1 << m
+        states[half:2 * half] = _jump(steps * half,
+                                      states[:min(half, count - half)])
+    return states
+
+
+def _span(starts: np.ndarray, rows: int) -> tuple:
+    """Rows 0 to rows - 1 of the streams whose (periods, lanes) states
+    are ``starts``, as (seg, segments, periods, lanes) output words
+    ``(s * MULT) >> 11`` (row k is step k % seg of segment k // seg),
+    and the (periods, lanes) states after the last row."""
+    n_seg = -(-rows // SEGMENT_ROWS)
+    seg = -(-rows // n_seg)  # near-equal segments; the last may be short
+    # a step runs on flat slabs: ufuncs loop fastest over one axis
+    prev = _jumped(starts, seg, n_seg).reshape(-1)  # segment start states
+    flat = np.empty((seg, len(prev)), dtype=np.uint64)
+    tmp = np.empty_like(prev)
+    for step in flat:
+        _xorshift_step(prev, step, tmp)
+        prev = step
+    states = flat.reshape((seg, n_seg) + starts.shape)
+    end = states[(rows - 1) % seg, -1].copy()
+    flat *= _NP_XS_MULT
+    flat >>= _U64_11
+    return states, end
+
+
+def _write(states: np.ndarray, out: np.ndarray) -> None:
+    """Write the output words of ``_span`` as doubles into ``out``, its
+    (periods, rows, lanes) part of the block."""
+    periods, rows, lanes = out.shape
+    seg = len(states)
+    whole, tail = divmod(rows, seg)  # segments the span fills, rows left
+    np.multiply(states[:, :whole].transpose(2, 1, 0, 3), _INV_2_53,
+                out=out[:, :whole * seg].reshape(periods, whole, seg, lanes))
+    if tail:
+        np.multiply(states[:tail, -1].transpose(1, 0, 2), _INV_2_53,
+                    out=out[:, whole * seg:])
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +190,7 @@ class LaneRng:
 # matrix is held as its 64 columns: column j is the image of bit j.
 # ---------------------------------------------------------------------------
 
-SEGMENT_ROWS = 32  # rows one segment advances step by step; a power of 2
-_SEGMENT_LOG2 = SEGMENT_ROWS.bit_length() - 1
+SEGMENT_ROWS = 32  # the most rows one segment advances step by step
 
 _BIT_SHIFTS = np.arange(64, dtype=np.uint64)
 _U64_1 = np.uint64(1)
@@ -167,23 +224,39 @@ def _power_of_two_steps() -> tuple:
 
 
 _POW2 = _power_of_two_steps()
-_JUMP_TABLES: dict = {}  # p -> byte table of M^(2^p), built on first use
+_JUMP_TABLES: dict = {}  # steps -> byte table of M^steps, built on first use
 
 
-def _jump(p: int, states: np.ndarray) -> np.ndarray:
-    """``_apply(_POW2[p], states)`` by an (8, 256) table: row b maps each
-    value of byte b to the XOR of the columns its set bits pick, so a
-    jump is 8 lookups and 7 XORs."""
-    table = _JUMP_TABLES.get(p)
+def _jump_table(steps: int) -> np.ndarray:
+    """(8, 256) table of M^steps: row b maps each value of byte b to the
+    XOR of the columns its set bits pick.  The columns are the product
+    of the powers of two that sum to ``steps``; a row is filled by
+    doubling, values [2^k, 2^(k+1)) being values [0, 2^k) XOR column k."""
+    columns = _U64_1 << _BIT_SHIFTS  # the identity
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            columns = _apply(_POW2[i], columns)
+    columns = columns.reshape(8, 8, 1)  # [byte, bit]
+    table = np.zeros((8, 256), dtype=np.uint64)
+    for k in range(8):
+        np.bitwise_xor(table[:, :1 << k], columns[:, k],
+                       out=table[:, 1 << k:2 << k])
+    return table
+
+
+def _jump(steps: int, states: np.ndarray) -> np.ndarray:
+    """``states`` advanced ``steps`` steps: M^steps by its byte table, so
+    a jump is 8 lookups and 7 XORs."""
+    table = _JUMP_TABLES.get(steps)
     if table is None:
-        values = np.arange(256, dtype=np.uint64) << _BIT_SHIFTS[::8, None]
-        table = _JUMP_TABLES[p] = _apply(_POW2[p], values)
-    octets = states.astype("<u8", copy=False).view(np.uint8)
-    octets = octets.reshape(states.shape + (8,))  # little-endian bytes
-    out = table[0][octets[..., 0]]
+        table = _JUMP_TABLES[steps] = _jump_table(steps)
+    # little-endian bytes of the flat states: lookups run fastest on one axis
+    octets = states.astype("<u8", copy=False).reshape(-1).view(np.uint8)
+    octets = octets.reshape(-1, 8)
+    out = table[0][octets[:, 0]]
     for b in range(1, 8):
-        out ^= table[b][octets[..., b]]
-    return out
+        out ^= table[b][octets[:, b]]
+    return out.reshape(states.shape)
 
 
 class SeededRng:

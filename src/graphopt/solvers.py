@@ -5,8 +5,8 @@ candidate per member from best/worst/mean population statistics, clamp
 to the box, score the whole population with one ``evaluate_batch``
 call, and keep each candidate only on strict improvement.  Runs are
 bit-reproducible: member i draws from its own pinned RNG stream, and
-every iteration consumes a fixed block of uniforms (3d+3 per member)
-regardless of which draws the variant uses.
+every iteration advances its stream by a fixed 3d+3 uniforms,
+whichever draws the variant reads.
 Acceptance is batched: all proposals in an iteration read the
 population state frozen at the start of that iteration.
 """
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import DecisionSpace
-from .rng import LaneRng, SeededRng
+from .rng import SEGMENT_ROWS, LaneRng, SeededRng
 
 VARIANTS = ("jaya", "rao1", "bmr", "bwr", "bmwr",
             "samp_jaya", "ehr_jaya", "qo_rao")
@@ -44,8 +44,8 @@ VARIANT_LABELS = {
 # so human-readable reports star them to flag that provenance
 DISPLAY_NAMES = {**VARIANT_LABELS, "samp_jaya": "SAMP*", "ehr_jaya": "EHR*"}
 
-# upper bound on the member draws held at once (2^17 doubles, 1 MB; a
-# block and its states then stay in cache: SOLVERS.md, "Lockstep runs")
+# upper bound on the member draws computed at once (2^17 doubles, 1 MB;
+# a block and its states then stay in cache: SOLVERS.md, "Lockstep runs")
 MEMBER_CHUNK_DOUBLES = 1 << 17
 
 
@@ -119,9 +119,9 @@ def init_population(binding, pop_size: int, rng: LaneRng) -> Population:
 # ---------------------------------------------------------------------------
 # update formulas
 #
-# Per iteration each member consumes 3d+3 uniforms in a fixed order:
-# r1 (d), r2 (d), r3 (d), then three scalars (u_branch, u_pick,
-# u_member).  Variants ignore draws they do not need, which keeps every
+# Per iteration each member's stream advances 3d+3 uniforms in a fixed
+# order: r1 (d), r2 (d), r3 (d), then three scalars (u_branch, u_pick,
+# u_member).  Variants skip draws they do not read, which keeps every
 # member stream aligned no matter the variant:
 #   r1/r2/r3   dimension-wise coefficients; r3 doubles as the reinit draw
 #   u_branch   exploit-vs-reinit decision (BMR/BWR/BMWR, r4 in the docs)
@@ -162,12 +162,46 @@ def _gather(pop_x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return pop_x.T.take(rows, axis=1).transpose(1, 2, 0)
 
 
-def _draws(block: np.ndarray, d: int) -> tuple:
-    """(r1, r2, r3, u_branch, u_pick, u_member) of a (3d+3, R, pop)
-    block: (R, pop, d) views, then (R, pop) rows."""
-    return (block[:d].transpose(1, 2, 0), block[d:2 * d].transpose(1, 2, 0),
-            block[2 * d:3 * d].transpose(1, 2, 0),
-            block[3 * d], block[3 * d + 1], block[3 * d + 2])
+def _read_rows(variant: str, d: int) -> tuple:
+    """The (start, stop) row spans of a member's 3d+3 draws that the
+    variant's formula reads."""
+    if variant in ("rao1", "qo_rao"):
+        return ((0, d),)                             # r1
+    if variant in ("jaya", "samp_jaya"):
+        return ((0, 2 * d),)                         # r1, r2
+    if variant == "ehr_jaya":
+        return ((0, 2 * d), (3 * d + 1, 3 * d + 3))  # r1, r2, u_pick, u_member
+    return ((0, 3 * d + 3),)
+
+
+def _member_spans(variant: str, d: int) -> tuple:
+    """The row spans of each iteration that a run computes: the rows
+    the variant reads, with every gap shorter than ``SEGMENT_ROWS``
+    drawn through, the gap that wraps into the next iteration too (every
+    read starts at row 0)."""
+    per_iter, spans = 3 * d + 3, []
+    for a, b in _read_rows(variant, d):
+        if spans and a - spans[-1][1] < SEGMENT_ROWS:
+            a = spans.pop()[0]
+        spans.append((a, b))
+    if per_iter - spans[-1][1] < SEGMENT_ROWS:
+        spans[-1] = (spans[-1][0], per_iter)
+    return tuple(spans)
+
+
+def _draws(block: np.ndarray, d: int, spans: tuple = None) -> tuple:
+    """(r1, r2, r3, u_branch, u_pick, u_member) of a (..., rows, R, pop)
+    member block holding the rows ``spans`` (all 3d+3 by default) of an
+    iteration: (..., R, pop, d) views, then (..., R, pop) rows; a draw
+    the block does not hold is None."""
+    firsts, at, row = (0, d, 2 * d, 3 * d, 3 * d + 1, 3 * d + 2), {}, 0
+    for a, b in spans or ((0, 3 * d + 3),):
+        at.update((first, row + first - a) for first in firsts if a <= first < b)
+        row += b - a
+    vectors = [np.moveaxis(block[..., at[f]:at[f] + d, :, :], -3, -1)
+               if f in at else None for f in firsts[:3]]
+    scalars = [block[..., at[f], :, :] if f in at else None for f in firsts[3:]]
+    return (*vectors, *scalars)
 
 
 def _proposals(variant: str, pop_x: np.ndarray, totals: np.ndarray,
@@ -178,7 +212,8 @@ def _proposals(variant: str, pop_x: np.ndarray, totals: np.ndarray,
 
     ``pop_x``/``totals`` are the start-of-iteration population; the
     draws are (R, pop, d) and (R, pop) arrays (for one run, (pop, d)
-    and (pop,) do too).  ``m`` holds each run's SAMP subpopulation
+    and (pop,) do too), and a draw the variant does not read
+    (``_read_rows``) may be None.  ``m`` holds each run's SAMP subpopulation
     count; without it samp_jaya takes the whole-population view, as
     jaya does.  The candidates are elementwise in the rows and their
     run's statistics, so a run's rows come out as they do alone.
@@ -371,20 +406,24 @@ def run_group(binding, configs) -> list[RunResult]:
     curve = np.empty((config.iterations, runs), dtype=np.float64)
     best_now = fit.min(axis=1)
 
-    per_iter = 3 * d + 3
-    chunk_iters = max(1, MEMBER_CHUNK_DOUBLES // (per_iter * runs * pop_size))
+    # member rows for many iterations are drawn at once, only the rows
+    # the variant reads; a chunk's rows are the draws per-iteration calls
+    # give, and it jumps the lanes over the rest
+    spans = _member_spans(variant, d)
+    kept = sum(b - a for a, b in spans)
+    chunk_iters = max(1, MEMBER_CHUNK_DOUBLES // (kept * runs * pop_size))
     for it in range(config.iterations):
-        # member rows for many iterations are drawn at once; a chunk's
-        # rows are the same consecutive draws a per-iteration call gives
         offset = it % chunk_iters
         if offset == 0:
-            chunk = members.uniform_block(
-                per_iter * min(chunk_iters, config.iterations - it))
-            chunk = chunk.reshape(len(chunk), runs, pop_size)
-        block = chunk[offset * per_iter:(offset + 1) * per_iter]  # (3d+3, R, pop)
-
-        candidates = _proposals(variant, population.x, totals,
-                                *_draws(block, d), space, config, runs, m)
+            n = min(chunk_iters, config.iterations - it)
+            chunk = members.uniform_block((3 * d + 3) * n,
+                                          keep=(3 * d + 3, spans))
+            chunk = chunk.reshape(n, kept, runs, pop_size)
+            # each iteration's draws, as views of the chunk
+            draws = list(zip(*([None] * n if v is None else v
+                               for v in _draws(chunk, d, spans))))
+        candidates = _proposals(variant, population.x, totals, *draws[offset],
+                                space, config, runs, m)
         candidates = clamp(candidates, space)
 
         try:

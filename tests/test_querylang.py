@@ -117,6 +117,16 @@ def test_scalar_placeholder_as_in_haystack_rejected():
         substitute(t, scalars={"selected": 3})
 
 
+@pytest.mark.parametrize("ndim", [0, 3])
+def test_array_of_other_ndim_rejected_by_name(ndim):
+    """Only a 1-D array (one list) or a 2-D one (a block) binds a list
+    placeholder; any other names the placeholder and the ndim."""
+    t = parse_template("MATCH (x:N) WHERE x.id IN $sel RETURN count(*)")
+    with pytest.raises(TypeError, match=rf"^\$sel: list placeholder bound to "
+                                        rf"a {ndim}-d array$"):
+        substitute(t, lists={"sel": np.zeros((1,) * ndim, dtype=np.int64)})
+
+
 def test_in_list_cap():
     t = parse_template("MATCH (x:N) WHERE x.id IN $s RETURN count(*)")
     with pytest.raises(SubstitutionError):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphopt.rng import (_POW2, _SEGMENT_LOG2, MASK64, SEGMENT_ROWS,
-                          STREAM_STEP, LaneRng, SeededRng, _apply, _jump,
-                          splitmix64, stream_state)
+from graphopt.rng import (_POW2, MASK64, SEGMENT_ROWS, STREAM_STEP,
+                          LaneRng, SeededRng, _apply, _jump, splitmix64,
+                          stream_state)
 from graphopt.solvers import MEMBER_CHUNK_DOUBLES
 from tests.reference import xorshift64star_sequence
 
@@ -117,17 +117,73 @@ def test_uniform_block_matches_uniforms(first, second, lanes, offset, seed):
         assert block_rng._state.tobytes() == ref._state.tobytes()
 
 
+@st.composite
+def _period_spans(draw):
+    """A period and sorted, disjoint spans of it: cut points split the
+    period into pieces, and each piece is kept or not, so kept pieces
+    may touch (adjacent spans) or be one row long."""
+    period = draw(st.integers(1, 3 * SEGMENT_ROWS + 5))
+    cuts = draw(st.sets(st.integers(1, period - 1), max_size=6)) if period > 1 else set()
+    bounds = [0, *sorted(cuts), period]
+    pieces = list(zip(bounds, bounds[1:]))
+    kept = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces))
+                .filter(any))
+    return period, tuple(piece for piece, keep in zip(pieces, kept) if keep)
+
+
+@settings(max_examples=80, deadline=None)
+@given(keep=_period_spans(), counts=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       lanes=st.sampled_from([1, 2, 30]), subset=st.booleans(),
+       seed=st.integers(0, MASK64))
+def test_span_block_equals_rows_of_full_block(keep, counts, lanes, subset, seed):
+    """A block of only some rows of each period equals those rows of the
+    full block bit for bit, and leaves every lane's state where the full
+    block does, over two consecutive calls, with or without a lanes
+    subset."""
+    period, spans = keep
+    picked = np.arange(0, lanes, 2) if subset else None
+    span_rng, ref = LaneRng(seed, lanes), LaneRng(seed, lanes)
+    for count in counts:
+        block = span_rng.uniform_block(period * count, picked, keep=keep)
+        full = ref.uniform_block(period * count, picked)
+        expected = np.concatenate([full[p * period + a:p * period + b]
+                                   for p in range(count) for a, b in spans])
+        assert block.tobytes() == expected.tobytes()
+        assert span_rng._state.tobytes() == ref._state.tobytes()
+
+
+def _matrix_power(steps: int) -> np.ndarray:
+    """Columns of M^steps by square-and-multiply of the one-step matrix."""
+    power, base = np.uint64(1) << np.arange(64, dtype=np.uint64), _POW2[0]
+    while steps:
+        if steps & 1:
+            power = _apply(base, power)
+        base, steps = _apply(base, base), steps >> 1
+    return power
+
+
 def test_jump_matches_bit_matrix():
-    """The byte-table jump equals the bit-matrix product for every power a
-    member chunk's segment starts use, on edge states too."""
-    top = _SEGMENT_LOG2 + (MEMBER_CHUNK_DOUBLES // SEGMENT_ROWS).bit_length()
+    """The byte-table jump equals the bit-matrix product for every step
+    count a member chunk uses, on edge states too: the powers of two of
+    plain segments, and, for each d of a continuous problem, its period
+    3d+3 times 2^m, its span offsets and its near-equal segment lengths
+    times 2^m."""
+    top = (MEMBER_CHUNK_DOUBLES // SEGMENT_ROWS).bit_length()
+    steps = {SEGMENT_ROWS << m for m in range(top + 1)}
+    for d in (24, 40, 96, 100, 288, 800):
+        period = 3 * d + 3
+        steps |= {period << m for m in range(8)} | {d, 2 * d, 3 * d + 1}
+        for span in (d, 2 * d, 2):
+            n_seg = -(-span // SEGMENT_ROWS)
+            steps |= {-(-span // n_seg) << m for m in range(n_seg.bit_length())}
+    assert {20, 25, 27, 289, 291, 291 << 7} <= steps  # not powers of two
     rng = np.random.default_rng(5)
     states = np.concatenate([
         np.array([0, 1, MASK64, 1 << 63], dtype=np.uint64),
         rng.integers(0, MASK64, size=60, dtype=np.uint64, endpoint=True),
     ]).reshape(8, 8)
-    for p in range(_SEGMENT_LOG2, top + 1):
-        assert _jump(p, states).tobytes() == _apply(_POW2[p], states).tobytes()
+    for n in sorted(steps):
+        assert _jump(n, states).tobytes() == _apply(_matrix_power(n), states).tobytes(), n
 
 
 def test_empirical_mean_uniform():

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from graphopt import suite
 from graphopt.problems import (CallableBinding, Fitness, assemble_fitness,
                                continuous_space)
 from graphopt.rng import LaneRng, SeededRng
 from graphopt.solvers import (DISPLAY_NAMES, VARIANT_LABELS, VARIANTS,
                               Population, SolverConfig, adapt_subpopulations,
                               clamp, init_population, normalize_variant,
-                              propose, run, _proposals, _qo_jump_runs)
+                              propose, run, _draws, _proposals, _qo_jump_runs,
+                              _read_rows)
 
 
 def objective_only(total_fn, name="objective"):
@@ -135,6 +137,33 @@ def test_scalar_propose_matches_vectorized_batch():
             assert np.array_equal(solo, batch[i]), (variant, i)
 
 
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_unread_draws_do_not_reach_proposals(variant, runs):
+    """Rows outside the variant's read table may hold anything: filled
+    with NaN, they leave every candidate finite and bit-identical.  A
+    formula that starts reading a row the table skips fails here."""
+    d, pop_size = 4, 6
+    space = continuous_space([-4.0] * d, [4.0] * d)
+    rows = SeededRng(5)
+    x = np.array([[rows.uniform(-4.0, 4.0) for _ in range(d)]
+                  for _ in range(runs * pop_size)])
+    totals = np.array([rows.uniform(0.0, 10.0) for _ in range(runs * pop_size)])
+    block = LaneRng.runs(range(runs), pop_size).uniform_block(3 * d + 3)
+    block = block.reshape(3 * d + 3, runs, pop_size)
+    unread = np.ones(3 * d + 3, dtype=bool)
+    for a, b in _read_rows(variant, d):
+        unread[a:b] = False
+    poisoned = block.copy()
+    poisoned[unread] = np.nan
+    config = SolverConfig(variant=variant, pop_size=pop_size)
+    m = [1, 2, 3][:runs] if variant == "samp_jaya" else None
+    clean, dirty = (_proposals(variant, x, totals, *_draws(b, d), space,
+                               config, runs, m) for b in (block, poisoned))
+    assert np.isfinite(dirty).all()
+    assert dirty.tobytes() == clean.tobytes()
+
+
 # ---- clamp / accept / adaptation ----
 
 def test_clamp_examples():
@@ -255,6 +284,52 @@ def test_evaluation_accounting_qo_counts_jumps():
     jumps = sum(control.u01() < rate for _ in range(iters))
     assert jumps > 0
     assert result.evaluations == pop_size * (1 + iters) + pop_size * jumps
+
+
+def _doubles_drawn(monkeypatch, binding, config) -> int:
+    """The doubles that every ``uniform_block`` call of a run returns."""
+    drawn, block = [], LaneRng.uniform_block
+
+    def counted(self, *args, **kwargs):
+        out = block(self, *args, **kwargs)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(LaneRng, "uniform_block", counted)
+    run(binding, config)
+    monkeypatch.undo()
+    return sum(drawn)
+
+
+_ALL_ROWS = {variant: "3d+3" for variant in VARIANTS}
+
+
+@pytest.mark.parametrize("problem_id, computed", [
+    ("P5", {"rao1": "d", "bmwr": "3d+3"}),
+    ("P2", _ALL_ROWS),
+    ("P7", {"rao1": "d", "qo_rao": "d", "jaya": "3d+3", "ehr_jaya": "3d+3"}),
+    ("P3", {"jaya": "2d", "ehr_jaya": "2d+2"})])
+def test_member_doubles_computed_per_iteration(monkeypatch, problem_id, computed):
+    """A run computes only the member rows its variant reads, and draws
+    through a gap under 32 rows: on P5 small (d = 96) rao1 computes d
+    per member per iteration and bmwr all 3d+3; on P2 (d = 5) every
+    variant computes all 3d+3, as the stream advances; on P7 (d = 24)
+    the 27- and 25-row gaps of jaya and EHR are drawn through; on P3
+    (d = 40) jaya's 43-row gap and EHR's 41-row one are jumped.  The
+    init draws d per member, and each qo_rao jump d per member (its
+    decisions come from the control stream)."""
+    instance = suite.generate(problem_id, "small", 0)
+    d, pop_size, iterations, seed = instance.binding.space.dim, 10, 12, 4
+    rows = {"d": d, "2d": 2 * d, "2d+2": 2 * d + 2, "3d+3": 3 * d + 3}
+    for variant, per_iter in computed.items():
+        config = SolverConfig(variant=variant, pop_size=pop_size,
+                              iterations=iterations, seed=seed)
+        control = SeededRng(seed, stream=pop_size)
+        jumps = (sum(control.u01() < config.jump_rate for _ in range(iterations))
+                 if variant == "qo_rao" else 0)
+        expected = pop_size * ((1 + jumps) * d + iterations * rows[per_iter])
+        binding = suite.fresh_binding(instance)
+        assert _doubles_drawn(monkeypatch, binding, config) == expected, variant
 
 
 def test_every_evaluated_vector_inside_box():
