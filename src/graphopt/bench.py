@@ -59,6 +59,9 @@ class BenchConfig:
             raise ValueError("need at least one seed")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        # checked here, not after every cell has run
+        if self.degeneracy_samples < 2:
+            raise ValueError("need at least 2 degeneracy samples")
 
     def run_seeds(self) -> list[int]:
         rng = SeededRng(self.master_seed, stream=_SEED_STREAM)

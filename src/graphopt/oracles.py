@@ -80,8 +80,9 @@ def brute_force_selection(binding, space=None):
     ``weighted_sum`` of its ``terms`` where it has that formula and by
     its ``evaluate_batch`` otherwise.
     A chunk's first minimum replaces the best only if strictly lower, so
-    ties resolve to the lexicographically smallest index set.  Only the
-    winner goes through ``evaluate``.  Returns (indices tuple, Fitness).
+    ties resolve to the lexicographically smallest index set.  A subset
+    whose total is not finite raises ``ValueError``.  Only the winner
+    goes through ``evaluate``.  Returns (indices tuple, Fitness).
     """
     space = space or binding.space
     if space.kind != "selection":
@@ -101,6 +102,11 @@ def brute_force_selection(binding, space=None):
         rows = lex_subset_rows(n, k, start, min(start + _COMBO_CHUNK, size))
         totals = score(rows)
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
+        # argmin lands on a chunk's first NaN or -inf, or on an all-inf
+        # chunk's first row, so this one check sees every non-finite total
+        if not math.isfinite(totals[j]):
+            raise ValueError(f"subset {tuple(rows[j].tolist())} has a "
+                             f"non-finite total {totals[j]}")
         if best_subset is None or totals[j] < best_total:
             best_subset, best_total = tuple(rows[j].tolist()), totals[j]
     return best_subset, binding.evaluate(list(best_subset))

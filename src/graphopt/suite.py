@@ -13,9 +13,12 @@ BLAS call, so row i of a batch does not depend on the other rows.
 SOLVERS.md writes down the P3/P5/P7 arithmetic.
 
 P3 and P7 are one capacitated transportation formulation over two
-graphs.  They share one builder, ``_assemble_flow``, which reads all
-that tells them apart (labels, array and data names, spec order, the
-disruption they take and the oracle note) from the ``_FLOWS`` table.
+road graphs.  They share one generator, ``_gen_flow``, and one builder,
+``_assemble_flow``.  Everything that tells them apart (sizes, RNG
+stream, draws, labels and property names, array and data names, spec
+order, the disruption they take and the oracle note) is their row of
+the ``_FLOWS`` table; the generator, the builder, the oracle and the
+disruption read nothing else of the problem.
 
 Problems:
   P1 drug-portfolio selection: k drugs maximizing distinct target-gene
@@ -37,6 +40,7 @@ Problems:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -117,30 +121,16 @@ def disruption_targets(count: int, fraction: float, seed: int) -> list[int]:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _bare_query(label: str, prop: str, var: str = "n") -> str:
-    return f"MATCH ({var}:{label}) RETURN {var}.{prop}"
-
-
 def _materialize_props(graph: PropertyGraph, label: str, props: dict) -> tuple:
     """props maps array name -> property name; returns
     (arrays, missing_counts, provenance)."""
-    queries = {name: parse_query(_bare_query(label, prop))
+    queries = {name: parse_query(f"MATCH (n:{label}) RETURN n.{prop}")
                for name, prop in props.items()}
     return materialize(graph, queries)
 
 
-def _distinct_count(values) -> int:
-    """Distinct non-null values; all-null collapses to one bucket,
-    mirroring how a fully missing property degrades."""
-    present = {v for v in values if v is not None}
-    if present:
-        return len(present) + (1 if any(v is None for v in values) else 0)
-    return 1
-
-
 def _bucket_codes(values) -> list[int]:
-    """Ints with the same distinct-count as _distinct_count: each value
-    gets a code, all Nones share one."""
+    """One int code per distinct value; all Nones share one code."""
     codes: dict = {}
     return [codes.setdefault(v, len(codes)) for v in values]
 
@@ -350,7 +340,7 @@ def pattern_a_binding(instance: Instance) -> PatternABinding:
 
 
 # ---------------------------------------------------------------------------
-# P3: freight rerouting, Pattern B, transportation oracle
+# P3 and P7: freight rerouting and evacuation, Pattern B, transportation oracle
 # ---------------------------------------------------------------------------
 
 def _fraction_terms(cost, demand, capacity):
@@ -374,42 +364,22 @@ def _fraction_terms(cost, demand, capacity):
     return terms
 
 
-def _gen_p3(scale: str, seed: int, drop_properties: tuple) -> Instance:
-    n_cities, n_ports, n_road = (10, 4, 40) if scale == "small" else (100, 8, 300)
-    rng = SeededRng(seed, stream=3)
-
-    g = PropertyGraph()
-    road_ids = _connected_road_graph(g, rng, n_road, scale_km=400.0)
-    mapped = rng.sample(n_road, n_cities + n_ports)
-    city_road = [road_ids[i] for i in mapped[:n_cities]]
-    port_road = [road_ids[i] for i in mapped[n_cities:]]
-
-    demands = np.array([10.0 + 90.0 * rng.u01() for _ in range(n_cities)])
-    shares = np.array([0.2 + rng.u01() for _ in range(n_ports)])
-    capacities = shares / shares.sum() * (1.6 * demands.sum())
-
-    for i in range(n_cities):
-        nid = g.add_node({"City"}, {"name": f"CITY-{i:02d}",
-                                    "demand": float(demands[i])})
-        g.add_edge(nid, "MAPPED_TO", city_road[i])
-    for j in range(n_ports):
-        nid = g.add_node({"Port"}, {"code": f"PORT-{j}",
-                                    "capacity": float(capacities[j])})
-        g.add_edge(nid, "MAPPED_TO", port_road[j])
-    g.freeze()
-
-    distance = _pairwise_distances(g, port_road, city_road)  # (cities, ports)
-    data = {"distance": distance, "demands": demands, "capacities": capacities}
-    return _assemble_flow("P3", scale, seed, g, data, disruption=None)
-
-
 @dataclass(frozen=True)
 class _Flow:
-    """What tells the two transportation problems apart; the shared
-    builder, the oracle and the disruption read nothing else of them."""
+    """What tells the two transportation problems apart; the generator,
+    the builder, the oracle and the disruption read nothing else of
+    them."""
+    sizes: dict           # scale -> (sources, sinks, road nodes)
+    stream: int           # SeededRng stream of the generator
+    scale_km: float       # side of the square the road nodes fill
+    supply: Callable      # SeededRng -> one source's supply
+    shares: tuple         # (offset, headroom): sinks split headroom *
+                          # total supply in proportion to offset + u01
+    cost_divisor: float   # road km -> cost unit
     data: tuple           # params["data"] keys of cost, supply, capacity
     arrays: tuple         # binding array names of the same three
-    nodes: tuple          # (label, property) of the supply and sink nodes
+    nodes: tuple          # (label, value property, name property, name
+                          #  format) of the source and the sink nodes
     cost_query: str       # provenance of the cost array
     cost_term: str
     spec: tuple           # (spec key, "cost" | "supply" | "capacity" |
@@ -424,9 +394,14 @@ class _Flow:
 
 _FLOWS = {
     "P3": _Flow(
+        sizes={"small": (10, 4, 40), "medium": (100, 8, 300)},
+        stream=3, scale_km=400.0,
+        supply=lambda rng: 10.0 + 90.0 * rng.u01(),
+        shares=(0.2, 1.6), cost_divisor=1.0,
         data=("distance", "demands", "capacities"),
         arrays=("distance_km", "demands", "capacities"),
-        nodes=(("City", "demand"), ("Port", "capacity")),
+        nodes=(("City", "demand", "name", "CITY-{:02d}"),
+               ("Port", "capacity", "code", "PORT-{}")),
         cost_query="shortest_paths(ports -> cities, length_km, ROAD)",
         cost_term="transport_cost",
         spec=(("distance_km", "cost"), ("demands", "supply"),
@@ -437,9 +412,15 @@ _FLOWS = {
         note=("soft-penalty comparison: the oracle enforces balance "
               "and capacity exactly while the binding penalizes them")),
     "P7": _Flow(
+        sizes={"small": (8, 3, 20), "medium": (20, 5, 80)},
+        stream=7, scale_km=30.0,
+        supply=lambda rng: float(200 + rng.integer(0, 1801)),
+        shares=(0.3, 1.3),
+        cost_divisor=50.0,  # km/h: travel hours on a foot-and-vehicle mix
         data=("travel_time", "pop", "capacity"),
         arrays=("travel_time", "pop", "capacity"),
-        nodes=(("Centroid", "pop"), ("Exit", "capacity")),
+        nodes=(("Centroid", "pop", "name", "ZONE-{:02d}"),
+               ("Exit", "capacity", "name", "EXIT-{}")),
         cost_query="shortest_paths(exits -> centroids, length_km, ROAD) / 50",
         cost_term="person_hours",
         spec=(("n_centroids", "sources"), ("n_exits", "sinks"),
@@ -454,6 +435,38 @@ _FLOWS = {
 }
 
 
+def _gen_flow(problem_id: str, scale: str, seed: int,
+              drop_properties: tuple) -> Instance:
+    """Sources and sinks mapped onto a random road graph; the cost of
+    a (source, sink) pair is its shortest road distance over
+    ``cost_divisor``."""
+    flow = _FLOWS[problem_id]
+    n_src, n_snk, n_road = flow.sizes[scale]
+    rng = SeededRng(seed, stream=flow.stream)
+
+    g = PropertyGraph()
+    road_ids = _connected_road_graph(g, rng, n_road, flow.scale_km)
+    mapped = rng.sample(n_road, n_src + n_snk)
+    src_road = [road_ids[i] for i in mapped[:n_src]]
+    snk_road = [road_ids[i] for i in mapped[n_src:]]
+
+    supply = np.array([flow.supply(rng) for _ in range(n_src)])
+    offset, headroom = flow.shares
+    shares = np.array([offset + rng.u01() for _ in range(n_snk)])
+    capacity = shares / shares.sum() * (headroom * supply.sum())
+
+    for (label, prop, key, fmt), values, roads in zip(
+            flow.nodes, (supply, capacity), (src_road, snk_road)):
+        for i, value in enumerate(values):
+            nid = g.add_node({label}, {key: fmt.format(i), prop: float(value)})
+            g.add_edge(nid, "MAPPED_TO", roads[i])
+    g.freeze()
+
+    cost = _pairwise_distances(g, snk_road, src_road) / flow.cost_divisor
+    data = dict(zip(flow.data, (cost, supply, capacity)))
+    return _assemble_flow(problem_id, scale, seed, g, data, disruption=None)
+
+
 def _assemble_flow(problem_id, scale, seed, g, data, disruption) -> Instance:
     """The P3/P7 instance over ``data``, its (source, sink) cost matrix
     and its supply and capacity vectors; ``_FLOWS`` names them."""
@@ -465,10 +478,12 @@ def _assemble_flow(problem_id, scale, seed, g, data, disruption) -> Instance:
     arrays = {name: tuple(float(v) for v in array.ravel())
               for name, array in zip(flow.arrays, (cost, supply, capacity))}
     missing = {cost_name: 0}
-    provenance = [f"{cost_name}: {flow.cost_query}"]
-    for name, (label, prop) in zip(flow.arrays[1:], flow.nodes):
-        missing.update(_materialize_props(g, label, {name: prop})[1])
-        provenance.append(f"{name}: {_bare_query(label, prop)}")
+    provenance = (f"{cost_name}: {flow.cost_query}",)
+    for name, (label, prop, *_) in zip(flow.arrays[1:], flow.nodes):
+        _, node_missing, node_provenance = _materialize_props(
+            g, label, {name: prop})
+        missing.update(node_missing)
+        provenance += node_provenance
 
     space = continuous_space(np.zeros(n_src * n_snk), np.ones(n_src * n_snk))
     weight = PENALTY_SCALE * float(cost.mean())
@@ -476,7 +491,7 @@ def _assemble_flow(problem_id, scale, seed, g, data, disruption) -> Instance:
         space=space, arrays=arrays,
         terms=_fraction_terms(cost, supply, capacity),
         penalty_weights={"balance": weight, "capacity": weight},
-        provenance=tuple(provenance), missing_counts=missing,
+        provenance=provenance, missing_counts=missing,
         term_sources={flow.cost_term: (cost_name, supply_name),
                       "balance": (supply_name,),
                       "capacity": (capacity_name,)})
@@ -738,46 +753,13 @@ def _gen_p6(scale: str, seed: int, drop_properties: tuple) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# P7: evacuation, Pattern B, transportation oracle
-# ---------------------------------------------------------------------------
-
-def _gen_p7(scale: str, seed: int, drop_properties: tuple) -> Instance:
-    n_cen, n_exit, n_road = (8, 3, 20) if scale == "small" else (20, 5, 80)
-    rng = SeededRng(seed, stream=7)
-
-    g = PropertyGraph()
-    road_ids = _connected_road_graph(g, rng, n_road, scale_km=30.0)
-    mapped = rng.sample(n_road, n_cen + n_exit)
-    cen_road = [road_ids[i] for i in mapped[:n_cen]]
-    exit_road = [road_ids[i] for i in mapped[n_cen:]]
-
-    pop = np.array([float(200 + rng.integer(0, 1801)) for _ in range(n_cen)])
-    shares = np.array([0.3 + rng.u01() for _ in range(n_exit)])
-    capacity = shares / shares.sum() * (1.3 * pop.sum())
-
-    for i in range(n_cen):
-        nid = g.add_node({"Centroid"}, {"name": f"ZONE-{i:02d}",
-                                        "pop": float(pop[i])})
-        g.add_edge(nid, "MAPPED_TO", cen_road[i])
-    for j in range(n_exit):
-        nid = g.add_node({"Exit"}, {"name": f"EXIT-{j}",
-                                    "capacity": float(capacity[j])})
-        g.add_edge(nid, "MAPPED_TO", exit_road[j])
-    g.freeze()
-
-    distance = _pairwise_distances(g, exit_road, cen_road)  # (centroids, exits)
-    travel_time = distance / 50.0  # hours on foot-and-vehicle mix
-    data = {"travel_time": travel_time, "pop": pop, "capacity": capacity}
-    return _assemble_flow("P7", scale, seed, g, data, disruption=None)
-
-
-# ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
 _GENERATORS = {
-    "P1": _gen_p1, "P2": _gen_p2, "P3": _gen_p3, "P4": _gen_p4,
-    "P5": _gen_p5, "P6": _gen_p6, "P7": _gen_p7,
+    "P1": _gen_p1, "P2": _gen_p2, "P3": functools.partial(_gen_flow, "P3"),
+    "P4": _gen_p4, "P5": _gen_p5, "P6": _gen_p6,
+    "P7": functools.partial(_gen_flow, "P7"),
 }
 
 

@@ -52,6 +52,10 @@ def test_config_rejects_bad_counts():
         BenchConfig(n_seeds=0)
     with pytest.raises(ValueError):
         BenchConfig(workers=0)
+    with pytest.raises(ValueError, match="at least 2 degeneracy samples"):
+        BenchConfig(degeneracy_samples=1)
+    with pytest.raises(ValueError, match="at least 2 degeneracy samples"):
+        BenchConfig.from_dict({"degeneracy_samples": 0})
 
 
 def test_run_seeds_deterministic():

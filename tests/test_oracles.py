@@ -4,6 +4,7 @@ complete integer enumeration on tiny instances."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance,
                               InfeasibleDispatch, InfeasibleTransport,
                               OracleTooLarge, TransportationInstance,
-                              brute_force_selection, merit_order_dispatch,
-                              solve_transportation)
+                              brute_force_selection, lex_subset_rows,
+                              merit_order_dispatch, solve_transportation)
 from graphopt.problems import (CallableBinding, PatternBBinding,
                                assemble_fitness, decode_selection,
                                selection_space)
@@ -90,6 +91,27 @@ def test_batch_brute_force_tie_lexicographic():
     assert subset == (0, 1, 2, 3, 4)
     assert fit.total == -25.0
     assert binding.evaluations == math.comb(21, 5) + 1  # the winner again
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_brute_force_rejects_a_non_finite_total(bad):
+    # C(30, 4) = 27,405 subsets span two sweep chunks; the optimum sits
+    # at lexicographic position 20,000 and the bad total right after it
+    best, broken = lex_subset_rows(30, 4, 20000, 20002)
+
+    def terms(rows):
+        totals = np.ones(rows.shape[0])
+        totals[(rows == best).all(axis=1)] = -5.0
+        totals[(rows == broken).all(axis=1)] = bad
+        return totals[:, None]
+
+    binding = PatternBBinding(space=selection_space(4, 30),
+                              arrays={"v": tuple(range(30))}, terms=terms,
+                              term_sources={"value": ("v",)})
+    subset = tuple(broken.tolist())
+    with pytest.raises(ValueError, match=re.escape(
+            f"subset {subset} has a non-finite total {bad}")):
+        brute_force_selection(binding)
 
 
 def test_brute_force_guard():

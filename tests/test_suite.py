@@ -852,6 +852,37 @@ def test_documented_drops_keep_their_spec_bytes(problem_id, prop, digest):
     assert hashlib.sha256(spec).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("problem_id, scale, seed, digest", [
+    ("P3", "small", 0, "166b47d8659b8df5"),
+    ("P3", "small", 1, "ad77e8e5f59aa492"),
+    ("P3", "small", 5, "1ac62580ac5a426c"),
+    ("P3", "medium", 0, "e625f2384f6e4d7f"),
+    ("P3", "medium", 1, "048d8c16e6014afd"),
+    ("P3", "medium", 5, "bd6452e00fc48b44"),
+    ("P7", "small", 0, "a22e126030472875"),
+    ("P7", "small", 1, "9cb91754f828a249"),
+    ("P7", "small", 5, "257670d80a1cf336"),
+    ("P7", "medium", 0, "eadc8dc325f24764"),
+    ("P7", "medium", 1, "e8cdd05333dfc34e"),
+    ("P7", "medium", 5, "2abd1be11917c629"),
+])
+def test_flow_generation_keeps_its_graph_and_data(problem_id, scale, seed,
+                                                  digest):
+    """Pins what the spec bytes leave out: every node's labels and
+    properties in insertion order (the ``code`` key of P3 ports
+    included), every edge, and the oracle's ``params["data"]`` arrays."""
+    inst = generate(problem_id, scale, seed)
+    h = hashlib.sha256(inst.spec_bytes())
+    for node in inst.graph.nodes:
+        h.update(json.dumps([sorted(node.labels), node.properties]).encode())
+    for edge in inst.graph.edges:
+        h.update(json.dumps([edge.src, edge.type, edge.dst,
+                             edge.properties]).encode())
+    for key, array in sorted(inst.params["data"].items()):
+        h.update(key.encode() + str(array.shape).encode() + array.tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
 # ---- disruptions ----
 
 def test_disruption_targets_ceiling():
