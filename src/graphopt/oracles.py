@@ -3,9 +3,9 @@
 Three oracles: exhaustive k-subset enumeration for the discrete
 selection problems, a successive-shortest-paths transportation solver
 for the flow problems, and a ramp-relaxed merit-order dispatch for the
-linear scheduling mode.  The enumeration and the bindings' subset memos
-number k-subsets the same way, by the combinatorial number system
-(``subset_ranks``).
+linear scheduling mode.  The bindings' subset memos number k-subsets
+by the combinatorial number system (``subset_ranks``); the enumeration
+sweeps them in lexicographic order (``lex_subset_chunks``).
 """
 
 from __future__ import annotations
@@ -58,25 +58,71 @@ def subset_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     return _rank_table(n, rows.shape[1])[j, rows - j].sum(axis=1)
 
 
-def lex_subset_rows(n: int, k: int, start: int, stop: int) -> np.ndarray:
-    """Rows start to stop - 1 of the lexicographic list of the k-subsets
-    of range(n).  Mirrored by c -> n - 1 - c, position p is the subset of
-    rank C(n, k) - 1 - p, unranked one column at a time from the top."""
-    table = _rank_table(n, k)
-    rank = math.comb(n, k) - 1 - np.arange(start, stop, dtype=np.int64)
-    rows = np.empty((rank.size, k), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        u = np.searchsorted(table[j], rank, side="right") - 1
-        rank -= table[j, u]
-        rows[:, k - 1 - j] = n - 1 - j - u
+def _lex_chunks(tail: np.ndarray, n: int, chunk: int, dtype):
+    """The lexicographic list of the k-subsets of range(n) in blocks of
+    chunk rows (the last may be shorter), given tail, the list of the
+    (k - 1)-subsets.  The rows that start with c are c followed by the
+    last C(n - 1 - c, k - 1) rows of tail (Knuth, TAOCP 4A, 7.2.1.3), so
+    every block is filled by slice copies."""
+    k = tail.shape[1] + 1
+    left = math.comb(n, k)  # rows not yet handed out
+    out, at = np.empty((min(chunk, left), k), dtype=dtype), 0
+    for c in range(n - k + 1):
+        rest = tail[len(tail) - math.comb(n - 1 - c, k - 1):]
+        while len(rest):
+            take = min(len(rest), len(out) - at)
+            out[at:at + take, 0] = c
+            out[at:at + take, 1:] = rest[:take]
+            rest, at = rest[take:], at + take
+            if at == len(out):
+                yield out
+                left -= at
+                out, at = np.empty((min(chunk, left), k), dtype=dtype), 0
+
+
+def _lex_list(n: int, k: int) -> np.ndarray:
+    """The whole lexicographic list of the k-subsets of range(n), built
+    from the empty subset up, in the narrowest unsigned dtype for n."""
+    rows = np.empty((1, 0), dtype=np.min_scalar_type(n))
+    for j in range(1, k + 1):
+        rows = next(_lex_chunks(rows, n, math.comb(n, j), rows.dtype))
     return rows
+
+
+def _complements(rows: np.ndarray, n: int) -> np.ndarray:
+    """The sorted complement in range(n) of each row, as int64."""
+    keep = np.ones((len(rows), n), dtype=bool)
+    keep[np.arange(len(rows))[:, None], rows] = False
+    return np.nonzero(keep)[1].reshape(len(rows), n - rows.shape[1])
+
+
+def lex_subset_chunks(n: int, k: int, chunk: int = _COMBO_CHUNK):
+    """The lexicographic list of the k-subsets of range(n), 1 <= k <= n,
+    as an iterator of consecutive int64 blocks of chunk rows (the last
+    may be shorter).  The (k - 1)-subset list that the blocks are copied
+    from is built first.  Past the middle, 2k > n, that list would
+    outgrow the k-subsets'.  Read as bit strings from element 0 on, the
+    lexicographic order is the descending one, and taking complements
+    reverses it; so the blocks are then the complements of the list of
+    the (n - k)-subsets, read backwards."""
+    if not 1 <= k <= n or chunk < 1:
+        raise ValueError(f"no {chunk}-row chunks of the {k}-subsets of "
+                         f"range({n}): need 1 <= k <= n and chunk >= 1")
+    if k == 1:  # n blocks of one row each: one arange per chunk instead
+        return (np.arange(start, min(start + chunk, n), dtype=np.int64)[:, None]
+                for start in range(0, n, chunk))
+    if 2 * k <= n:
+        return _lex_chunks(_lex_list(n, k - 1), n, chunk, np.int64)
+    size, rest = math.comb(n, k), _lex_list(n, n - k)
+    return (_complements(rest[size - min(start + chunk, size):size - start][::-1], n)
+            for start in range(0, size, chunk))
 
 
 def brute_force_selection(binding, space=None):
     """Exhaustive optimum over all k-of-N selections.
 
     Subsets are swept in lexicographic order, in chunks of sorted index
-    rows (``lex_subset_rows``), each scored by the binding's
+    rows (``lex_subset_chunks``), each scored by the binding's
     ``weighted_sum`` of its ``terms`` where it has that formula and by
     its ``evaluate_batch`` otherwise.
     A chunk's first minimum replaces the best only if strictly lower, so
@@ -98,8 +144,7 @@ def brute_force_selection(binding, space=None):
         # sorted distinct integers floor back to exactly their subset
         score = binding.evaluate_batch
     best_subset, best_total = None, math.inf
-    for start in range(0, size, _COMBO_CHUNK):
-        rows = lex_subset_rows(n, k, start, min(start + _COMBO_CHUNK, size))
+    for rows in lex_subset_chunks(n, k):
         totals = score(rows)
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
         # argmin lands on a chunk's first NaN or -inf, or on an all-inf

@@ -373,9 +373,10 @@ class _NodeBlock:
     RETURN item:
 
     - ``count(*)`` and ``count`` add up per-node integer counts;
-    - ``count(DISTINCT …)`` ORs the rows of an incidence matrix over
-      codes of the kept values' ``_hashable`` forms, which a dict
-      assigns with the set's equality, and counts the codes;
+    - ``count(DISTINCT …)`` codes the kept values' ``_hashable`` forms
+      by a dict, which assigns them with the set's equality, gives each
+      node the bit mask of its codes (``code_masks``) and counts the
+      bits of each row's OR (``distinct_counts``);
     - ``sum`` runs one sequential sum (``np.add.accumulate``) along
       each row over the listed nodes' kept values, node by node in row
       order, each node's padded with 0.0 to the longest node's length.
@@ -387,7 +388,7 @@ class _NodeBlock:
     """
 
     def __init__(self, plan: Plan, graph: PropertyGraph):
-        n = self.pad = len(graph.nodes)
+        self.pad = len(graph.nodes)
         label = plan.pattern.src.label
         empty = (0, tuple(() for _ in plan.returns), 0)  # a node of no row
         entries = [plan._entry(graph, nid) if label in node.labels else empty
@@ -407,10 +408,8 @@ class _NodeBlock:
                 codes: dict = {}
                 node_codes = [[codes.setdefault(v, len(codes)) for v in values]
                               for values in kept]
-                incidence = np.zeros((n + 1, len(codes)), dtype=bool)
-                for nid, found in enumerate(node_codes):
-                    incidence[nid, found] = True
-                self.items.append(("distinct", incidence, None))
+                self.items.append(
+                    ("distinct", code_masks(node_codes, len(codes)), None))
             else:
                 self.items.append(("count", np.array(list(map(len, kept))), None))
 
@@ -439,13 +438,12 @@ class _NodeBlock:
         ids[ids.view(np.uint64) > pad] = pad
         columns = []
         for kind, table, floats in self.items:
-            per_node = table[ids]
             if kind == "count":
-                columns.append(per_node.sum(axis=1).tolist())
+                columns.append(table[ids].sum(axis=1).tolist())
             elif kind == "distinct":
-                columns.append(np.count_nonzero(per_node.any(axis=1), axis=1).tolist())
+                columns.append(distinct_counts(table, ids).tolist())
             else:
-                flat = per_node.reshape(m, -1)
+                flat = table[ids].reshape(m, -1)
                 # + 0.0: the row path starts from 0, so its sum is never -0.0
                 total = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
                          if flat.shape[1] else np.zeros(m))
@@ -456,6 +454,30 @@ class _NodeBlock:
                         total.tolist(), floats[ids].any(axis=1).tolist())])
         missing = 0 if self.missing is None else int(self.missing[ids].sum())
         return list(zip(*columns)), missing
+
+
+def code_masks(node_codes, n_codes: int) -> np.ndarray:
+    """The (ceil(n_codes / 64), len(node_codes)) uint64 bit masks of
+    lists of codes in range(n_codes), word by word: column i has bit
+    c % 64 of word c // 64 set for each code c in node_codes[i]."""
+    masks = np.zeros(((n_codes + 63) // 64, len(node_codes)), dtype=np.uint64)
+    for i, found in enumerate(node_codes):
+        for c in found:
+            masks[c // 64, i] |= np.uint64(1 << c % 64)
+    return masks
+
+
+def distinct_counts(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The number of distinct codes in each row of an (m, k) index block
+    into the columns of ``code_masks``: the set bits of the OR of the
+    row's masks, as int64."""
+    total = np.zeros(len(rows), dtype=np.int64)
+    for word in masks:
+        found = np.zeros(len(rows), dtype=np.uint64)
+        for col in rows.T:
+            found |= word[col]
+        total += np.bitwise_count(found)
+    return total
 
 
 def _hashable(value):

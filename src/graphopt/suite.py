@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,6 +59,7 @@ from .problems import (DecisionSpace, PatternABinding, PatternBBinding,  # noqa:
                        QueryTerm, continuous_space, decode_selection,
                        materialize, selection_space)
 from .querylang import parse_query, parse_template
+from .querylang.executor import code_masks, distinct_counts
 from .rng import LaneRng, SeededRng
 
 PROBLEM_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -146,15 +148,13 @@ def _sum_plus_diversity_terms(values, codes, beta: float):
     accumulated column by column from 0.0 in sorted-index order, and
     -beta times the number of distinct region codes."""
     value_arr = np.asarray(values, dtype=np.float64)
-    code_arr = np.asarray(codes, dtype=np.int64)
+    masks = code_masks([[c] for c in codes], max(codes) + 1)
 
     def terms(rows: np.ndarray) -> np.ndarray:
         summed = np.zeros(rows.shape[0])
         for col in range(rows.shape[1]):
             summed += value_arr[rows[:, col]]
-        row_codes = np.sort(code_arr[rows], axis=1)
-        distinct = 1 + np.count_nonzero(np.diff(row_codes, axis=1), axis=1)
-        return _columns(-summed, -beta * distinct)
+        return _columns(-summed, -beta * distinct_counts(masks, rows))
 
     return terms
 
@@ -187,8 +187,8 @@ def _connected_road_graph(g: PropertyGraph, rng: SeededRng, n_road: int,
     for a, b in zip(order, order[1:]):
         road(a, b)
     for i in range(n_road):
-        nearest = sorted((j for j in range(n_road) if j != i),
-                         key=lambda j: dist(i, j))[:2]
+        nearest = heapq.nsmallest(2, (j for j in range(n_road) if j != i),
+                                  key=lambda j: dist(i, j))
         for j in nearest:
             road(i, j)
     return ids
@@ -725,7 +725,10 @@ def _gen_p6(scale: str, seed: int, drop_properties: tuple) -> Instance:
     burden_arr = np.array(arrays["burden"], dtype=np.float64)
 
     def terms(rows: np.ndarray) -> np.ndarray:
-        coverage = efficacy[rows].max(axis=1).sum(axis=1)
+        # a max over axis 0 of the (k, m, pathogens) gather runs along
+        # whole rows, faster than over axis 1 of (m, k, pathogens), and
+        # gives the same array, so the pathogen sums keep their bits
+        coverage = efficacy[rows.T].max(axis=0).sum(axis=1)
         # burdens are integers, so their column-by-column sum is exact
         load = np.zeros(rows.shape[0])
         for col in range(rows.shape[1]):

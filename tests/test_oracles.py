@@ -12,7 +12,7 @@ import pytest
 from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance,
                               InfeasibleDispatch, InfeasibleTransport,
                               OracleTooLarge, TransportationInstance,
-                              brute_force_selection, lex_subset_rows,
+                              brute_force_selection, lex_subset_chunks,
                               merit_order_dispatch, solve_transportation)
 from graphopt.problems import (CallableBinding, PatternBBinding,
                                assemble_fitness, decode_selection,
@@ -97,7 +97,7 @@ def test_batch_brute_force_tie_lexicographic():
 def test_brute_force_rejects_a_non_finite_total(bad):
     # C(30, 4) = 27,405 subsets span two sweep chunks; the optimum sits
     # at lexicographic position 20,000 and the bad total right after it
-    best, broken = lex_subset_rows(30, 4, 20000, 20002)
+    best, broken = np.array(list(itertools.combinations(range(30), 4))[20000:20002])
 
     def terms(rows):
         totals = np.ones(rows.shape[0])
@@ -112,6 +112,28 @@ def test_brute_force_rejects_a_non_finite_total(bad):
     with pytest.raises(ValueError, match=re.escape(
             f"subset {subset} has a non-finite total {bad}")):
         brute_force_selection(binding)
+
+
+def test_lex_chunks_equal_itertools_combinations():
+    # every (n, k) up to n = 12, and long rows and long lists: built up
+    # from the empty subset, the list of the 37-subsets of range(40) would
+    # pass through the C(40, 20) ~ 1.4e11 20-subsets
+    sizes = [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
+    for n, k in sizes + [(40, 38), (40, 39), (40, 40), (1000, 1), (60, 2)]:
+        want = list(itertools.combinations(range(n), k))
+        for chunk in (1, 2, 3, 7, 2 ** 14, len(want)):
+            chunks = list(lex_subset_chunks(n, k, chunk))
+            assert all(rows.dtype == np.int64 for rows in chunks)
+            assert [len(rows) for rows in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+            assert list(map(tuple, np.vstack(chunks).tolist())) == want, (n, k, chunk)
+
+
+@pytest.mark.parametrize("n, k, chunk", [
+    (5, 2, 0), (5, 2, -1), (5, 0, 4), (5, 6, 4), (5, -1, 4), (0, 1, 4)])
+def test_lex_chunks_reject_an_empty_range(n, k, chunk):
+    # raised at the call, before any chunk is drawn
+    with pytest.raises(ValueError, match="need 1 <= k <= n and chunk >= 1"):
+        lex_subset_chunks(n, k, chunk)
 
 
 def test_brute_force_guard():

@@ -562,6 +562,25 @@ def test_block_equals_lists_run_one_at_a_time(g, block):
         _assert_block_equals_lists(g, template, block)
 
 
+@pytest.mark.parametrize("n_values", [65, 129, 200])
+def test_block_count_distinct_over_several_mask_words(n_values):
+    """count(DISTINCT …) over 2, 3 and 4 words of code bits, for a
+    small block and one past a solver population, equals the row path."""
+    rng = np.random.default_rng(n_values)
+    g = PropertyGraph()
+    for i in range(n_values):
+        g.add_node({"D"}, {"v": i, "w": [i % 7]})
+    for i in range(n_values):  # node i reaches value i, and up to two more
+        for v in [i, *rng.integers(0, n_values, rng.integers(0, 3))]:
+            g.add_edge(i, "R", g.add_node({"G"}, {"v": int(v), "w": [v % 5]}), {})
+    g.freeze()
+    for m in (7, 150):
+        block = rng.integers(-2, n_values + 3, size=(m, 12))
+        for template in (BLOCK_ONE, BLOCK_TWO):
+            _assert_block_equals_lists(g, template, block)
+            assert template.plan.node_block(g) is not None
+
+
 @settings(max_examples=100, deadline=None)
 @example(g=_two_groups(), block=np.array([[0, 1], [1, 1]]))
 @given(g=_labelled_graphs(_node_properties), block=_id_blocks)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphopt.problems
-from graphopt.oracles import (brute_force_selection, lex_subset_rows,
+from graphopt.oracles import (brute_force_selection, lex_subset_chunks,
                               subset_ranks)
 from graphopt.problems import (CallableBinding, PatternABinding,
                                PatternBBinding, assemble_fitness,
@@ -23,9 +23,9 @@ from graphopt.problems import (CallableBinding, PatternABinding,
 from graphopt.rng import SeededRng
 from graphopt.solvers import VARIANTS, SolverConfig, run, run_group
 from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
-                            detect_degenerate_terms, disruption_targets,
-                            fresh_binding, gap_ratio, generate,
-                            inject_disruption, pattern_a_binding,
+                            _sum_plus_diversity_terms, detect_degenerate_terms,
+                            disruption_targets, fresh_binding, gap_ratio,
+                            generate, inject_disruption, pattern_a_binding,
                             solve_oracle)
 from tests import reference
 
@@ -489,10 +489,29 @@ def test_subset_ranks_are_a_bijection_and_lex_rows_enumerate():
             size = math.comb(n, k)
             assert sorted(subset_ranks(rows, n).tolist()) == list(range(size))
             chunk = max(1, size // 3)  # the oracle's sweep, in uneven chunks
-            swept = np.vstack([
-                lex_subset_rows(n, k, start, min(start + chunk, size))
-                for start in range(0, size, chunk)])
+            swept = np.vstack(list(lex_subset_chunks(n, k, chunk)))
             assert swept.tolist() == rows.tolist(), (n, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_codes=st.integers(1, 200), extra=st.integers(0, 40),
+       k=st.integers(1, 6), m=st.sampled_from([1, 8, 30, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diversity_term_counts_the_distinct_codes(n_codes, extra, k, m, seed):
+    """The P2/P4 region_diversity term over 1 to 200 codes (1 to 4 words
+    of bits), from one row to blocks past a solver population: it is
+    -beta times len(set(codes[row])), bit for bit the sort formula."""
+    rng = np.random.default_rng(seed)
+    codes = rng.permutation(np.concatenate(
+        [np.arange(n_codes), rng.integers(0, n_codes, extra)]))
+    n, beta = len(codes), 0.37
+    rows = np.sort(rng.random((m, n)).argsort(axis=1)[:, :min(k, n)], axis=1)
+    terms = _sum_plus_diversity_terms(np.ones(n), codes.tolist(), beta)(rows)
+    assert terms[:, 1].tolist() == [-beta * len(set(codes[row].tolist()))
+                                    for row in rows]
+    by_sort = np.sort(codes[rows], axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(by_sort, axis=1), axis=1)
+    assert terms[:, 1].tobytes() == (-beta * distinct).tobytes()
 
 
 # ---- population batches against the scalar route ----
