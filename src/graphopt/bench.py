@@ -24,7 +24,7 @@ from . import __version__
 from .oracles import OracleTooLarge
 from .rng import SeededRng
 from .solvers import (DISPLAY_NAMES, VARIANT_LABELS, RunResult, SolverConfig,
-                      normalize_variant, run_group)
+                      run_group)
 from .stats import SummaryTable, build_summary
 from .suite import (PROBLEM_IDS, Instance, detect_degenerate_terms,
                     fresh_binding, gap_ratio, generate, solve_oracle)
@@ -53,13 +53,14 @@ class BenchConfig:
     def __post_init__(self):
         object.__setattr__(self, "problems",
                            tuple(p.upper() for p in self.problems))
-        object.__setattr__(self, "variants",
-                           tuple(normalize_variant(v) for v in self.variants))
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        # checked here, not after every cell has run
+        # checked here, not after every cell has run; SolverConfig checks each variant
+        object.__setattr__(self, "variants", tuple(
+            SolverConfig(v, self.pop_size, self.iterations).variant
+            for v in self.variants))
         if self.degeneracy_samples < 2:
             raise ValueError("need at least 2 degeneracy samples")
 

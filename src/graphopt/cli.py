@@ -70,9 +70,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    try:
+        cfg = SolverConfig(args.variant, args.pop, args.iters, args.run_seed)
+    except ValueError as err:
+        raise SystemExit(f"graphopt: {err}") from err
     inst = _build_instance(args)
-    cfg = SolverConfig(variant=args.variant, pop_size=args.pop,
-                       iterations=args.iters, seed=args.run_seed)
     result = run(inst.binding, cfg)
     payload = {
         "problem": inst.problem_id,
@@ -109,7 +111,10 @@ def _cmd_bench(args) -> int:
                        ("workers", args.workers)):
         if value is not None:
             raw[key] = value
-    config = BenchConfig.from_dict(raw)
+    try:
+        config = BenchConfig.from_dict(raw)
+    except ValueError as err:
+        raise SystemExit(f"graphopt: {err}") from err
     report = run_matrix(config)
     if args.out:
         for path in emit_report(report, args.out):

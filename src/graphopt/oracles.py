@@ -118,7 +118,7 @@ def lex_subset_chunks(n: int, k: int, chunk: int = _COMBO_CHUNK):
             for start in range(0, size, chunk))
 
 
-def brute_force_selection(binding, space=None):
+def brute_force_selection(binding):
     """Exhaustive optimum over all k-of-N selections.
 
     Subsets are swept in lexicographic order, in chunks of sorted index
@@ -126,11 +126,11 @@ def brute_force_selection(binding, space=None):
     ``weighted_sum`` of its ``terms`` where it has that formula and by
     its ``evaluate_batch`` otherwise.
     A chunk's first minimum replaces the best only if strictly lower, so
-    ties resolve to the lexicographically smallest index set.  A subset
-    whose total is not finite raises ``ValueError``.  Only the winner
-    goes through ``evaluate``.  Returns (indices tuple, Fitness).
+    ties resolve to the lexicographically smallest index set.  A bad
+    term or total raises ``ValueError``.  Only the winner goes through
+    ``evaluate``.  Returns (indices tuple, Fitness).
     """
-    space = space or binding.space
+    space = binding.space
     if space.kind != "selection":
         raise ValueError("brute force enumeration needs a selection space")
     n, k = space.n_candidates, space.k

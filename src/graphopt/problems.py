@@ -14,8 +14,9 @@ returns the (m,) totals and advances the counters exactly as m calls of
 ``evaluate`` would.  Both patterns decode the batch once and score the
 subsets the memo does not hold in one ``terms`` call: Pattern A runs
 each term's query once over that block of subsets, Pattern B computes
-in numpy over its arrays.  Either way ``evaluate`` is a batch of one.
-A ``CallableBinding`` loops over its own ``evaluate``.
+in numpy over its arrays.  Either way ``evaluate`` is a batch of one,
+through ``_score_runs``.  A ``CallableBinding`` loops over its own
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -266,14 +267,22 @@ class _TermsBinding:
             ((j, self.penalty_weights.get(name))
              for j, name in enumerate(self._columns)),
             key=lambda column: column[1] is not None)
+        self._violations = np.array([j for j, w in self._weighted_columns if w is not None])
 
-    def weighted_sum(self, terms: np.ndarray) -> np.ndarray:
+    def weighted_sum(self, terms: np.ndarray, rows=None) -> np.ndarray:
         """The (m,) totals of an (m, T) ``terms`` matrix: from 0.0, each
         objective column, then weight x each violation column, in
-        column order."""
+        column order.  A negative violation raises ``ValueError`` naming
+        its first row as ``_check_totals`` does, which catches a NaN."""
         if terms.shape[1] != len(self._columns):
             raise ValueError(f"terms gave {terms.shape[1]} columns for "
                              f"{len(self._columns)} terms")
+        if self._violations.size and (low := terms.take(self._violations, 1)).min() < 0:
+            i, j = divmod(int(np.argmax(low < 0)), low.shape[1])
+            j = int(self._violations[j])
+            raise ValueError(f"batch row {i if rows is None else int(rows[i])} has "
+                             f"a negative violation term {self._columns[j]!r}: "
+                             f"{float(terms[i, j])!r}")
         total = np.zeros(terms.shape[0])
         for j, weight in self._weighted_columns:
             total += terms[:, j] if weight is None else weight * terms[:, j]
@@ -283,7 +292,7 @@ class _TermsBinding:
         """(name, kind, values) of each term over the (m, d) batch X, in
         the order of a ``Fitness``: objectives, then violations, each in
         column order.  Neither the memo nor the counters are touched; a
-        non-finite total raises as in ``evaluate_batch``."""
+        bad term or total raises as in ``evaluate_batch``."""
         block = self.terms(_decoded(X, self.space))
         _check_totals(self.weighted_sum(block))
         return [(self._columns[j], "objective" if weight is None else "violation",
@@ -312,43 +321,30 @@ class _TermsBinding:
 
     def evaluate(self, x) -> Fitness:
         """``evaluate_batch`` of the one row x, with its ``Fitness``
-        built from the row's terms: the memo's where it keeps them, else
-        computed again (a hit adds no ``query_executions`` either way)."""
-        rows = _decoded(np.asarray(x, dtype=np.float64)[None], self.space)
-        hit = False
-        if self.memoize:
-            (rank,) = subset_ranks(rows, self.space.n_candidates)
-            hit = self._seen(1)[0, rank]
-        if hit and self._memo_keeps_terms:
-            row = self._memo[rank]
-        else:
-            row = self.terms(rows)[0]
-        terms = dict(zip(self._columns, row.tolist()))
+        built from the terms just scored, the memo's on a hit where it
+        keeps them, else from the row's terms computed again."""
+        _, scored, rows, terms = self._score_runs([x], (0,))
+        self._count(1, scored)
+        row = (self.terms(rows) if terms is None else terms)[0]
+        values = dict(zip(self._columns, row.tolist()))
         weights = self.penalty_weights
-        fitness = assemble_fitness(
-            {name: v for name, v in terms.items() if name not in weights},
-            {name: v for name, v in terms.items() if name in weights}, weights)
-        _check_totals(np.array([fitness.total]))
-        self.evaluations += 1
-        if hit:
-            self.memo_hits += 1
-            return fitness
-        if self.memoize:
-            self._memo[rank] = row if self._memo_keeps_terms else fitness.total
-            self._seen(1)[0, rank] = True
-        self.query_executions += self._queries_per_subset
-        return fitness
+        return assemble_fitness(
+            {name: v for name, v in values.items() if name not in weights},
+            {name: v for name, v in values.items() if name in weights}, weights)
+
+    def _count(self, rows: int, scored) -> None:
+        """Counts ``rows`` evaluations, ``scored`` of them scored (None: all)."""
+        n_scored = rows if scored is None else len(scored)
+        self.evaluations += rows
+        self.memo_hits += rows - n_scored
+        self.query_executions += self._queries_per_subset * n_scored
 
     def evaluate_batch(self, X) -> np.ndarray:
         """Totals of the (m, d) batch X, with the counters m calls of
         ``evaluate`` would leave: the batch is run 0 of
         ``evaluate_runs``."""
-        totals, scored = self._score_runs(X, (0,))
-        rows = len(totals)
-        scored = rows if scored is None else len(scored)
-        self.evaluations += rows
-        self.memo_hits += rows - scored
-        self.query_executions += self._queries_per_subset * scored
+        totals, scored, _, _ = self._score_runs(X, (0,))
+        self._count(len(totals), scored)
         return totals
 
     def evaluate_runs(self, X, runs) -> tuple[np.ndarray, np.ndarray]:
@@ -365,33 +361,32 @@ class _TermsBinding:
         if len(X) % len(runs):
             raise ValueError(f"a batch of {len(X)} rows does not split "
                              f"into {len(runs)} runs")
-        totals, scored = self._score_runs(X, runs)
-        rows, m = len(totals), len(totals) // len(runs)
-        n_scored = rows if scored is None else len(scored)
+        totals, scored, _, _ = self._score_runs(X, runs)
+        m = len(totals) // len(runs)
         counts = np.empty((3, len(runs)), dtype=np.int64)
         counts[0] = m
         counts[1] = 0 if scored is None else m - np.bincount(
             scored // m, minlength=len(runs))
         counts[2] = self._queries_per_subset * (m - counts[1])
-        self.evaluations += rows
-        self.memo_hits += rows - n_scored
-        self.query_executions += self._queries_per_subset * n_scored
+        self._count(len(totals), scored)
         return totals, counts
 
-    def _score_runs(self, X, runs) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Totals of X in ``runs``' blocks, and the batch rows scored
-        (None: all of them).
+    def _score_runs(self, X, runs):
+        """Totals of X in ``runs``' blocks, the batch rows scored (None:
+        all of them), the decoded rows, and the terms of every row, or
+        of the scored rows (None: none) where the memo keeps totals.
 
         Each row is decoded once (``subset_rows``).  With the memo on, a
         row is scored only if its run's seen-bitmap lacks its subset, and
         a subset its run misses twice is scored at its first row only;
-        all of them in one ``terms`` call, whose results are stored and
-        marked seen for their runs.  With the memo off every row is
-        scored.
+        all of them in one ``terms`` call, whose results are checked, then
+        stored and marked seen for their runs.  With the memo off every
+        row is scored.
         """
         rows = _decoded(X, self.space)
         if not self.memoize:
-            return _check_totals(self.weighted_sum(self.terms(rows))), None
+            terms = self.terms(rows)
+            return _check_totals(self.weighted_sum(terms)), None, rows, terms
         memo, ranks = self._memo, subset_ranks(rows, self.space.n_candidates)
         if len(runs) == 1:  # the run's own bitmap, at the ranks
             (run,) = runs
@@ -400,6 +395,7 @@ class _TermsBinding:
             seen = self._seen(int(runs.max()) + 1).reshape(-1)
             at = np.repeat(runs * len(memo), len(rows) // len(runs)) + ranks
         new = missed = (~seen[at]).nonzero()[0]
+        terms = None
         if missed.size:
             new_at = at[missed]
             if len(set(new_at.tolist())) < missed.size:
@@ -407,13 +403,14 @@ class _TermsBinding:
                 # only (np.unique costs more than the common case, no
                 # repeat, needs)
                 new = missed[np.sort(np.unique(new_at, return_index=True)[1])]
-            new_ranks = ranks[new]
-            scored = self.terms(rows[new])
-            totals = _check_totals(self.weighted_sum(scored), new)
-            memo[new_ranks] = scored if self._memo_keeps_terms else totals
+            terms = self.terms(rows[new])
+            totals = _check_totals(self.weighted_sum(terms, new), new)
+            memo[ranks[new]] = terms if self._memo_keeps_terms else totals
             seen[at[new]] = True
         kept = memo[ranks]
-        return self.weighted_sum(kept) if self._memo_keeps_terms else kept, new
+        if not self._memo_keeps_terms:
+            return kept, new, rows, terms
+        return self.weighted_sum(kept), new, rows, kept
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
 listed nodes instead of scanning the label.  A list placeholder may also
 bind an (m, k) integer block of m lists; the query then answers one row
 per list (``execute``).  When the list is a placeholder and every RETURN
-item is a count or a sum free of placeholders, the plan answers a block,
-or a single list of ints, from per-node numpy arrays (``_NodeBlock``);
-every other query walks its match rows.  A missing property makes the
+item is a count or a sum free of placeholders, the plan answers a block
+from per-node numpy arrays (``_NodeBlock``); every other query, and
+every single list, walks its match rows.  A missing property makes the
 enclosing WHERE clause non-matching and contributes nothing to
 aggregates; each such lookup increments ``missing_property_count`` on
 the result.
@@ -255,8 +255,8 @@ class Plan:
     When that list is a placeholder and every RETURN item is a ``count``
     or a ``sum`` with no placeholder in its argument (``numpy_block``),
     every row of a listed node gives the same argument values in every
-    query.  The plan then answers lists from per-node arrays it builds
-    once per frozen graph (``node_block``) instead of walking their rows.
+    query.  The plan then answers a block from per-node arrays it builds
+    once per frozen graph (``node_block``) instead of walking its rows.
     """
 
     def __init__(self, ast: QueryAst):
@@ -358,8 +358,6 @@ class Plan:
 
 # an int sum stays exact in float64 while every partial sum is below this
 _EXACT_INT = 2 ** 53
-# a listed id answers in numpy only if it fits in int64: -_INT64 <= id < _INT64
-_INT64 = 2 ** 63
 
 
 class _NodeBlock:
@@ -388,7 +386,7 @@ class _NodeBlock:
     """
 
     def __init__(self, plan: Plan, graph: PropertyGraph):
-        self.pad = len(graph.nodes)
+        self.pad, self.columns = len(graph.nodes), plan.columns
         label = plan.pattern.src.label
         empty = (0, tuple(() for _ in plan.returns), 0)  # a node of no row
         entries = [plan._entry(graph, nid) if label in node.labels else empty
@@ -429,31 +427,31 @@ class _NodeBlock:
         floats = np.array([any(type(v) is float for v in node) for node in kept])
         return padded, floats if floats.any() else None
 
-    def answer(self, block: np.ndarray) -> tuple[list[tuple], int]:
-        """The m result rows of the id block and their missing count."""
+    def answer(self, block: np.ndarray) -> ResultTable:
+        """The m-row table of the id block, with its missing count."""
         m, pad = len(block), self.pad
         ids = np.sort(block, axis=1)
         ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = pad
         # read unsigned, a negative id is past the pad too
         ids[ids.view(np.uint64) > pad] = pad
-        columns = []
+        values = []
         for kind, table, floats in self.items:
             if kind == "count":
-                columns.append(table[ids].sum(axis=1).tolist())
+                values.append(table[ids].sum(axis=1).tolist())
             elif kind == "distinct":
-                columns.append(distinct_counts(table, ids).tolist())
+                values.append(distinct_counts(table, ids).tolist())
             else:
                 flat = table[ids].reshape(m, -1)
                 # + 0.0: the row path starts from 0, so its sum is never -0.0
                 total = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
                          if flat.shape[1] else np.zeros(m))
                 if floats is None:
-                    columns.append(total.astype(np.int64).tolist())
+                    values.append(total.astype(np.int64).tolist())
                 else:
-                    columns.append([t if f else int(t) for t, f in zip(
+                    values.append([t if f else int(t) for t, f in zip(
                         total.tolist(), floats[ids].any(axis=1).tolist())])
         missing = 0 if self.missing is None else int(self.missing[ids].sum())
-        return list(zip(*columns)), missing
+        return ResultTable(list(self.columns), list(zip(*values)), missing)
 
 
 def code_masks(node_codes, n_codes: int) -> np.ndarray:
@@ -569,15 +567,6 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     name = block_binding(query)
     if name is not None:
         return _execute_block(graph, query, name)
-    if plan.numpy_block:
-        # a list of ids an int64 block holds as they are answers as a
-        # block of one; bools, floats, strings and wider ints walk the rows
-        ids = query.lists[plan.seek.name]
-        if all(type(v) is int and -_INT64 <= v < _INT64 for v in ids):
-            table = _numpy_table(graph, plan, np.array(ids, dtype=np.int64)
-                                 .reshape(1, -1))
-            if table is not None:
-                return table
     params = dict(query.scalars)
     for name, values in query.lists.items():
         params[name] = frozenset(values)
@@ -604,18 +593,6 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
                        missing_property_count=env.missing)
 
 
-def _numpy_table(graph: PropertyGraph, plan: Plan, block) -> Optional[ResultTable]:
-    """The table of an (m, k) id block from the plan's ``_NodeBlock``,
-    or None if the plan is not ``numpy_block`` or its block could not be
-    built."""
-    node_block = plan.node_block(graph) if plan.numpy_block else None
-    if node_block is None:
-        return None
-    rows, missing = node_block.answer(block)
-    return ResultTable(columns=list(plan.columns), rows=rows,
-                       missing_property_count=missing)
-
-
 def _execute_block(graph: PropertyGraph, query: Query, name: str) -> ResultTable:
     """The m-row table of a query whose list ``name`` is bound to an
     (m, k) block: row i is the one row list i gives alone, bit for bit,
@@ -625,9 +602,9 @@ def _execute_block(graph: PropertyGraph, query: Query, name: str) -> ResultTable
     so an error is the one the first failing list raises."""
     plan = query.template.plan
     block = query.lists[name]
-    table = _numpy_table(graph, plan, block)
-    if table is not None:
-        return table
+    node_block = plan.node_block(graph) if plan.numpy_block else None
+    if node_block is not None:
+        return node_block.answer(block)
     columns = plan.columns
     if columns is None:
         # the block's placeholder is in no RETURN item, so any list

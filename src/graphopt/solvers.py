@@ -108,7 +108,7 @@ def clamp(candidate: np.ndarray, space: DecisionSpace) -> np.ndarray:
     return candidate.clip(space.lower, space.upper)
 
 
-def init_population(binding, pop_size: int, rng: LaneRng) -> Population:
+def init_population(binding, rng: LaneRng) -> Population:
     """Uniform box sample, one vector per member stream, all evaluated."""
     space = binding.space
     r = rng.uniform_block(space.dim).T  # (pop, d); row i comes from stream i
@@ -396,7 +396,7 @@ def run_group(binding, configs) -> list[RunResult]:
     start = time.perf_counter()
     group = _RunGroup(binding, runs)
     members = LaneRng.runs(seeds, pop_size)
-    population = init_population(group, runs * pop_size, members)
+    population = init_population(group, members)
     totals = population.totals
     fit = totals.reshape(runs, pop_size)  # a view: it follows every update
     if variant == "qo_rao":

@@ -866,7 +866,7 @@ def solve_oracle(instance: Instance) -> Optional[OracleResult]:
         # keeps the bench binding's counters clean; the sweep visits each
         # subset once, so caching would only burn memory
         binding = dataclasses.replace(instance.binding, memoize=False)
-        subset, fit = brute_force_selection(binding, instance.space)
+        subset, fit = brute_force_selection(binding)
         return OracleResult(kind, fit.total, instance.oracle_note, subset)
     if kind == "transportation":
         data = instance.params["data"]

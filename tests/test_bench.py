@@ -58,6 +58,16 @@ def test_config_rejects_bad_counts():
         BenchConfig.from_dict({"degeneracy_samples": 0})
 
 
+def test_config_checks_the_solver_settings():
+    # SolverConfig's rules, checked for each variant before any cell runs
+    with pytest.raises(ValueError, match="population size must be at least 4"):
+        BenchConfig(pop_size=3)
+    with pytest.raises(ValueError, match="iterations must be at least 1"):
+        BenchConfig.from_dict({"iterations": 0, "variants": ["rao1"]})
+    with pytest.raises(ValueError, match="unknown solver variant 'nope'"):
+        BenchConfig(variants=("jaya", "nope"))
+
+
 def test_run_seeds_deterministic():
     a = BenchConfig(n_seeds=6, master_seed=5).run_seeds()
     b = BenchConfig(n_seeds=6, master_seed=5).run_seeds()

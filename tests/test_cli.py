@@ -179,8 +179,25 @@ def test_bench_config_file_with_flag_override(tmp_path, capsys):
 def test_bench_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"max_iters": 9}))
-    with pytest.raises(ValueError, match="max_iters"):
+    with pytest.raises(SystemExit) as info:
         main(["bench", "--config", str(cfg)])
+    assert str(info.value.code) == "graphopt: unknown config keys: ['max_iters']"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["solve", "--problem", "P2", "--pop", "3"], "population size must be at least 4"),
+    (["solve", "--problem", "P2", "--variant", "nope"], "unknown solver variant 'nope'"),
+    (["bench", "--pop", "3", "--seeds", "1", "--problems", "P2"],
+     "population size must be at least 4"),
+    (["bench", "--iters", "0", "--problems", "P2"], "iterations must be at least 1"),
+    (["bench", "--seeds", "0"], "need at least one seed"),
+])
+def test_bad_config_exits_with_its_cause(argv, cause, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value.code)
+    assert message.startswith("graphopt: ") and cause in message
+    assert capsys.readouterr().out == ""  # nothing ran
 
 
 def test_stats_empty_csv_fails(tmp_path, capsys):

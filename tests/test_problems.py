@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from graphopt.graph import PropertyGraph
+from graphopt.oracles import brute_force_selection
 from graphopt.problems import (DecisionSpace, Fitness, PatternABinding,
                                PatternBBinding, QueryTerm, assemble_fitness,
                                continuous_space, decode_selection,
                                materialize, selection_space)
 from graphopt.querylang import ExecutionError, parse_query, parse_template
 from graphopt.rng import SeededRng
+from graphopt.solvers import SolverConfig, run_group
 
 
 # ---- decision spaces ----
@@ -398,6 +400,76 @@ def test_pattern_b_batch_error_names_the_row(memoize):
     with pytest.raises(ValueError,
                        match="batch row 2 has a non-finite total nan"):
         binding.evaluate_batch(X)
+
+
+def _signed_violation_binding(memoize):
+    """Selection binding whose violation 'v', the larger index minus 2,
+    is negative on the subset {0, 1} alone."""
+    return PatternBBinding(
+        space=selection_space(2, 4), arrays={}, memoize=memoize,
+        terms=lambda rows: np.stack([rows.sum(axis=1) * 1.0, rows[:, 1] - 2.0], axis=1),
+        penalty_weights={"v": 3.0}, term_sources={"o": (), "v": ()})
+
+
+def _binding_state(binding):
+    """Counters, the (run, rank) pairs the seen-bitmaps mark and the memo
+    entries at those ranks."""
+    seen = getattr(binding, "_seen_bits", None)
+    if seen is None:
+        return binding.evaluations, binding.memo_hits, None
+    return (binding.evaluations, binding.memo_hits, np.argwhere(seen).tolist(),
+            binding._memo[seen.any(axis=0)].tobytes())
+
+
+@pytest.mark.parametrize("memoize", [False, True])
+def test_negative_violation_raises_before_anything_is_kept(memoize):
+    binding = _signed_violation_binding(memoize)
+    binding.evaluate_batch(np.array([[0.0, 2.0], [3.0, 2.0]]))  # {0, 2}, {2, 3}
+    state = _binding_state(binding)
+    X = np.array([[2.0, 3.0], [1.0, 0.0], [0.0, 2.0]])  # row 1 is {0, 1}
+    message = "batch row {} has a negative violation term 'v': -1.0"
+    with pytest.raises(ValueError, match=message.format(1)):
+        binding.evaluate_batch(X)
+    with pytest.raises(ValueError, match=message.format(0)):
+        binding.evaluate(X[1])
+    with pytest.raises(ValueError, match=message.format(3)):  # run 1's second row
+        binding.evaluate_runs(np.vstack([X[[0, 2]], X[[0, 1]]]), [0, 1])
+    with pytest.raises(ValueError, match=message.format(1)):
+        binding.term_columns(X)
+    assert _binding_state(binding) == state
+    # R = 1 and lockstep: the solver stops instead of rewarding the violation
+    # (an initial population raises as it is, a later batch as the cause)
+    for seeds in ((0,), (0, 1)):
+        with pytest.raises((RuntimeError, ValueError)) as info:
+            run_group(binding, [SolverConfig("jaya", pop_size=4, iterations=3, seed=s)
+                                for s in seeds])
+        assert "negative violation term 'v'" in str(info.value.__cause__ or info.value)
+    # the sweep refuses {0, 1}, its first subset, though {2, 3} wins
+    sweep = PatternBBinding(
+        space=binding.space, arrays={}, penalty_weights={"v": 1.0},
+        terms=lambda rows: np.stack([-rows.sum(axis=1) * 1.0, rows[:, 1] - 2.0], axis=1),
+        term_sources={"o": (), "v": ()})
+    with pytest.raises(ValueError, match=message.format(0)):
+        brute_force_selection(sweep)
+
+
+def test_negative_violation_on_a_box_raises():
+    """A continuous violation X[:, 1] - 0.5 below 0 is refused by the
+    batch as by ``evaluate``, not added as a reward."""
+    binding = PatternBBinding(
+        space=continuous_space([0.0, 0.0], [1.0, 1.0]), arrays={},
+        terms=lambda X: np.stack([X[:, 0], X[:, 1] - 0.5], axis=1),
+        penalty_weights={"v": 10.0}, term_sources={"o": (), "v": ()})
+    X = np.array([[0.2, 0.9], [0.3, 0.1]])
+    with pytest.raises(ValueError, match="batch row 1 has a negative violation "
+                                         "term 'v': -0.4"):
+        binding.evaluate_batch(X)
+    with pytest.raises(ValueError, match="batch row 0 has a negative violation"):
+        binding.evaluate(X[1])
+    assert binding.evaluations == 0
+    assert binding.evaluate(X[0]).total == 0.2 + 10.0 * (0.9 - 0.5)
+    with pytest.raises((RuntimeError, ValueError)):  # no run ends at x1 = 0
+        run_group(binding, [SolverConfig("jaya", pop_size=4, iterations=5)])
 
 
 def gap_binding():

@@ -15,6 +15,7 @@ from graphopt.querylang import (MISSING, MAX_IN_LIST, ExecutionError,
                                 ParseError, ResultTable, SubstitutionError,
                                 execute, parse_query, parse_template,
                                 render_query, substitute)
+from graphopt.querylang.executor import _NodeBlock
 from graphopt.rng import SeededRng
 
 
@@ -444,29 +445,42 @@ def _two_groups():
     return g.freeze()
 
 
-# ids past int64 take the row path, as every non-int value does
-_wide_ids = st.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2 ** 70])
+# m lists of one length k, ids with repeats, ids that name no node and
+# ids at both ends of int64
+_id_blocks = st.integers(0, 6).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(st.integers(-3, 30), st.sampled_from([2 ** 63 - 1, -2 ** 63])),
+             min_size=k, max_size=k),
+    min_size=1, max_size=4).map(lambda sels: np.array(sels, dtype=np.int64)
+                                .reshape(len(sels), k)))
 
 
 @settings(max_examples=200, deadline=None)
-@example(g=_two_groups(), sels=[[0, 1]])
-@example(g=_two_groups(), sels=[[1, 2 ** 63 - 1, -2 ** 63], [1, 2 ** 63], [0, 1.5]])
-@given(g=_labelled_graphs(_node_properties),
-       sels=st.lists(st.one_of(
-           st.lists(st.one_of(st.integers(-3, 30), _wide_ids), max_size=12),
-           st.lists(st.one_of(st.integers(-3, 30), st.sampled_from(
-               [1.0, 2.5, -0.0, True, False])), max_size=12),
-           st.lists(st.one_of(_id_values, _wide_ids), max_size=12)),
-           min_size=1, max_size=3))
-def test_node_table_equals_row_path(g, sels):
+@example(g=_two_groups(), block=np.array([[0, 1]]))
+@example(g=_two_groups(), block=np.array([[1, 2 ** 63 - 1, -2 ** 63], [1, 0, 1]]))
+@given(g=_labelled_graphs(_node_properties), block=_id_blocks)
+def test_node_table_equals_row_path(g, block):
     for template in (BLOCK_ONE, BLOCK_TWO):
         assert template.plan.numpy_block
-        reference = _row_path(template)
-        for sel in sels:  # a list of ints runs in numpy, any other list its rows
-            got = execute(g, substitute(template, lists={"sel": sel}))
-            want = execute(g, substitute(reference, lists={"sel": sel}))
-            assert _bits(got) == _bits(want)
-        assert template.plan.node_block(g) is not None
+        got = execute(g, substitute(template, lists={"sel": block}))
+        want = execute(g, substitute(_row_path(template), lists={"sel": block}))
+        assert _bits(got) == _bits(want)
+        assert template.plan.node_block(g) is not None  # numpy answered it
+
+
+def test_single_list_walks_the_rows(monkeypatch):
+    """A single list never reaches the numpy route; a block does."""
+    calls = []
+    answer = _NodeBlock.answer
+    monkeypatch.setattr(_NodeBlock, "answer",
+                        lambda self, block: calls.append(block) or answer(self, block))
+    g = _two_groups()
+    for template in (BLOCK_ONE, BLOCK_TWO):
+        got = execute(g, substitute(template, lists={"sel": [0, 1]}))
+        want = execute(g, substitute(_row_path(template), lists={"sel": [0, 1]}))
+        assert _bits(got) == _bits(want) and calls == []
+        block = execute(g, substitute(template, lists={"sel": np.array([[0, 1]])}))
+        assert _bits(block) == _bits(want) and len(calls) == 1
+        calls.clear()
 
 
 def test_node_table_only_for_placeholder_free_aggregates():
@@ -499,10 +513,11 @@ def test_node_table_raises_the_row_path_error_every_time():
         assert str(want.value) == message
         for _ in range(2):  # a second run raises the same error
             with pytest.raises(ExecutionError) as got:
-                execute(g, substitute(template, lists={"sel": sel}))
+                execute(g, substitute(template, lists={"sel": np.array([sel])}))
             assert str(got.value) == message
     template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
-    assert execute(g, substitute(template, lists={"sel": [0, 1]})).scalar() == 3
+    assert execute(g, substitute(template, lists={"sel": np.array([[0, 1]])})
+                   ).rows == [(3,)]
 
 
 # ---- a block of lists equals its lists run one at a time ----
@@ -524,13 +539,6 @@ def _signed_zeros():
         d = g.add_node({"D"}, {"v": -0.0})
         g.add_edge(d, "R", g.add_node({"G"}, {"v": -0.0}), {})
     return g.freeze()
-
-
-# m lists of one length k, ids with repeats and ids that name no node
-_id_blocks = st.integers(0, 6).flatmap(lambda k: st.lists(
-    st.lists(st.integers(-3, 30), min_size=k, max_size=k),
-    min_size=1, max_size=4).map(lambda sels: np.array(sels, dtype=np.int64)
-                                .reshape(len(sels), k)))
 
 
 def _assert_block_equals_lists(g, template, block):
@@ -662,7 +670,8 @@ def test_node_table_per_graph():
     for _ in range(3):
         g2.add_edge(d, "TARGETS", g2.add_node({"Gene"}, {}), {})
     g2.freeze()
-    query = substitute(template, lists={"sel": [0, 2]})
+    query = substitute(template, lists={"sel": np.array([[0, 2]])})
     for _ in range(2):
         assert execute(g1, query).rows == [(1, 2)]
         assert execute(g2, query).rows == [(3, 3)]
+    assert all(template.plan.node_block(g) is not None for g in (g1, g2))

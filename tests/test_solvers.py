@@ -183,7 +183,7 @@ def test_run_keeps_parents_on_ties():
         binding = CallableBinding(space=space, fn=objective_only(lambda x: 1.0))
         result = run(binding, SolverConfig(variant=variant, pop_size=5,
                                            iterations=6, seed=3))
-        start = init_population(binding, 5, LaneRng(3, 5))
+        start = init_population(binding, LaneRng(3, 5))
         assert np.array_equal(result.best_x, start.x[0]), variant
 
 
@@ -197,8 +197,8 @@ def test_samp_adaptation_rule():
 
 def test_init_population_in_bounds_and_deterministic():
     binding = sphere_binding(d=1)
-    a = init_population(binding, 4, LaneRng(3, 4))
-    b = init_population(binding, 4, LaneRng(3, 4))
+    a = init_population(binding, LaneRng(3, 4))
+    b = init_population(binding, LaneRng(3, 4))
     assert a.x.shape == (4, 1)
     assert np.all(a.x >= -5.0) and np.all(a.x <= 5.0)
     assert np.array_equal(a.x, b.x)
@@ -219,7 +219,7 @@ def test_qo_jump_center_is_fixed_point():
 
 def test_qo_jump_union_is_elitist():
     binding = sphere_binding(d=2)
-    pop = init_population(binding, 6, LaneRng(9, 6))
+    pop = init_population(binding, LaneRng(9, 6))
     worst_before = pop.totals.max()
     before = binding.evaluations
     _qo_jump_runs(pop, None, 6, LaneRng(9, 6, stream_offset=7), binding.evaluate_batch)

@@ -592,19 +592,43 @@ def test_memo_never_changes_a_run(problem_id):
         assert memo.memo_hits > 0 and plain.memo_hits == 0, variant
 
 
-@pytest.mark.parametrize("memoize", [True, False], ids=["memo", "no-memo"])
-@pytest.mark.parametrize("problem_id", ["P1", "P2", "P4", "P6", "P2-twin"])
+def _state(binding):
+    """Counters, seen-bitmaps and the memo entries they mark (None: the
+    memo was never used)."""
+    seen = getattr(binding, "_seen_bits", None)
+    memo = None if seen is None else binding._memo[seen.any(axis=0)].tobytes()
+    return (binding.evaluations, binding.memo_hits, binding.query_executions,
+            None if seen is None else seen.tobytes(), memo)
+
+
+# P5, a continuous space, has no memo
+_SCALAR_CASES = [(p, m) for p in ("P1", "P2", "P4", "P6", "P2-twin")
+                 for m in (True, False)] + [("P5", False)]
+
+
+@pytest.mark.parametrize("problem_id, memoize", _SCALAR_CASES, ids=[
+    f"{p}-{'memo' if m else 'no-memo'}" for p, m in _SCALAR_CASES])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_evaluate_batch_equals_scalar_route(problem_id, memoize, data):
+    """``evaluate`` row by row and ``evaluate_batch`` of the same rows
+    give the same totals and leave the same counters, seen-bitmaps and
+    memo: a scalar call is a batch of one."""
     batched = dataclasses.replace(_fresh(problem_id), memoize=memoize)
     scalar = dataclasses.replace(_fresh(problem_id), memoize=memoize)
-    for X in data.draw(_selection_batches(batched.space)):
+    space = batched.space
+    if space.kind == "selection":
+        batches = data.draw(_selection_batches(space))
+    else:
+        unit = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=space.dim,
+                                           max_size=space.dim), min_size=1, max_size=8))
+        batches = [space.lower + (space.upper - space.lower) * np.array(unit)]
+    for X in batches:
         got = batched.evaluate_batch(X)
         want = np.array([scalar.evaluate(x).total for x in X])
         assert got.tobytes() == want.tobytes()
-    assert ((batched.evaluations, batched.memo_hits, batched.query_executions)
-            == (scalar.evaluations, scalar.memo_hits, scalar.query_executions))
+        assert _state(batched) == _state(scalar)
+    assert (_state(scalar)[3] is None) == (not memoize)
 
 
 @pytest.mark.parametrize("problem_id", ["P2", "P4", "P6"])
