@@ -127,7 +127,8 @@ def brute_force_selection(binding):
     its ``evaluate_batch`` otherwise.
     A chunk's first minimum replaces the best only if strictly lower, so
     ties resolve to the lexicographically smallest index set.  A bad
-    term or total raises ``ValueError``.  Only the winner goes through
+    term or total raises ``ValueError``, which names the subset where the
+    binding has ``terms``.  Only the winner goes through
     ``evaluate``.  Returns (indices tuple, Fitness).
     """
     space = binding.space
@@ -139,7 +140,7 @@ def brute_force_selection(binding):
         raise OracleTooLarge(f"C({n},{k}) = {size} exceeds {BRUTE_FORCE_LIMIT}")
     if getattr(binding, "terms", None) is not None:
         def score(rows):
-            return binding.weighted_sum(binding.terms(rows))
+            return binding.weighted_sum(binding.terms(rows), rows)
     else:
         # sorted distinct integers floor back to exactly their subset
         score = binding.evaluate_batch

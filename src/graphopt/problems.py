@@ -1,22 +1,22 @@
 """Problem abstraction: decision spaces, fitness, and graph bindings.
 
 A problem binds a decision space to a fitness function in one of two
-ways.  Pattern A substitutes the decoded selection into query templates
-and executes them per evaluation.  Pattern B runs its queries once at
-startup, keeps the resulting per-candidate arrays, and evaluates one
-``terms`` formula over them.  Both memoize on the same exact key, the
-rank of the decoded subset (``subset_rows``, ``subset_ranks``), both
-report missing properties per node, and both name the queries behind
-their terms in ``provenance``.
+ways.  Pattern A runs its query templates over the decoded selection
+per evaluation.  Pattern B runs its queries once at startup, keeps the
+resulting per-candidate arrays, and evaluates one ``terms`` formula
+over them.  Both memoize on the same exact key, the rank of the decoded
+subset (``subset_rows``, ``subset_ranks``), both report missing
+properties per node, and both name the queries behind their terms in
+``provenance``.
 
 Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
 ``evaluate`` would.  Both patterns decode the batch once and score the
-subsets the memo does not hold in one ``terms`` call: Pattern A runs
-each term's query once over that block of subsets, Pattern B computes
-in numpy over its arrays.  Either way ``evaluate`` is a batch of one,
-through ``_score_runs``.  A ``CallableBinding`` loops over its own
-``evaluate``.
+subsets the memo does not hold in one ``terms`` call: Pattern A reads
+each term's values over that block of subsets (``execute_floats``),
+Pattern B computes in numpy over its arrays.  Either way ``evaluate``
+is a batch of one, through ``_score_runs``.  A ``CallableBinding``
+loops over its own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from .graph import PropertyGraph
 from .oracles import BRUTE_FORCE_LIMIT, subset_ranks
-from .querylang import ExecutionError, Query, QueryTemplate, execute, substitute
+from .querylang import (ExecutionError, Query, QueryTemplate, execute,
+                        execute_floats, substitute)
 
 SELECTION_EPS = 1e-6
 
@@ -273,16 +274,19 @@ class _TermsBinding:
         """The (m,) totals of an (m, T) ``terms`` matrix: from 0.0, each
         objective column, then weight x each violation column, in
         column order.  A negative violation raises ``ValueError`` naming
-        its first row as ``_check_totals`` does, which catches a NaN."""
+        its first row as ``_check_totals`` does, which catches a NaN; or
+        naming its subset where ``rows`` are the (m, k) index rows."""
         if terms.shape[1] != len(self._columns):
             raise ValueError(f"terms gave {terms.shape[1]} columns for "
                              f"{len(self._columns)} terms")
         if self._violations.size and (low := terms.take(self._violations, 1)).min() < 0:
             i, j = divmod(int(np.argmax(low < 0)), low.shape[1])
             j = int(self._violations[j])
-            raise ValueError(f"batch row {i if rows is None else int(rows[i])} has "
-                             f"a negative violation term {self._columns[j]!r}: "
-                             f"{float(terms[i, j])!r}")
+            row = (f"batch row {i}" if rows is None else
+                   f"subset {tuple(rows[i].tolist())}" if rows.ndim == 2 else
+                   f"batch row {int(rows[i])}")
+            raise ValueError(f"{row} has a negative violation term "
+                             f"{self._columns[j]!r}: {float(terms[i, j])!r}")
         total = np.zeros(terms.shape[0])
         for j, weight in self._weighted_columns:
             total += terms[:, j] if weight is None else weight * terms[:, j]
@@ -434,12 +438,13 @@ class QueryTerm:
 
 @dataclass
 class PatternABinding(_TermsBinding):
-    """Evaluates fitness by substituting decoded selections into query
-    templates and executing them against the graph.
+    """Evaluates fitness by running query templates, one value each,
+    over the decoded selections against the graph.
 
-    Its ``terms`` binds the candidate ids of a whole block of subsets to
-    each template at once, so one ``substitute`` and one ``execute``
-    per term score every subset of a batch the memo lacks.  Evaluation
+    Each term is bound once, at construction, by one ``substitute``
+    that checks it.  ``terms`` then passes the candidate ids of a whole
+    block of subsets to ``execute_floats``, one call per term, which
+    scores every subset of a batch the memo lacks.  Evaluation
     and the memo are ``_TermsBinding``'s, as Pattern B's are; each
     scored subset runs one query per term, and the memo keeps its terms,
     so a subset already scored never touches the graph again.
@@ -467,16 +472,25 @@ class PatternABinding(_TermsBinding):
             raise ValueError("candidate list does not match the selection space")
         if len(self.term_sources) != len(self._terms):
             raise ValueError("Pattern A term names must be distinct")
-        for term in self._terms:
-            if self.selection_param not in term.template.block_placeholders:
+        one_row = np.zeros((1, self.space.k), dtype=np.int64)
+        self._bound = []  # (term, its checked scalars, its column's factor)
+        for j, term in enumerate(self._terms):
+            template = term.template
+            if (self.selection_param not in template.block_placeholders
+                    or len(template.ast.items) != 1):
                 raise ValueError(
                     f"term {term.name!r}: the template must be an aggregate "
-                    f"query over ${self.selection_param} outside RETURN")
+                    f"query of one item over ${self.selection_param} outside RETURN")
+            scalars = substitute(template, scalars=term.scalars,
+                                 lists={self.selection_param: one_row}).scalars
+            self._bound.append((term, scalars, term.coefficient
+                                if j < len(self.objective_terms) else 1.0))
         _check_memo_space(self.space, self.memoize)
         self.penalty_weights = {term.name: term.coefficient
                                 for term in self.constraint_terms}
         self._init_columns()
         self._candidate_ids = np.array(self.candidates, dtype=np.int64)
+        self._queries_per_subset = len(self._bound)
 
     _memo_keeps_terms = True
 
@@ -486,10 +500,6 @@ class PatternABinding(_TermsBinding):
     @property
     def _terms(self) -> list[QueryTerm]:
         return [*self.objective_terms, *self.constraint_terms]
-
-    @property
-    def _queries_per_subset(self) -> int:
-        return len(self._terms)
 
     @property
     def term_sources(self) -> dict[str, tuple]:
@@ -503,45 +513,30 @@ class PatternABinding(_TermsBinding):
 
     @cached_property
     def missing_counts(self) -> dict[str, int]:
-        return {term.name:
-                self._execute(term, self.candidates).missing_property_count
-                for term in self._terms}
-
-    def _execute(self, term: QueryTerm, selected):
-        query = substitute(term.template, scalars=term.scalars,
-                           lists={self.selection_param: selected})
-        try:
-            return execute(self.graph, query)
-        except ExecutionError as err:
-            raise ExecutionError(f"term {term.name!r}: {err}") from err
+        counts = {}
+        for term, scalars, _ in self._bound:
+            query = substitute(term.template, scalars=scalars,
+                               lists={self.selection_param: self.candidates})
+            try:
+                counts[term.name] = execute(self.graph, query).missing_property_count
+            except ExecutionError as err:
+                raise ExecutionError(f"term {term.name!r}: {err}") from err
+        return counts
 
     def terms(self, rows: np.ndarray) -> np.ndarray:
         """The (m, T) terms of the (m, k) index rows: each term's query
-        runs once over the block of the rows' candidate ids.  An
-        objective column is coefficient x value, a constraint column the
-        raw violation (its coefficient is the penalty weight)."""
+        answers the block of the rows' candidate ids at once
+        (``execute_floats``).  An objective column is coefficient x
+        value, a constraint column the raw violation (its coefficient is
+        the penalty weight)."""
         ids = self._candidate_ids[rows]
         out = np.empty((len(rows), len(self._columns)))
-        n_objectives = len(self.objective_terms)
-        for j, term in enumerate(self._terms):
-            table = self._execute(term, ids)
-            if len(table.columns) != 1:
-                raise ExecutionError(f"term {term.name!r}: expected a 1x1 result, "
-                                     f"got 1x{len(table.columns)}")
-            values = table.column()
+        for j, (term, scalars, factor) in enumerate(self._bound):
             try:
-                column = np.array(values)
-            except ValueError:  # lists of unequal lengths
-                column = None
-            if column is None or column.ndim != 1 or column.dtype.kind not in "biuf":
-                for value in values:  # None, a list or a text; or a huge int
-                    if value is None or isinstance(value, (list, str)):
-                        raise ExecutionError(f"term {term.name!r}: query produced "
-                                             f"a non-numeric value {value!r}")
-                column = values
-            out[:, j] = column
-            if j < n_objectives:
-                out[:, j] *= term.coefficient
+                out[:, j] = factor * execute_floats(
+                    self.graph, term.template, scalars, self.selection_param, ids)[:, 0]
+            except ExecutionError as err:
+                raise ExecutionError(f"term {term.name!r}: {err}") from err
         return out
 
 

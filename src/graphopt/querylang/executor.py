@@ -9,7 +9,8 @@ node id, then ascending edge id for two-element patterns.  When the
 whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
 listed nodes instead of scanning the label.  A list placeholder may also
 bind an (m, k) integer block of m lists; the query then answers one row
-per list (``execute``).  When the list is a placeholder and every RETURN
+per list (``execute``), or its values as an (m, items) float64 matrix
+(``execute_floats``).  When the list is a placeholder and every RETURN
 item is a count or a sum free of placeholders, the plan answers a block
 from per-node numpy arrays (``_NodeBlock``); every other query, and
 every single list, walks its match rows.  A missing property makes the
@@ -31,7 +32,7 @@ import numpy as np
 from ..graph import PropertyGraph
 from .ast import (Aggregate, Binary, InExpr, ListLiteral, Literal, Param,
                   Prop, QueryAst, ReturnItem, Unary, render_item)
-from .parser import Query, _param_uses, block_binding
+from .parser import Query, QueryTemplate, _param_uses, block_binding
 
 
 class ExecutionError(ValueError):
@@ -60,10 +61,6 @@ class ResultTable:
             raise ExecutionError(
                 f"expected a 1x1 result, got {len(self.rows)}x{len(self.columns)}")
         return self.rows[0][0]
-
-    def column(self, name: Optional[str] = None) -> list:
-        idx = 0 if name is None else self.columns.index(name)
-        return [row[idx] for row in self.rows]
 
 
 def _is_number(value) -> bool:
@@ -365,7 +362,7 @@ class _NodeBlock:
     by node id, with one more row (id ``len(graph.nodes)``, the pad) of
     zeros for an id that names no node of the source label.
 
-    ``answer`` runs an (m, k) id block.  Each row is sorted, so nodes
+    ``values`` reads an (m, k) id block.  Each row is sorted, so nodes
     come in ascending id, and a repeated id is sent to the pad, so a node
     counts once: the nodes and order of the row path's id-seek.  Per
     RETURN item:
@@ -381,8 +378,8 @@ class _NodeBlock:
       The row path adds the same values in the same order from 0.
       Adding 0.0 changes no partial sum, as one that starts at 0 is
       never -0.0; and its int partial sums equal these floats, since
-      the ints of the table sum to less than ``_EXACT_INT``.  A row
-      that adds no float gives an int, as the row path's does.
+      the ints of the table sum to less than ``_EXACT_INT``.  ``answer``
+      reads a row that adds no float as an int, as the row path does.
     """
 
     def __init__(self, plan: Plan, graph: PropertyGraph):
@@ -427,29 +424,34 @@ class _NodeBlock:
         floats = np.array([any(type(v) is float for v in node) for node in kept])
         return padded, floats if floats.any() else None
 
-    def answer(self, block: np.ndarray) -> ResultTable:
-        """The m-row table of the id block, with its missing count."""
+    def values(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, k) int64 id block under the id rule, and its (m, items)
+        float64 values: each RETURN item's count or sum per row."""
         m, pad = len(block), self.pad
         ids = np.sort(block, axis=1)
         ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = pad
         # read unsigned, a negative id is past the pad too
         ids[ids.view(np.uint64) > pad] = pad
-        values = []
-        for kind, table, floats in self.items:
+        out = np.empty((m, len(self.items)))
+        for j, (kind, table, _) in enumerate(self.items):
             if kind == "count":
-                values.append(table[ids].sum(axis=1).tolist())
+                out[:, j] = table[ids].sum(axis=1)
             elif kind == "distinct":
-                values.append(distinct_counts(table, ids).tolist())
+                out[:, j] = distinct_counts(table, ids)
             else:
                 flat = table[ids].reshape(m, -1)
                 # + 0.0: the row path starts from 0, so its sum is never -0.0
-                total = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
-                         if flat.shape[1] else np.zeros(m))
-                if floats is None:
-                    values.append(total.astype(np.int64).tolist())
-                else:
-                    values.append([t if f else int(t) for t, f in zip(
-                        total.tolist(), floats[ids].any(axis=1).tolist())])
+                out[:, j] = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
+                             if flat.shape[1] else 0.0)
+        return ids, out
+
+    def answer(self, block: np.ndarray) -> ResultTable:
+        """The m-row table of the id block, with its missing count."""
+        ids, out = self.values(block)
+        values = [column.astype(np.int64).tolist() if floats is None else
+                  [t if f else int(t) for t, f in zip(
+                      column.tolist(), floats[ids].any(axis=1).tolist())]
+                  for column, (_, _, floats) in zip(out.T, self.items)]
         missing = 0 if self.missing is None else int(self.missing[ids].sum())
         return ResultTable(list(self.columns), list(zip(*values)), missing)
 
@@ -619,3 +621,24 @@ def _execute_block(graph: PropertyGraph, query: Query, name: str) -> ResultTable
         missing += one.missing_property_count
     return ResultTable(columns=list(columns), rows=rows,
                        missing_property_count=missing)
+
+
+def execute_floats(graph: PropertyGraph, template: QueryTemplate, scalars: dict,
+                   name: str, block: np.ndarray) -> np.ndarray:
+    """``execute``'s table for ``template`` with its ``scalars`` and the
+    (m, k) int64 id block bound to list ``name``, as (m, items) float64:
+    ``_NodeBlock.values`` on the numpy route, with no query or table
+    built.  The binding is not checked (bind it once with ``substitute``);
+    a value that is not a number raises ExecutionError."""
+    plan = template.plan
+    node_block = (plan.node_block(graph) if plan.numpy_block and graph.frozen
+                  else None)
+    if node_block is not None:
+        return node_block.values(block)[1]
+    table = execute(graph, Query(template, scalars, {name: block}))
+    for value in (value for row in table.rows for value in row):
+        if value is None or isinstance(value, (list, str)):
+            raise ExecutionError(f"query produced a non-numeric value {value!r}")
+    # every value is an int or a float; an int past 2^53 rounds to nearest
+    return np.array(table.rows, dtype=np.float64).reshape(
+        len(block), len(table.columns))

@@ -257,26 +257,6 @@ def _proposals(variant: str, pop_x: np.ndarray, totals: np.ndarray,
     return np.where((u_branch > 0.5)[..., None], main, reinit).reshape(-1, d)
 
 
-def propose(variant: str, population: Population, i: int, rng: SeededRng,
-            config: Optional[SolverConfig] = None) -> np.ndarray:
-    """One member's pre-clamp candidate, drawn from its own stream.
-
-    Consumes exactly 3d+3 uniforms from ``rng`` in the pinned order;
-    member i's column of the vectorized batch yields the same vector.
-    For samp_jaya this is the whole-population view (the run supplies
-    subgroup best/worst internally).
-    """
-    variant = normalize_variant(variant)
-    if config is None:
-        config = SolverConfig(variant=variant, pop_size=population.x.shape[0])
-    pop_size, d = population.x.shape
-    block = np.zeros((3 * d + 3, 1, pop_size))  # the others' draws are unused
-    block[:, 0, i] = [rng.u01() for _ in range(3 * d + 3)]
-    candidates = _proposals(variant, population.x, population.totals,
-                            *_draws(block, d), population.space, config)
-    return candidates[i]
-
-
 def adapt_subpopulations(m: int, improved: bool, m_max: int) -> int:
     """SAMP rule: grow the subpopulation count on global-best improvement,
     shrink otherwise, clamped to [1, m_max]."""

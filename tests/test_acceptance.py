@@ -19,14 +19,14 @@ from graphopt.bench import (DEFAULT_VARIANTS, BenchConfig, run_matrix,
                             summary_md_text)
 from graphopt.cli import main as cli_main
 from graphopt.rng import SeededRng
-from graphopt.solvers import (VARIANTS, Population, SolverConfig, propose,
-                              run)
+from graphopt.solvers import VARIANTS, Population, SolverConfig, run
 from graphopt.stats import holm, wilcoxon_signed_rank
 from graphopt.suite import (PROBLEM_IDS, detect_degenerate_terms,
                             fresh_binding, gap_ratio, generate,
                             pattern_a_binding, solve_oracle)
 from tests import test_graph as graph_checks
 from tests import test_oracles as oracle_checks
+from tests.test_solvers import propose
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -11,10 +11,11 @@ from graphopt.oracles import brute_force_selection
 from graphopt.problems import (DecisionSpace, Fitness, PatternABinding,
                                PatternBBinding, QueryTerm, assemble_fitness,
                                continuous_space, decode_selection,
-                               materialize, selection_space)
+                               materialize, selection_space, subset_rows)
 from graphopt.querylang import ExecutionError, parse_query, parse_template
 from graphopt.rng import SeededRng
 from graphopt.solvers import SolverConfig, run_group
+from graphopt.suite import generate, pattern_a_binding
 
 
 # ---- decision spaces ----
@@ -200,6 +201,63 @@ def test_pattern_a_non_numeric_term_raises(aggregate, ragged):
     with pytest.raises(ExecutionError,
                        match="term 't': query produced a non-numeric value"):
         binding.evaluate_batch(np.array([[0.0, 1.0], [2.0, 3.0]]))
+
+
+def _row_path_terms(binding, rows, monkeypatch):
+    """The binding's terms with every template's numpy route turned off."""
+    with monkeypatch.context() as patch:
+        for term in binding._terms:
+            patch.setattr(term.template.plan, "numpy_block", False)
+        return binding.terms(rows)
+
+
+@pytest.mark.parametrize("problem, scale, drop", [
+    ("P1", "small", ()), ("P1", "medium", ()), ("P1", "small", ("side_effect_count",)),
+    ("P2", "small", ()), ("P2", "medium", ())])
+def test_pattern_a_numpy_terms_equal_the_row_path(problem, scale, drop, monkeypatch):
+    instance = generate(problem, scale, 3, drop_properties=drop)
+    binding = instance.binding if problem == "P1" else pattern_a_binding(instance)
+    X = np.random.default_rng(3).uniform(0.0, binding.space.n_candidates, size=(400, binding.space.k))
+    rows = subset_rows(X, binding.space)
+    got = binding.terms(rows)
+    assert all(term.template.plan.node_block(binding.graph) is not None
+               for term in binding._terms)  # numpy answered them
+    assert got.tobytes() == _row_path_terms(binding, rows, monkeypatch).tobytes()
+
+
+def test_pattern_a_term_without_a_node_block_raises_its_row_path_error():
+    """A text value keeps the term off the numpy route: a subset that
+    reaches it raises the row path's error under the term's name, and
+    the others still score."""
+    g = PropertyGraph()
+    drugs = [g.add_node({"Drug"}, {"side_effect_count": v}) for v in (1, 2, "x")]
+    g.freeze()
+    term = QueryTerm("burden", parse_template(
+        "MATCH (d:Drug) WHERE d.id IN $selected RETURN sum(d.side_effect_count)"))
+    binding = PatternABinding(graph=g, space=selection_space(2, 3), candidates=drugs,
+                              objective_terms=[term])
+    with pytest.raises(ExecutionError, match="^term 'burden': sum expects numbers$"):
+        binding.evaluate_batch(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert term.template.plan.node_block(g) is None
+    assert binding.evaluate_batch(np.array([[0.0, 1.0]])).tolist() == [3.0]
+
+
+def test_pattern_a_batch_binds_no_query(monkeypatch):
+    """Each term is bound once, at construction: a batch on the numpy
+    route neither substitutes nor executes a query."""
+    import graphopt.problems as problems
+    binding = coverage_binding(3, memoize=False)
+    X = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [7.0, 8.0, 9.0]])
+    want = binding.evaluate_batch(X)
+    calls = []
+    for name in ("substitute", "execute"):
+        real = getattr(problems, name)
+        monkeypatch.setattr(problems, name, lambda *a, real=real, **kw:
+                            calls.append(1) or real(*a, **kw))
+    assert binding.evaluate_batch(X).tolist() == want.tolist()
+    assert [binding.evaluate(x).total for x in X] == want.tolist()
+    assert calls == []
+    assert binding.query_executions == 2 * binding.evaluations  # one per term and row
 
 
 def test_pattern_a_memo_skips_queries():
@@ -449,7 +507,8 @@ def test_negative_violation_raises_before_anything_is_kept(memoize):
         space=binding.space, arrays={}, penalty_weights={"v": 1.0},
         terms=lambda rows: np.stack([-rows.sum(axis=1) * 1.0, rows[:, 1] - 2.0], axis=1),
         term_sources={"o": (), "v": ()})
-    with pytest.raises(ValueError, match=message.format(0)):
+    with pytest.raises(ValueError, match=r"subset \(0, 1\) has a negative "
+                                         r"violation term 'v': -1.0"):
         brute_force_selection(sweep)
 
 

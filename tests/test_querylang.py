@@ -4,6 +4,7 @@ filter-equivalence property, the id-seek against a label scan, and a
 block of lists against the lists run one at a time."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from graphopt.graph import PropertyGraph
 from graphopt.querylang import (MISSING, MAX_IN_LIST, ExecutionError,
                                 ParseError, ResultTable, SubstitutionError,
-                                execute, parse_query, parse_template,
-                                render_query, substitute)
+                                execute, execute_floats, parse_query,
+                                parse_template, render_query, substitute)
+from graphopt.querylang import executor
 from graphopt.querylang.executor import _NodeBlock
 from graphopt.rng import SeededRng
 
@@ -586,6 +588,7 @@ def test_block_count_distinct_over_several_mask_words(n_values):
         block = rng.integers(-2, n_values + 3, size=(m, 12))
         for template in (BLOCK_ONE, BLOCK_TWO):
             _assert_block_equals_lists(g, template, block)
+            _assert_floats_equal_row_path(g, template, block)
             assert template.plan.node_block(g) is not None
 
 
@@ -632,6 +635,76 @@ def test_block_of_ints_float64_cannot_add_runs_list_by_list():
     assert execute(g, substitute(template, lists={"sel": block})).rows == [
         (2 ** 53 + 1,), (1,)]
     assert template.plan.node_block(g) is None
+
+
+# ---- a block read as float64 equals the row path's table ----
+
+def _mixed_sums():
+    """D nodes valued 1 and 0.5, each with an R edge to a G node valued
+    the same: a row adds ints alone, or ints and a float."""
+    g = PropertyGraph()
+    for v in (1, 0.5, 2):
+        d = g.add_node({"D"}, {"v": v})
+        g.add_edge(d, "R", g.add_node({"G"}, {"v": v}), {})
+    return g.freeze()
+
+
+def _assert_floats_equal_row_path(g, template, block):
+    """``execute_floats`` of the block, on the numpy route and on the
+    row path, is the row path's table read as float64, bit for bit."""
+    want = execute(g, substitute(_row_path(template), lists={"sel": block}))
+    want = np.array(want.rows, dtype=np.float64).reshape(len(block), -1)
+    for route in (template, _row_path(template)):
+        got = execute_floats(g, route, {}, "sel", block)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@example(g=_two_groups(), block=np.array([[1, 2 ** 63 - 1, -2 ** 63], [1, 0, 1]]))
+@example(g=_mixed_sums(), block=np.array([[0, 2, 4], [0, 1, 2], [2, 2, -1]]))
+@example(g=_signed_zeros(), block=np.array([[0, 2], [0, 0], [5, 5]]))
+@given(g=_labelled_graphs(_node_properties), block=_id_blocks)
+def test_float_values_equal_the_row_path(g, block):
+    for template in (BLOCK_ONE, BLOCK_TWO):
+        _assert_floats_equal_row_path(g, template, block)
+        assert template.plan.node_block(g) is not None  # numpy answered it
+
+
+def test_float_values_read_no_table_on_the_numpy_route(monkeypatch):
+    """The numpy route builds no query and no table: ``answer`` is not
+    called, nor is the row path."""
+    calls = []
+    monkeypatch.setattr(_NodeBlock, "answer", lambda *a: calls.append(a))
+    monkeypatch.setattr(executor, "execute", lambda *a: calls.append(a))
+    g = _two_groups()
+    for template in (BLOCK_ONE, BLOCK_TWO):
+        assert execute_floats(g, template, {}, "sel", np.array([[0, 1]])).shape == (1, 5)
+    assert calls == []
+
+
+def test_float_values_of_int_sums_past_float64():
+    """The row path's exact int sums, read as float64 by rounding."""
+    g = PropertyGraph()
+    for v in (2 ** 53, 1, 2 ** 70):
+        g.add_node({"D"}, {"v": v})
+    g.freeze()
+    template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
+    got = execute_floats(g, template, {}, "sel", np.array([[0, 1], [1, 2], [1, 1]]))
+    assert got[:, 0].tolist() == [float(2 ** 53 + 1), float(2 ** 70 + 1), 1.0]
+    assert template.plan.node_block(g) is None
+
+
+@pytest.mark.parametrize("items, message", [
+    ("avg(d.absent)", "None"), ("collect(d.v)", "[1]"), ("min(d.w)", "'a'")])
+def test_float_values_refuse_a_value_that_is_not_a_number(items, message):
+    g = PropertyGraph()
+    g.add_node({"D"}, {"v": 1, "w": "a"})
+    g.freeze()
+    template = parse_template(f"MATCH (d:D) WHERE d.id IN $sel RETURN {items}")
+    with pytest.raises(ExecutionError, match=re.escape(
+            f"query produced a non-numeric value {message}")):
+        execute_floats(g, template, {}, "sel", np.array([[0]]))
 
 
 def test_block_binding_rules():

@@ -13,7 +13,7 @@ from graphopt.rng import LaneRng, SeededRng
 from graphopt.solvers import (DISPLAY_NAMES, VARIANT_LABELS, VARIANTS,
                               Population, SolverConfig, adapt_subpopulations,
                               clamp, init_population, normalize_variant,
-                              propose, run, _draws, _proposals, _qo_jump_runs,
+                              run, _draws, _proposals, _qo_jump_runs,
                               _read_rows)
 
 
@@ -22,6 +22,27 @@ def objective_only(total_fn, name="objective"):
     def fn(x) -> Fitness:
         return assemble_fitness({name: float(total_fn(x))}, {}, {})
     return fn
+
+
+def propose(variant: str, population: Population, i: int, rng: SeededRng,
+            config=None) -> np.ndarray:
+    """The scalar one-member reference: member i's pre-clamp candidate,
+    drawn from its own stream.
+
+    Consumes exactly 3d+3 uniforms from ``rng`` in the pinned order;
+    member i's column of the vectorized batch yields the same vector.
+    For samp_jaya this is the whole-population view (the run supplies
+    subgroup best/worst internally).
+    """
+    variant = normalize_variant(variant)
+    if config is None:
+        config = SolverConfig(variant=variant, pop_size=population.x.shape[0])
+    pop_size, d = population.x.shape
+    block = np.zeros((3 * d + 3, 1, pop_size))  # the others' draws are unused
+    block[:, 0, i] = [rng.u01() for _ in range(3 * d + 3)]
+    candidates = _proposals(variant, population.x, population.totals,
+                            *_draws(block, d), population.space, config)
+    return candidates[i]
 
 
 def sphere_binding(d=10, half_width=5.0):

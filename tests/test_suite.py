@@ -193,32 +193,30 @@ def test_pattern_a_provenance_names_each_template():
         "RETURN sum(d.side_effect_count)")
 
 
-def test_pattern_a_queries_run_through_problems_names(monkeypatch):
-    """The layer tracer times Pattern A at ``graphopt.problems.substitute``
-    and ``graphopt.problems.execute``; every counted query must pass
-    through both, or the querylang layer reads 0.  A query answers a
-    block of subsets, one row each, so the rows add up to the count."""
-    calls = {"substitute": 0, "execute": 0}
-    rows = []
-    real_substitute = graphopt.problems.substitute
-    real_execute = graphopt.problems.execute
+def test_pattern_a_queries_run_through_execute_floats(monkeypatch):
+    """A Pattern A run reads every counted query through
+    ``graphopt.problems.execute_floats``, where a layer tracer can time
+    it; the terms were bound at construction, so a run substitutes and
+    executes no query.  A call answers a block of subsets, one row each,
+    so the rows add up to the count."""
+    calls = {"substitute": [], "execute": [], "execute_floats": []}
 
-    def substitute(*args, **kwargs):
-        calls["substitute"] += 1
-        return real_substitute(*args, **kwargs)
+    def counted(name):
+        real = getattr(graphopt.problems, name)
 
-    def execute(*args, **kwargs):
-        calls["execute"] += 1
-        table = real_execute(*args, **kwargs)
-        rows.append(len(table.rows))
-        return table
-    monkeypatch.setattr(graphopt.problems, "substitute", substitute)
-    monkeypatch.setattr(graphopt.problems, "execute", execute)
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls[name].append(len(result) if name == "execute_floats" else 1)
+            return result
+        return call
     binding = fresh_binding(generate("P1", "small", 0))
+    for name in calls:
+        monkeypatch.setattr(graphopt.problems, name, counted(name))
     run(binding, SolverConfig("rao1", pop_size=8, iterations=10, seed=3))
+    rows = calls["execute_floats"]
     assert binding.query_executions > 0
     assert sum(rows) == binding.query_executions
-    assert calls["substitute"] == calls["execute"] == len(rows)
+    assert calls["substitute"] == calls["execute"] == []
     assert len(rows) < binding.query_executions  # blocks, not one per subset
 
 
