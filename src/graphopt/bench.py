@@ -245,6 +245,14 @@ def _fmt(value, digits: int = 4) -> str:
     return f"{value:.{digits}g}"
 
 
+def _md_table(headers, rows) -> list[str]:
+    """The lines of a markdown table: the header, its rule and one line
+    per row of cells."""
+    def line(cells):
+        return f"| {' | '.join(map(str, cells))} |"
+    return [line(headers), "|" + "---|" * len(headers), *map(line, rows)]
+
+
 def summary_md_text(report: BenchReport) -> str:
     lines = ["# Benchmark summary", ""]
     env = report.environment
@@ -260,8 +268,7 @@ def summary_md_text(report: BenchReport) -> str:
                  "ratios are oriented so that worse solutions give larger "
                  "gaps on every problem.")
     lines.append("")
-    lines.append("| problem | best fitness | oracle optimum | gap | oracle |")
-    lines.append("|---|---|---|---|---|")
+    rows = []
     for problem in report.config.problems:
         cells = [c for c in report.cells
                  if c.problem == problem and c.run is not None]
@@ -272,15 +279,16 @@ def summary_md_text(report: BenchReport) -> str:
             inst = report.instances[problem]
             label = (f"oracle unavailable: {note}" if note
                      else inst.oracle_note)
-            lines.append(f"| {problem} | {_fmt(best, 8)} | - | - | {label} |")
+            rows.append((problem, _fmt(best, 8), "-", "-", label))
             continue
         gap = None if best is None else gap_ratio(best, oracle.optimum)
         note = oracle.note
         if gap is not None and gap < 1.0:
             note = f"gap below 1.0: {note}"
-        lines.append(f"| {problem} | {_fmt(best, 8)} | "
-                     f"{_fmt(oracle.optimum, 8)} | {_fmt(gap, 5)} | "
-                     f"{oracle.kind}: {note} |")
+        rows.append((problem, _fmt(best, 8), _fmt(oracle.optimum, 8),
+                     _fmt(gap, 5), f"{oracle.kind}: {note}"))
+    lines += _md_table(("problem", "best fitness", "oracle optimum", "gap",
+                        "oracle"), rows)
     lines.append("")
 
     lines.append("## Per-problem results")
@@ -288,16 +296,12 @@ def summary_md_text(report: BenchReport) -> str:
         lines.append("")
         lines.append(f"### {verdict.problem}")
         lines.append("")
-        lines.append("| solver | seeds | mean | std | best | worst |")
-        lines.append("|---|---|---|---|---|---|")
-        for cell in report.summary.cells:
-            if cell.problem != verdict.problem:
-                continue
-            name = DISPLAY_NAMES.get(cell.solver, cell.solver)
-            row = (f"| {name} | {cell.n} | {_fmt(cell.mean, 8)} | "
-                   f"{_fmt(cell.std, 5)} | {_fmt(cell.best, 8)} | "
-                   f"{_fmt(cell.worst, 8)} |")
-            lines.append(row)
+        lines += _md_table(
+            ("solver", "seeds", "mean", "std", "best", "worst"),
+            [(DISPLAY_NAMES.get(cell.solver, cell.solver), cell.n,
+              _fmt(cell.mean, 8), _fmt(cell.std, 5), _fmt(cell.best, 8),
+              _fmt(cell.worst, 8))
+             for cell in report.summary.cells if cell.problem == verdict.problem])
         lines.append("")
         if verdict.winner is None:
             lines.append("No solver had enough seeds for testing.")
@@ -310,13 +314,11 @@ def summary_md_text(report: BenchReport) -> str:
         if verdict.note:
             lines.append(f"Note: {verdict.note}.")
         lines.append("")
-        lines.append("| comparison | W | p raw | p Holm | method |")
-        lines.append("|---|---|---|---|---|")
-        for comp in verdict.comparisons:
-            other = DISPLAY_NAMES.get(comp.other, comp.other)
-            lines.append(f"| {winner} vs {other} | {_fmt(comp.statistic)} | "
-                         f"{_fmt(comp.p_raw, 4)} | {_fmt(comp.p_holm, 4)} | "
-                         f"{comp.method} |")
+        lines += _md_table(
+            ("comparison", "W", "p raw", "p Holm", "method"),
+            [(f"{winner} vs {DISPLAY_NAMES.get(comp.other, comp.other)}",
+              _fmt(comp.statistic), _fmt(comp.p_raw, 4), _fmt(comp.p_holm, 4),
+              comp.method) for comp in verdict.comparisons])
     lines.append("")
     return "\n".join(lines)
 
@@ -331,14 +333,12 @@ def degeneracy_md_text(report: BenchReport) -> str:
         lines.append("")
         lines.append(f"## {problem} ({rep.samples} samples)")
         lines.append("")
-        lines.append("| term | kind | min | max | variance | "
-                     "missing properties | flagged |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for t in rep.terms:
-            lines.append(f"| {t.name} | {t.kind} | {_fmt(t.minimum, 6)} | "
-                         f"{_fmt(t.maximum, 6)} | {_fmt(t.variance, 6)} | "
-                         f"{t.missing_property_count} | "
-                         f"{'YES' if t.flagged else 'no'} |")
+        lines += _md_table(
+            ("term", "kind", "min", "max", "variance", "missing properties",
+             "flagged"),
+            [(t.name, t.kind, _fmt(t.minimum, 6), _fmt(t.maximum, 6),
+              _fmt(t.variance, 6), t.missing_property_count,
+              "YES" if t.flagged else "no") for t in rep.terms])
     lines.append("")
     return "\n".join(lines)
 

@@ -12,9 +12,8 @@ from pathlib import Path
 from .bench import BenchConfig, emit_report, run_matrix, summary_md_text
 from .solvers import VARIANTS, SolverConfig, run
 from .stats import build_summary
-from .suite import (PROBLEM_IDS, SCALES, DisruptionSpec, PropertyNotDroppable,
-                    detect_degenerate_terms, generate, inject_disruption,
-                    solve_oracle)
+from .suite import (PROBLEM_IDS, SCALES, DisruptionSpec, detect_degenerate_terms,
+                    generate, inject_disruption, solve_oracle)
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -37,7 +36,7 @@ def _build_instance(args):
         inst = generate(args.problem, args.scale, args.seed,
                         drop_properties=tuple(args.drop_property),
                         p5_mode=args.p5_mode)
-    except PropertyNotDroppable as err:
+    except ValueError as err:  # an unknown problem or an undroppable property
         raise SystemExit(f"graphopt: {err}") from err
     disrupt = getattr(args, "disrupt", None)
     if disrupt:
@@ -130,12 +129,15 @@ def _cmd_bench(args) -> int:
 
 def _cmd_stats(args) -> int:
     fitness: dict = {}
-    with open(args.results, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if not row.get("fitness"):
-                continue
-            fitness.setdefault(row["problem"], {}).setdefault(
-                row["solver"], {})[int(row["seed"])] = float(row["fitness"])
+    try:
+        with open(args.results, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                if not row.get("fitness"):
+                    continue
+                fitness.setdefault(row["problem"], {}).setdefault(
+                    row["solver"], {})[int(row["seed"])] = float(row["fitness"])
+    except (OSError, ValueError) as err:  # no such file, or a cell not a number
+        raise SystemExit(f"graphopt: {err}") from err
     if not fitness:
         print("no usable rows", file=sys.stderr)
         return 1
@@ -153,8 +155,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_inspect_degeneracy(args) -> int:
     inst = _build_instance(args)
-    report = detect_degenerate_terms(inst, samples=args.samples,
-                                     seed=args.detector_seed)
+    try:
+        report = detect_degenerate_terms(inst, samples=args.samples,
+                                         seed=args.detector_seed)
+    except ValueError as err:
+        raise SystemExit(f"graphopt: {err}") from err
     print(f"{inst.problem_id} ({report.samples} samples)")
     for t in report.terms:
         flag = "FLAGGED zero-variance" if t.flagged else "ok"

@@ -441,13 +441,14 @@ class PatternABinding(_TermsBinding):
     """Evaluates fitness by running query templates, one value each,
     over the decoded selections against the graph.
 
-    Each term is bound once, at construction, by one ``substitute``
-    that checks it.  ``terms`` then passes the candidate ids of a whole
-    block of subsets to ``execute_floats``, one call per term, which
-    scores every subset of a batch the memo lacks.  Evaluation
-    and the memo are ``_TermsBinding``'s, as Pattern B's are; each
-    scored subset runs one query per term, and the memo keeps its terms,
-    so a subset already scored never touches the graph again.
+    Each term is checked once, at construction, by one ``substitute``
+    of a k-element list, and keeps its checked scalars.  ``terms`` then
+    passes the candidate ids of a whole block of subsets to
+    ``execute_floats``, one call per term, which scores every subset of
+    a batch the memo lacks.  Evaluation and the memo are
+    ``_TermsBinding``'s, as Pattern B's are; each scored subset runs one
+    query per term, and the memo keeps its terms, so a subset already
+    scored never touches the graph again.
     ``missing_counts`` holds, per term, the missing property lookups of
     one execution of its template over every candidate: the per-node
     count Pattern B's materialization gives.
@@ -472,17 +473,17 @@ class PatternABinding(_TermsBinding):
             raise ValueError("candidate list does not match the selection space")
         if len(self.term_sources) != len(self._terms):
             raise ValueError("Pattern A term names must be distinct")
-        one_row = np.zeros((1, self.space.k), dtype=np.int64)
         self._bound = []  # (term, its checked scalars, its column's factor)
         for j, term in enumerate(self._terms):
             template = term.template
-            if (self.selection_param not in template.block_placeholders
+            if (template.block_placeholders != {self.selection_param}
                     or len(template.ast.items) != 1):
                 raise ValueError(
-                    f"term {term.name!r}: the template must be an aggregate "
-                    f"query of one item over ${self.selection_param} outside RETURN")
-            scalars = substitute(template, scalars=term.scalars,
-                                 lists={self.selection_param: one_row}).scalars
+                    f"term {term.name!r}: the template must be an aggregate query "
+                    f"of one item whose one list outside RETURN is "
+                    f"${self.selection_param}")
+            scalars = substitute(template, scalars=term.scalars, lists={
+                self.selection_param: [0] * self.space.k}).scalars
             self._bound.append((term, scalars, term.coefficient
                                 if j < len(self.objective_terms) else 1.0))
         _check_memo_space(self.space, self.memoize)

@@ -7,16 +7,16 @@ per-execution environment, so every query bound from the template runs
 the same plan.  Rows stream in deterministic order: ascending source
 node id, then ascending edge id for two-element patterns.  When the
 whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
-listed nodes instead of scanning the label.  A list placeholder may also
-bind an (m, k) integer block of m lists; the query then answers one row
-per list (``execute``), or its values as an (m, items) float64 matrix
-(``execute_floats``).  When the list is a placeholder and every RETURN
-item is a count or a sum free of placeholders, the plan answers a block
-from per-node numpy arrays (``_NodeBlock``); every other query, and
-every single list, walks its match rows.  A missing property makes the
-enclosing WHERE clause non-matching and contributes nothing to
+listed nodes instead of scanning the label.  A missing property makes
+the enclosing WHERE clause non-matching and contributes nothing to
 aggregates; each such lookup increments ``missing_property_count`` on
 the result.
+
+``execute_floats`` answers an (m, k) integer block of m id lists as an
+(m, items) float64 matrix.  When the list is a placeholder and every
+RETURN item is a count or a sum free of placeholders, it reads per-node
+numpy arrays (``_NodeBlock``); every other plan runs the lists one at a
+time through ``execute``, which walks the match rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from ..graph import PropertyGraph
 from .ast import (Aggregate, Binary, InExpr, ListLiteral, Literal, Param,
                   Prop, QueryAst, ReturnItem, Unary, render_item)
-from .parser import Query, QueryTemplate, _param_uses, block_binding
+from .parser import Query, QueryTemplate, _param_uses
 
 
 class ExecutionError(ValueError):
@@ -252,8 +252,9 @@ class Plan:
     When that list is a placeholder and every RETURN item is a ``count``
     or a ``sum`` with no placeholder in its argument (``numpy_block``),
     every row of a listed node gives the same argument values in every
-    query.  The plan then answers a block from per-node arrays it builds
-    once per frozen graph (``node_block``) instead of walking its rows.
+    query.  ``execute_floats`` then answers a block of lists from
+    per-node arrays the plan builds once per frozen graph
+    (``node_block``) instead of walking its rows.
     """
 
     def __init__(self, ast: QueryAst):
@@ -321,10 +322,10 @@ class Plan:
                     yield (src, edge, dst)
 
     def _entry(self, graph: PropertyGraph, nid: int):
-        """Node ``nid``'s row count, kept values and missing lookups,
-        where kept values holds, per RETURN item, the non-MISSING values
-        of its argument in row order (``count(DISTINCT …)`` keeps their
-        ``_hashable`` form)."""
+        """Node ``nid``'s row count and kept values, where kept values
+        holds, per RETURN item, the non-MISSING values of its argument
+        in row order (``count(DISTINCT …)`` keeps their ``_hashable``
+        form)."""
         env = SimpleNamespace(params={}, missing=0)
         kept = tuple([] for _ in self.returns)
         n_rows = 0
@@ -336,7 +337,7 @@ class Plan:
                 value = arg(row, env)
                 if value is not MISSING:
                     values.append(_hashable(value) if agg.distinct else value)
-        return n_rows, kept, env.missing
+        return n_rows, kept
 
     def node_block(self, graph: PropertyGraph) -> Optional[_NodeBlock]:
         """The ``_NodeBlock`` of a ``numpy_block`` plan over this graph,
@@ -378,41 +379,36 @@ class _NodeBlock:
       The row path adds the same values in the same order from 0.
       Adding 0.0 changes no partial sum, as one that starts at 0 is
       never -0.0; and its int partial sums equal these floats, since
-      the ints of the table sum to less than ``_EXACT_INT``.  ``answer``
-      reads a row that adds no float as an int, as the row path does.
+      the kept ints sum to less than ``_EXACT_INT``.
     """
 
     def __init__(self, plan: Plan, graph: PropertyGraph):
-        self.pad, self.columns = len(graph.nodes), plan.columns
+        self.pad = len(graph.nodes)
         label = plan.pattern.src.label
-        empty = (0, tuple(() for _ in plan.returns), 0)  # a node of no row
+        empty = (0, tuple(() for _ in plan.returns))  # a node of no row
         entries = [plan._entry(graph, nid) if label in node.labels else empty
                    for nid, node in enumerate(graph.nodes)]
-        n_rows, node_kept, missing = zip(*entries, empty)
-        missing = np.array(missing)
-        self.missing = missing if missing.any() else None
-        # per item: (kind, per-node array, per-node "holds a float" or None)
-        self.items = []
+        n_rows, node_kept = zip(*entries, empty)
+        self.items = []  # per item: (kind, per-node array)
         for j, (agg, arg) in enumerate(plan.returns):
             kept = [values[j] for values in node_kept]
             if arg is None:
-                self.items.append(("count", np.array(n_rows), None))
+                self.items.append(("count", np.array(n_rows)))
             elif agg.func == "sum":
-                self.items.append(("sum", *self._sums(kept)))
+                self.items.append(("sum", self._sums(kept)))
             elif agg.distinct:
                 codes: dict = {}
                 node_codes = [[codes.setdefault(v, len(codes)) for v in values]
                               for values in kept]
-                self.items.append(
-                    ("distinct", code_masks(node_codes, len(codes)), None))
+                self.items.append(("distinct", code_masks(node_codes, len(codes))))
             else:
-                self.items.append(("count", np.array(list(map(len, kept))), None))
+                self.items.append(("count", np.array(list(map(len, kept)))))
 
     @staticmethod
     def _sums(kept):
-        """The padded per-node values of a ``sum`` and which nodes hold a
-        float (None if none does); ExecutionError, which sends the plan's
-        queries down the row path, if numpy cannot add them as it does."""
+        """The padded per-node values of a ``sum``; ExecutionError, which
+        sends the plan's lists down the row path, if numpy cannot add
+        them as it does."""
         values = [v for node in kept for v in node]
         if any(type(v) is not int and type(v) is not float for v in values):
             raise ExecutionError("sum of a value that is not an int or a float")
@@ -421,19 +417,18 @@ class _NodeBlock:
         padded = np.zeros((len(kept), max(map(len, kept))))
         for nid, node in enumerate(kept):
             padded[nid, :len(node)] = node
-        floats = np.array([any(type(v) is float for v in node) for node in kept])
-        return padded, floats if floats.any() else None
+        return padded
 
-    def values(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (m, k) int64 id block under the id rule, and its (m, items)
-        float64 values: each RETURN item's count or sum per row."""
+    def values(self, block: np.ndarray) -> np.ndarray:
+        """The (m, items) float64 values of the (m, k) int64 id block:
+        each RETURN item's count or sum per row."""
         m, pad = len(block), self.pad
         ids = np.sort(block, axis=1)
         ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = pad
         # read unsigned, a negative id is past the pad too
         ids[ids.view(np.uint64) > pad] = pad
         out = np.empty((m, len(self.items)))
-        for j, (kind, table, _) in enumerate(self.items):
+        for j, (kind, table) in enumerate(self.items):
             if kind == "count":
                 out[:, j] = table[ids].sum(axis=1)
             elif kind == "distinct":
@@ -443,17 +438,7 @@ class _NodeBlock:
                 # + 0.0: the row path starts from 0, so its sum is never -0.0
                 out[:, j] = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
                              if flat.shape[1] else 0.0)
-        return ids, out
-
-    def answer(self, block: np.ndarray) -> ResultTable:
-        """The m-row table of the id block, with its missing count."""
-        ids, out = self.values(block)
-        values = [column.astype(np.int64).tolist() if floats is None else
-                  [t if f else int(t) for t, f in zip(
-                      column.tolist(), floats[ids].any(axis=1).tolist())]
-                  for column, (_, _, floats) in zip(out.T, self.items)]
-        missing = 0 if self.missing is None else int(self.missing[ids].sum())
-        return ResultTable(list(self.columns), list(zip(*values)), missing)
+        return out
 
 
 def code_masks(node_codes, n_codes: int) -> np.ndarray:
@@ -557,8 +542,7 @@ class _Acc:
 def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     """Run a bound query and return its result table.
 
-    Aggregate queries yield exactly one row, or one per list when a list
-    is bound to a block (``_execute_block``).  Bare item queries yield
+    Aggregate queries yield exactly one row.  Bare item queries yield
     one row per surviving match, with missing values surfaced as None.
     """
     if not isinstance(query, Query):
@@ -566,9 +550,6 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
     if not graph.frozen:
         raise ExecutionError("graph must be frozen before it can be queried")
     plan = query.template.plan
-    name = block_binding(query)
-    if name is not None:
-        return _execute_block(graph, query, name)
     params = dict(query.scalars)
     for name, values in query.lists.items():
         params[name] = frozenset(values)
@@ -595,50 +576,31 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
                        missing_property_count=env.missing)
 
 
-def _execute_block(graph: PropertyGraph, query: Query, name: str) -> ResultTable:
-    """The m-row table of a query whose list ``name`` is bound to an
-    (m, k) block: row i is the one row list i gives alone, bit for bit,
-    and the missing count is the sum of theirs.  A ``numpy_block`` plan
-    answers from its ``_NodeBlock``; any other plan, or one whose block
-    could not be built, runs the lists one at a time down the row path,
-    so an error is the one the first failing list raises."""
-    plan = query.template.plan
-    block = query.lists[name]
-    node_block = plan.node_block(graph) if plan.numpy_block else None
-    if node_block is not None:
-        return node_block.answer(block)
-    columns = plan.columns
-    if columns is None:
-        # the block's placeholder is in no RETURN item, so any list
-        # renders the same columns
-        columns = _columns(Query(query.template, query.scalars,
-                                 {**query.lists, name: ()}).ast.items)
-    rows, missing = [], 0
-    for ids in block.tolist():
-        one = execute(graph, Query(query.template, query.scalars,
-                                   {**query.lists, name: tuple(ids)}))
-        rows.extend(one.rows)
-        missing += one.missing_property_count
-    return ResultTable(columns=list(columns), rows=rows,
-                       missing_property_count=missing)
-
-
 def execute_floats(graph: PropertyGraph, template: QueryTemplate, scalars: dict,
                    name: str, block: np.ndarray) -> np.ndarray:
-    """``execute``'s table for ``template`` with its ``scalars`` and the
-    (m, k) int64 id block bound to list ``name``, as (m, items) float64:
-    ``_NodeBlock.values`` on the numpy route, with no query or table
-    built.  The binding is not checked (bind it once with ``substitute``);
-    a value that is not a number raises ExecutionError."""
+    """The values of ``template`` with its ``scalars`` and each list of
+    the (m, k) int64 id block bound in turn to list ``name``, as (m,
+    items) float64: row i is the one row list i gives alone.  A
+    ``numpy_block`` plan reads ``_NodeBlock.values``, with no query or
+    table built.  Any other plan, or one whose node block could not be
+    built, runs the lists one at a time through ``execute`` and reads
+    each one's single row, so an error is the one the first failing list
+    raises; a value that is not a number raises ExecutionError.  The
+    binding is not checked (bind one list with ``substitute`` to check
+    it)."""
+    if not graph.frozen:
+        raise ExecutionError("graph must be frozen before it can be queried")
     plan = template.plan
-    node_block = (plan.node_block(graph) if plan.numpy_block and graph.frozen
-                  else None)
+    node_block = plan.node_block(graph) if plan.numpy_block else None
     if node_block is not None:
-        return node_block.values(block)[1]
-    table = execute(graph, Query(template, scalars, {name: block}))
-    for value in (value for row in table.rows for value in row):
-        if value is None or isinstance(value, (list, str)):
-            raise ExecutionError(f"query produced a non-numeric value {value!r}")
+        return node_block.values(block)
+    rows = []
+    for ids in block.tolist():
+        (row,) = execute(graph, Query(template, scalars, {name: tuple(ids)})).rows
+        for value in row:
+            if value is None or isinstance(value, (list, str)):
+                raise ExecutionError(f"query produced a non-numeric value {value!r}")
+        rows.append(row)
     # every value is an int or a float; an int past 2^53 rounds to nearest
-    return np.array(table.rows, dtype=np.float64).reshape(
-        len(block), len(table.columns))
+    return np.array(rows, dtype=np.float64).reshape(
+        len(block), len(template.ast.items))

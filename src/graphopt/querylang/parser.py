@@ -439,9 +439,9 @@ class QueryTemplate:
 
     @cached_property
     def block_placeholders(self) -> frozenset:
-        """The list placeholders that may bind a block: those of an
-        aggregate query that no RETURN item uses, so that each list
-        answers one row under the same columns."""
+        """The list placeholders ``execute_floats`` may bind to a block
+        of lists: those of an aggregate query that no RETURN item uses,
+        so that each list answers one row under the same columns."""
         items = self.ast.items
         if not isinstance(items[0].value, Aggregate):
             return frozenset()
@@ -461,8 +461,8 @@ class Query:
 
     Execution runs the template's plan with these values.  The
     literal-inlined ``ast`` and its rendered ``text`` are built only when
-    read; a query from ``parse_query`` keeps its source text.  A query
-    whose list is bound to a block of lists has neither.
+    read; a query from ``parse_query`` keeps its source text.  Equality
+    and hashing compare the ``ast``.
     """
 
     def __init__(self, template: QueryTemplate, scalars: Optional[dict] = None,
@@ -475,9 +475,6 @@ class Query:
 
     @cached_property
     def ast(self) -> QueryAst:
-        if block_binding(self) is not None:
-            raise TypeError("a query bound to a block of lists has no single "
-                            "AST or text; bind one list to read them")
         values = {**self.scalars, **self.lists}
 
         def inline(expr):
@@ -506,23 +503,11 @@ class Query:
     def text(self) -> str:
         return render_query(self.ast)
 
-    def _key(self):
-        """The inlined ``ast``; for a block-bound query, which has none,
-        the template's AST with the bound values, a block as its shape
-        and bytes."""
-        if block_binding(self) is None:
-            return self.ast
-        lists = {name: (values.shape, values.tobytes())
-                 if type(values) is np.ndarray else values
-                 for name, values in self.lists.items()}
-        return (self.template.ast, tuple(sorted(self.scalars.items())),
-                tuple(sorted(lists.items())))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Query) and self._key() == other._key()
+        return isinstance(other, Query) and self.ast == other.ast
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.ast)
 
 
 def parse_query(text: str) -> Query:
@@ -555,23 +540,12 @@ def _check_scalar(name: str, value):
 
 def _check_list(name: str, values):
     """The bound list as a tuple of Python scalars (a 1-D ndarray as its
-    ``tolist()``), or an (m, k) integer ndarray as a read-only int64
-    block of m lists."""
-    if isinstance(values, np.ndarray) and values.ndim not in (1, 2):
-        raise TypeError(f"${name}: list placeholder bound to a "
-                        f"{values.ndim}-d array")
-    if isinstance(values, np.ndarray) and values.ndim == 1:
+    ``tolist()``)."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise TypeError(f"${name}: list placeholder bound to a "
+                            f"{values.ndim}-d array")
         values = values.tolist()
-    if isinstance(values, np.ndarray) and values.ndim == 2:
-        if values.dtype.kind not in "iu":
-            raise TypeError(f"${name}: a block of lists must hold integers, "
-                            f"got {values.dtype}")
-        if values.shape[1] > MAX_IN_LIST:
-            raise SubstitutionError(f"${name}: IN lists have {values.shape[1]} "
-                                    f"elements (limit {MAX_IN_LIST})")
-        block = values.astype(np.int64)  # a copy the caller cannot change
-        block.setflags(write=False)
-        return block
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
         raise TypeError(f"${name}: list placeholder bound to {type(values).__name__}")
     out = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
@@ -589,9 +563,7 @@ def substitute(template: QueryTemplate, scalars: Optional[dict] = None,
     """Bind every placeholder in ``template`` and return a runnable Query.
 
     ``scalars`` maps names to scalar values, ``lists`` maps names to
-    sequences (allowed only where the placeholder follows IN).  One list
-    may instead be an (m, k) integer ndarray, a block of m lists, where
-    ``block_placeholders`` allows it; ``execute`` then answers m rows.  A
+    sequences (allowed only where the placeholder follows IN).  A
     numpy scalar binds as its ``item()`` and a 1-D ndarray as its
     ``tolist()``, so the bound text renders Python values.  Every
     placeholder must be bound exactly once; unknown or doubly bound
@@ -619,20 +591,4 @@ def substitute(template: QueryTemplate, scalars: Optional[dict] = None,
             raise TypeError(f"${name}: scalar bound where a list is expected")
         if not is_list and name in checked_lists:
             raise TypeError(f"${name}: list bound where a scalar is expected")
-    blocks = [name for name, v in checked_lists.items() if type(v) is np.ndarray]
-    if len(blocks) > 1:
-        raise SubstitutionError("a query binds at most one block: "
-                                + ", ".join(sorted(blocks)))
-    if blocks and blocks[0] not in template.block_placeholders:
-        raise SubstitutionError(
-            f"${blocks[0]}: a block binds only a list placeholder of an "
-            f"aggregate query that no RETURN item uses")
     return Query(template, scalars, checked_lists)
-
-
-def block_binding(query: Query) -> Optional[str]:
-    """The name of the list bound to a block, or None."""
-    for name, values in query.lists.items():
-        if type(values) is np.ndarray:
-            return name
-    return None

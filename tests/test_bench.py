@@ -234,13 +234,19 @@ def test_summary_md_content():
     assert "Winner by mean:" in text
     assert "brute_force" in text
     assert "Rao1" in text
+    for header in ("| problem | best fitness | oracle optimum | gap | oracle |",
+                   "| solver | seeds | mean | std | best | worst |",
+                   "| comparison | W | p raw | p Holm | method |"):
+        rule = "|" + "---|" * header.count(" | ") + "---|"
+        assert f"{header}\n{rule}\n| " in text
 
 
 def test_degeneracy_md_content():
     text = degeneracy_md_text(small_report())
     assert text.startswith("# Degenerate-term report")
     assert "## P2 (200 samples)" in text
-    assert "| term | kind |" in text
+    assert ("| term | kind | min | max | variance | missing properties | "
+            "flagged |\n|---|---|---|---|---|---|---|\n| ") in text
     assert "YES" not in text  # healthy instance, nothing flagged
 
 

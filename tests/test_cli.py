@@ -95,9 +95,11 @@ def test_bad_disrupt_exits_with_its_cause(problem, disrupt, cause):
     assert message.startswith("graphopt: ") and cause in message
 
 
-def test_unknown_problem_rejected():
-    with pytest.raises(ValueError):
+def test_unknown_problem_rejected(capsys):
+    with pytest.raises(SystemExit) as info:
         main(["generate", "--problem", "P9"])
+    assert str(info.value.code) == "graphopt: unknown problem id 'P9'"
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_command_exits_with_usage():
@@ -206,6 +208,23 @@ def test_stats_empty_csv_fails(tmp_path, capsys):
                     "wall_ms,error\n")
     assert main(["stats", "--results", str(path)]) == 1
     assert "no usable rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["inspect-degeneracy", "--problem", "P2", "--samples", "1"],
+     "need at least 2 samples"),
+    (["stats", "--results", "{tmp}/missing.csv"], "No such file or directory"),
+    (["stats", "--results", "{tmp}/results.csv"],
+     "could not convert string to float: 'oops'"),
+])
+def test_bad_input_exits_with_its_cause(argv, cause, tmp_path, capsys):
+    (tmp_path / "results.csv").write_text(
+        "problem,solver,seed,fitness\nP2,jaya,0,oops\n")
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    message = str(info.value.code)
+    assert message.startswith("graphopt: ") and cause in message
+    assert capsys.readouterr().out == ""
 
 
 def test_inspect_degeneracy_exit_codes(capsys):

@@ -1,7 +1,7 @@
 """Query language: parse errors with offsets, substitution, execution
 semantics (aggregates, missing properties, DISTINCT), the brute-force
-filter-equivalence property, the id-seek against a label scan, and a
-block of lists against the lists run one at a time."""
+filter-equivalence property, the id-seek against a label scan, and
+``execute_floats`` of a block of lists against the lists run alone."""
 
 import math
 import re
@@ -16,8 +16,8 @@ from graphopt.querylang import (MISSING, MAX_IN_LIST, ExecutionError,
                                 ParseError, ResultTable, SubstitutionError,
                                 execute, execute_floats, parse_query,
                                 parse_template, render_query, substitute)
+from graphopt.problems import PatternABinding, QueryTerm, selection_space
 from graphopt.querylang import executor
-from graphopt.querylang.executor import _NodeBlock
 from graphopt.rng import SeededRng
 
 
@@ -120,10 +120,10 @@ def test_scalar_placeholder_as_in_haystack_rejected():
         substitute(t, scalars={"selected": 3})
 
 
-@pytest.mark.parametrize("ndim", [0, 3])
+@pytest.mark.parametrize("ndim", [0, 2, 3])
 def test_array_of_other_ndim_rejected_by_name(ndim):
-    """Only a 1-D array (one list) or a 2-D one (a block) binds a list
-    placeholder; any other names the placeholder and the ndim."""
+    """Only a 1-D array binds a list placeholder; any other, a block of
+    lists too, names the placeholder and the ndim."""
     t = parse_template("MATCH (x:N) WHERE x.id IN $sel RETURN count(*)")
     with pytest.raises(TypeError, match=rf"^\$sel: list placeholder bound to "
                                         rf"a {ndim}-d array$"):
@@ -258,6 +258,10 @@ def test_execute_requires_frozen_graph():
     g.add_node({"N"}, {})
     with pytest.raises(ExecutionError):
         execute(g, parse_query("MATCH (x:N) RETURN count(*)"))
+    template = parse_template("MATCH (x:N) WHERE x.id IN $sel RETURN count(*)")
+    for block in (np.zeros((0, 1), dtype=np.int64), np.array([[0]])):
+        with pytest.raises(ExecutionError, match="frozen"):
+            execute_floats(g, template, {}, "sel", block)
 
 
 def test_determinism():
@@ -400,7 +404,7 @@ def test_id_seek_equals_label_scan(g, sel):
             assert execute(g, parse_query(query.text)) == want  # literal list
 
 
-# ---- per-node aggregates equal the row path ----
+# ---- a block of lists read as float64 equals its lists run alone ----
 
 # int and non-integral float values (so the summation order shows in the
 # bits), list values for the DISTINCT forms, and nodes lacking either
@@ -408,14 +412,6 @@ _node_properties = st.fixed_dictionaries({}, optional={
     "v": st.sampled_from([1, 4, -2, 0.1, 0.7, 1e16, -3.25]),
     "w": st.sampled_from([[1, 2], [2, 1], [], ["a"], [0.5]])})
 
-_AGGREGATES = ("count(*), count({x}.v), count(DISTINCT {x}.v), sum({x}.v), "
-               "avg({x}.v), min({x}.v), max({x}.v), collect({x}.v), "
-               "collect(DISTINCT {x}.w), count(DISTINCT {x}.w)")
-BY_NODE_ONE = parse_template(
-    "MATCH (d:D) WHERE d.id IN $sel RETURN " + _AGGREGATES.format(x="d"))
-BY_NODE_TWO = parse_template(
-    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
-    + _AGGREGATES.format(x="g"))
 # every item a count or a sum: answered in numpy
 _BLOCK_AGGREGATES = ("count(*), count({x}.v), count(DISTINCT {x}.v), "
                      "sum({x}.v), count(DISTINCT {x}.w)")
@@ -424,6 +420,13 @@ BLOCK_ONE = parse_template(
 BLOCK_TWO = parse_template(
     "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
     + _BLOCK_AGGREGATES.format(x="g"))
+# avg, min and max keep a plan off the numpy route; an empty list gives None
+_ROW_AGGREGATES = "count(*), sum({x}.v), avg({x}.v), min({x}.v), max({x}.v)"
+BY_NODE_ONE = parse_template(
+    "MATCH (d:D) WHERE d.id IN $sel RETURN " + _ROW_AGGREGATES.format(x="d"))
+BY_NODE_TWO = parse_template(
+    "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel RETURN "
+    + _ROW_AGGREGATES.format(x="g"))
 
 
 def _row_path(template):
@@ -433,8 +436,38 @@ def _row_path(template):
     return twin
 
 
-def _bits(table):
-    return (table.columns, repr(table.rows), table.missing_property_count)
+def _lists_alone(g, template, block):
+    """Each list of the block run alone by ``execute`` on the row path,
+    its one row read as float64: the (m, items) matrix, or the message of
+    the first list that raises or gives a value that is not a number."""
+    rows = []
+    for ids in block.tolist():
+        try:
+            (row,) = execute(g, substitute(_row_path(template),
+                                           lists={"sel": ids})).rows
+        except ExecutionError as err:
+            return str(err)
+        for value in row:
+            if type(value) not in (int, float):
+                return f"query produced a non-numeric value {value!r}"
+        rows.append(np.array(row, dtype=np.float64))
+    return np.array(rows).reshape(len(block), len(template.ast.items))
+
+
+def _assert_floats_equal_lists(g, template, block):
+    """``execute_floats`` of the block, on the numpy route and on the row
+    path, is its lists run alone (``_lists_alone``), bit for bit, or
+    raises the first failing list's error."""
+    want = _lists_alone(g, template, block)
+    for route in (template, _row_path(template)):
+        if isinstance(want, str):
+            with pytest.raises(ExecutionError) as got:
+                execute_floats(g, route, {}, "sel", block)
+            assert str(got.value) == want
+            continue
+        got = execute_floats(g, route, {}, "sel", block)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (got, want)
 
 
 def _two_groups():
@@ -461,28 +494,14 @@ _id_blocks = st.integers(0, 6).flatmap(lambda k: st.lists(
 @example(g=_two_groups(), block=np.array([[1, 2 ** 63 - 1, -2 ** 63], [1, 0, 1]]))
 @given(g=_labelled_graphs(_node_properties), block=_id_blocks)
 def test_node_table_equals_row_path(g, block):
+    """The numpy route's float64 values equal the row path's, ids at
+    both ends of int64 included."""
     for template in (BLOCK_ONE, BLOCK_TWO):
         assert template.plan.numpy_block
-        got = execute(g, substitute(template, lists={"sel": block}))
-        want = execute(g, substitute(_row_path(template), lists={"sel": block}))
-        assert _bits(got) == _bits(want)
+        got = execute_floats(g, template, {}, "sel", block)
+        want = execute_floats(g, _row_path(template), {}, "sel", block)
+        assert got.tobytes() == want.tobytes(), (got, want)
         assert template.plan.node_block(g) is not None  # numpy answered it
-
-
-def test_single_list_walks_the_rows(monkeypatch):
-    """A single list never reaches the numpy route; a block does."""
-    calls = []
-    answer = _NodeBlock.answer
-    monkeypatch.setattr(_NodeBlock, "answer",
-                        lambda self, block: calls.append(block) or answer(self, block))
-    g = _two_groups()
-    for template in (BLOCK_ONE, BLOCK_TWO):
-        got = execute(g, substitute(template, lists={"sel": [0, 1]}))
-        want = execute(g, substitute(_row_path(template), lists={"sel": [0, 1]}))
-        assert _bits(got) == _bits(want) and calls == []
-        block = execute(g, substitute(template, lists={"sel": np.array([[0, 1]])}))
-        assert _bits(block) == _bits(want) and len(calls) == 1
-        calls.clear()
 
 
 def test_node_table_only_for_placeholder_free_aggregates():
@@ -515,22 +534,19 @@ def test_node_table_raises_the_row_path_error_every_time():
         assert str(want.value) == message
         for _ in range(2):  # a second run raises the same error
             with pytest.raises(ExecutionError) as got:
-                execute(g, substitute(template, lists={"sel": np.array([sel])}))
+                execute_floats(g, template, {}, "sel", np.array([sel]))
             assert str(got.value) == message
     template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
-    assert execute(g, substitute(template, lists={"sel": np.array([[0, 1]])})
-                   ).rows == [(3,)]
+    assert execute_floats(g, template, {}, "sel", np.array([[0, 1]])).tolist() == [[3.0]]
 
-
-# ---- a block of lists equals its lists run one at a time ----
 
 # scanning plans: the WHERE holds more than the id seek
 SCAN_ONE = parse_template(
     "MATCH (d:D) WHERE d.id IN $sel AND d.v > 0 RETURN "
-    + _AGGREGATES.format(x="d"))
+    + _BLOCK_AGGREGATES.format(x="d"))
 SCAN_TWO = parse_template(
     "MATCH (d:D)-[e:R]->(g:G) WHERE d.id IN $sel AND g.v > 0 RETURN "
-    + _AGGREGATES.format(x="g"))
+    + _BLOCK_AGGREGATES.format(x="g"))
 
 
 def _signed_zeros():
@@ -543,18 +559,6 @@ def _signed_zeros():
     return g.freeze()
 
 
-def _assert_block_equals_lists(g, template, block):
-    got = execute(g, substitute(template, lists={"sel": block}))
-    assert len(got.rows) == len(block)
-    missing = 0
-    for ids, row in zip(block.tolist(), got.rows):
-        want = execute(g, substitute(_row_path(template), lists={"sel": ids}))
-        assert _bits(ResultTable(got.columns, [row], want.missing_property_count)
-                     ) == _bits(want), ids
-        missing += want.missing_property_count
-    assert got.missing_property_count == missing
-
-
 @settings(max_examples=200, deadline=None)
 @example(g=_two_groups(), block=np.array([[0, 1]]))
 @example(g=_two_groups(), block=np.array([[1, 0, 1, 7, -1]]))
@@ -564,18 +568,18 @@ def _assert_block_equals_lists(g, template, block):
 def test_block_equals_lists_run_one_at_a_time(g, block):
     for template in (BLOCK_ONE, BLOCK_TWO):
         assert template.plan.numpy_block
-        _assert_block_equals_lists(g, template, block)
+        _assert_floats_equal_lists(g, template, block)
         assert template.plan.node_block(g) is not None  # numpy answered it
-    # avg, min, max and collect run the lists one at a time down the row path
+    # avg, min and max run the lists one at a time down the row path
     for template in (BY_NODE_ONE, BY_NODE_TWO):
         assert not template.plan.numpy_block
-        _assert_block_equals_lists(g, template, block)
+        _assert_floats_equal_lists(g, template, block)
 
 
 @pytest.mark.parametrize("n_values", [65, 129, 200])
 def test_block_count_distinct_over_several_mask_words(n_values):
     """count(DISTINCT …) over 2, 3 and 4 words of code bits, for a
-    small block and one past a solver population, equals the row path."""
+    small block and one past a solver population, equals the lists."""
     rng = np.random.default_rng(n_values)
     g = PropertyGraph()
     for i in range(n_values):
@@ -587,8 +591,7 @@ def test_block_count_distinct_over_several_mask_words(n_values):
     for m in (7, 150):
         block = rng.integers(-2, n_values + 3, size=(m, 12))
         for template in (BLOCK_ONE, BLOCK_TWO):
-            _assert_block_equals_lists(g, template, block)
-            _assert_floats_equal_row_path(g, template, block)
+            _assert_floats_equal_lists(g, template, block)
             assert template.plan.node_block(g) is not None
 
 
@@ -598,7 +601,7 @@ def test_block_count_distinct_over_several_mask_words(n_values):
 def test_block_on_a_scanning_plan_equals_lists(g, block):
     for template in (SCAN_ONE, SCAN_TWO):
         assert not template.plan.numpy_block
-        _assert_block_equals_lists(g, template, block)
+        _assert_floats_equal_lists(g, template, block)
 
 
 def test_block_raises_the_row_path_error_every_time():
@@ -612,17 +615,23 @@ def test_block_raises_the_row_path_error_every_time():
         ("RETURN sum(d.v)", [[2, 0]], "sum expects numbers"),
         # the first list is fine; the second raises
         ("RETURN sum(d.v), count(*)", [[0, 1], [2, 0]], "sum expects numbers"),
+        # the first list, of no node, gives a non-number; the second raises
+        ("RETURN min(d.w), sum(d.v)", [[7, 7], [0, 1]],
+         "query produced a non-numeric value None"),
     )
     for items, block, message in cases:
         template = parse_template(f"MATCH (d:D) WHERE d.id IN $sel {items}")
+        assert _lists_alone(g, template, np.array(block)) == message
         for _ in range(2):  # a second run raises the same error
             with pytest.raises(ExecutionError) as got:
-                execute(g, substitute(template, lists={"sel": np.array(block)}))
+                execute_floats(g, template, {}, "sel", np.array(block))
             assert str(got.value) == message
     # node 2 keeps this graph off the numpy route; its lists still answer
+    template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v), count(*)")
     assert template.plan.node_block(g) is None
-    query = substitute(template, lists={"sel": np.array([[0, 1], [1, 0]])})
-    assert execute(g, query).rows == [(3, 2), (3, 2)]
+    block = np.array([[0, 1], [1, 0]])
+    _assert_floats_equal_lists(g, template, block)
+    assert execute_floats(g, template, {}, "sel", block).tolist() == [[3, 2], [3, 2]]
 
 
 def test_block_of_ints_float64_cannot_add_runs_list_by_list():
@@ -632,12 +641,11 @@ def test_block_of_ints_float64_cannot_add_runs_list_by_list():
     g.freeze()
     template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
     block = np.array([[0, 1], [1, 1]])
-    assert execute(g, substitute(template, lists={"sel": block})).rows == [
-        (2 ** 53 + 1,), (1,)]
+    _assert_floats_equal_lists(g, template, block)
+    assert execute_floats(g, template, {}, "sel", block).tolist() == [
+        [float(2 ** 53 + 1)], [1.0]]
     assert template.plan.node_block(g) is None
 
-
-# ---- a block read as float64 equals the row path's table ----
 
 def _mixed_sums():
     """D nodes valued 1 and 0.5, each with an R edge to a G node valued
@@ -649,17 +657,6 @@ def _mixed_sums():
     return g.freeze()
 
 
-def _assert_floats_equal_row_path(g, template, block):
-    """``execute_floats`` of the block, on the numpy route and on the
-    row path, is the row path's table read as float64, bit for bit."""
-    want = execute(g, substitute(_row_path(template), lists={"sel": block}))
-    want = np.array(want.rows, dtype=np.float64).reshape(len(block), -1)
-    for route in (template, _row_path(template)):
-        got = execute_floats(g, route, {}, "sel", block)
-        assert got.dtype == np.float64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (got, want)
-
-
 @settings(max_examples=200, deadline=None)
 @example(g=_two_groups(), block=np.array([[1, 2 ** 63 - 1, -2 ** 63], [1, 0, 1]]))
 @example(g=_mixed_sums(), block=np.array([[0, 2, 4], [0, 1, 2], [2, 2, -1]]))
@@ -667,15 +664,15 @@ def _assert_floats_equal_row_path(g, template, block):
 @given(g=_labelled_graphs(_node_properties), block=_id_blocks)
 def test_float_values_equal_the_row_path(g, block):
     for template in (BLOCK_ONE, BLOCK_TWO):
-        _assert_floats_equal_row_path(g, template, block)
+        _assert_floats_equal_lists(g, template, block)
         assert template.plan.node_block(g) is not None  # numpy answered it
 
 
 def test_float_values_read_no_table_on_the_numpy_route(monkeypatch):
-    """The numpy route builds no query and no table: ``answer`` is not
-    called, nor is the row path."""
+    """The numpy route builds no query and runs no row path: neither
+    ``Query`` nor ``execute`` is called."""
     calls = []
-    monkeypatch.setattr(_NodeBlock, "answer", lambda *a: calls.append(a))
+    monkeypatch.setattr(executor, "Query", lambda *a: calls.append(a))
     monkeypatch.setattr(executor, "execute", lambda *a: calls.append(a))
     g = _two_groups()
     for template in (BLOCK_ONE, BLOCK_TWO):
@@ -690,7 +687,9 @@ def test_float_values_of_int_sums_past_float64():
         g.add_node({"D"}, {"v": v})
     g.freeze()
     template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN sum(d.v)")
-    got = execute_floats(g, template, {}, "sel", np.array([[0, 1], [1, 2], [1, 1]]))
+    block = np.array([[0, 1], [1, 2], [1, 1]])
+    _assert_floats_equal_lists(g, template, block)
+    got = execute_floats(g, template, {}, "sel", block)
     assert got[:, 0].tolist() == [float(2 ** 53 + 1), float(2 ** 70 + 1), 1.0]
     assert template.plan.node_block(g) is None
 
@@ -708,32 +707,33 @@ def test_float_values_refuse_a_value_that_is_not_a_number(items, message):
 
 
 def test_block_binding_rules():
+    """A block of lists binds only through ``execute_floats``:
+    ``substitute`` refuses a 2-d array, and a Pattern A term whose
+    template cannot take the selection list as a block is refused by
+    name."""
     template = parse_template("MATCH (d:D) WHERE d.id IN $sel RETURN count(*)")
-    with pytest.raises(TypeError, match="must hold integers"):
-        substitute(template, lists={"sel": np.zeros((2, 2))})
-    query = substitute(template, lists={"sel": np.array([[0, 1]])})
-    with pytest.raises(TypeError, match="no single AST"):
-        query.text
-    # equality and hashing compare the bound block's shape and values
-    same = substitute(template, lists={"sel": np.array([[0, 1]], dtype=np.int32)})
-    assert query == same and hash(query) == hash(same)
-    assert len({query, same}) == 1
-    assert query != substitute(template, lists={"sel": np.array([[0], [1]])})
-    assert query != substitute(template, lists={"sel": np.array([[0, 2]])})
-    assert query != substitute(template, lists={"sel": [0, 1]})
-    assert query in [substitute(template, lists={"sel": [0, 1]}), same]
-    for text in (
-            "MATCH (d:D) WHERE d.id IN $sel RETURN d.v",  # rows per list
-            "MATCH (d:D) WHERE d.id IN $sel RETURN count(d.id IN $sel)",
-            "MATCH (d:D) WHERE d.id IN $sel AND d.id IN $b RETURN count(*)"):
-        with pytest.raises(SubstitutionError):
-            substitute(parse_template(text), lists={
-                name: np.array([[0]]) for name in parse_template(text).placeholders})
+    assert template.block_placeholders == {"sel"}
+    for block in (np.zeros((2, 2)), np.array([[0, 1]])):
+        with pytest.raises(TypeError, match=r"^\$sel: list placeholder bound "
+                                            r"to a 2-d array$"):
+            substitute(template, lists={"sel": block})
+    g, drugs, _ = drug_gene_graph()
+    for text, block_placeholders in (
+            ("MATCH (d:D) WHERE d.id IN $sel RETURN d.v", set()),  # rows per list
+            ("MATCH (d:D) WHERE d.id IN $sel RETURN count(d.id IN $sel)", set()),
+            ("MATCH (d:D) WHERE d.id IN $sel AND d.id IN $b RETURN count(*)",
+             {"sel", "b"})):
+        assert parse_template(text).block_placeholders == block_placeholders
+        term = QueryTerm("t", parse_template(text))
+        with pytest.raises(ValueError, match=r"^term 't': the template must be"):
+            PatternABinding(graph=g, space=selection_space(2, len(drugs)),
+                            candidates=list(drugs), objective_terms=[term],
+                            selection_param="sel")
 
 
 def test_node_table_per_graph():
     """One template run alternately on two frozen graphs gives each
-    graph's own answer."""
+    graph's own values."""
     template = parse_template(
         "MATCH (d:Drug)-[:TARGETS]->(g:Gene) WHERE d.id IN $sel "
         "RETURN count(DISTINCT g.id), count(*)")
@@ -743,8 +743,10 @@ def test_node_table_per_graph():
     for _ in range(3):
         g2.add_edge(d, "TARGETS", g2.add_node({"Gene"}, {}), {})
     g2.freeze()
-    query = substitute(template, lists={"sel": np.array([[0, 2]])})
+    block = np.array([[0, 2]])
     for _ in range(2):
-        assert execute(g1, query).rows == [(1, 2)]
-        assert execute(g2, query).rows == [(3, 3)]
-    assert all(template.plan.node_block(g) is not None for g in (g1, g2))
+        assert execute_floats(g1, template, {}, "sel", block).tolist() == [[1, 2]]
+        assert execute_floats(g2, template, {}, "sel", block).tolist() == [[3, 3]]
+    for g in (g1, g2):
+        _assert_floats_equal_lists(g, template, block)
+        assert template.plan.node_block(g) is not None
