@@ -26,8 +26,9 @@ from .rng import SeededRng
 from .solvers import (DISPLAY_NAMES, VARIANT_LABELS, RunResult, SolverConfig,
                       run_group)
 from .stats import SummaryTable, build_summary
-from .suite import (PROBLEM_IDS, Instance, detect_degenerate_terms,
-                    fresh_binding, gap_ratio, generate, solve_oracle)
+from .suite import (PROBLEM_IDS, Instance, check_instance_args,
+                    detect_degenerate_terms, fresh_binding, gap_ratio,
+                    generate, solve_oracle)
 
 DEFAULT_VARIANTS = ("bmwr", "jaya", "samp_jaya", "ehr_jaya", "rao1")
 _SEED_STREAM = 4242
@@ -53,6 +54,9 @@ class BenchConfig:
     def __post_init__(self):
         object.__setattr__(self, "problems",
                            tuple(p.upper() for p in self.problems))
+        # checked here, not in generate after the pool has started
+        for problem in self.problems:
+            check_instance_args(problem, self.scale, self.p5_mode)
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
         if self.workers < 1:

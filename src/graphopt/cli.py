@@ -12,8 +12,9 @@ from pathlib import Path
 from .bench import BenchConfig, emit_report, run_matrix, summary_md_text
 from .solvers import VARIANTS, SolverConfig, run
 from .stats import build_summary
-from .suite import (PROBLEM_IDS, SCALES, DisruptionSpec, detect_degenerate_terms,
-                    generate, inject_disruption, solve_oracle)
+from .suite import (P5_MODES, PROBLEM_IDS, SCALES, DisruptionSpec,
+                    detect_degenerate_terms, generate, inject_disruption,
+                    solve_oracle)
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -26,8 +27,7 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
                    metavar="NAME",
                    help="omit this node property at generation time "
                         "(repeatable); used to study degraded data")
-    p.add_argument("--p5-mode", default="linear",
-                   choices=("linear", "nonlinear"),
+    p.add_argument("--p5-mode", default=P5_MODES[0], choices=P5_MODES,
                    help="P5 objective mode; nonlinear has no oracle")
 
 
@@ -138,6 +138,8 @@ def _cmd_stats(args) -> int:
                     row["solver"], {})[int(row["seed"])] = float(row["fitness"])
     except (OSError, ValueError) as err:  # no such file, or a cell not a number
         raise SystemExit(f"graphopt: {err}") from err
+    except KeyError as err:  # a column the header lacks
+        raise SystemExit(f"graphopt: {args.results} has no {err.args[0]!r} column") from err
     if not fitness:
         print("no usable rows", file=sys.stderr)
         return 1

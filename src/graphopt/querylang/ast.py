@@ -1,13 +1,19 @@
-"""AST node types for the mini query language, plus canonical rendering.
+"""AST node types for the mini query language, their shape, and
+canonical rendering.
 
 The grammar is a single-hop subset of the Cypher family: one MATCH
 pattern, an optional WHERE expression, and a RETURN list that is either
 all-aggregate or all-bare.  See QUERYLANG.md for the EBNF and semantics.
+
+``_SUBEXPRESSIONS`` declares, once, which fields of each node type hold
+a sub-expression.  Every walk over a query reads it: ``subexpressions``
+(the variable check, placeholder uses, a term's properties), ``rebuild``
+(inlining bound values) and ``param_uses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 AGGREGATE_FUNCS = ("count", "sum", "min", "max", "avg", "collect")
@@ -88,12 +94,71 @@ class MatchPattern:
     edge: Optional[EdgePattern] = None
     dst: Optional[NodePattern] = None
 
+    @property
+    def slots(self) -> dict:
+        """Each pattern variable -> its position in a match row (source
+        0, edge 1, destination 2); a repeated name keeps one entry."""
+        names = (self.src.var, self.edge and self.edge.var, self.dst and self.dst.var)
+        return {name: i for i, name in enumerate(names) if name}
+
 
 @dataclass(frozen=True)
 class QueryAst:
     pattern: MatchPattern
     where: Optional[Expr]
     items: tuple[ReturnItem, ...]
+
+    @property
+    def aggregated(self) -> bool:
+        """Whether the RETURN items are aggregates (they all are, or none)."""
+        return isinstance(self.items[0].value, Aggregate)
+
+
+# The fields of each node type that hold a sub-expression (a tuple field
+# holds several), in walk order: an IN haystack before its needle, the
+# order substitution checks placeholders in.  A type not listed has none.
+_SUBEXPRESSIONS = {
+    Unary: ("operand",), Binary: ("left", "right"),
+    InExpr: ("haystack", "needle"), Aggregate: ("arg",),
+    ReturnItem: ("value",), QueryAst: ("where", "items"),
+}
+
+
+def subexpressions(node):
+    """``node`` and every node under it, depth first, each before its
+    sub-expressions and those in ``_SUBEXPRESSIONS`` order.  A
+    ``QueryAst`` yields its WHERE, then each RETURN item."""
+    yield node
+    for field in _SUBEXPRESSIONS.get(type(node), ()):
+        value = getattr(node, field)
+        for child in value if isinstance(value, tuple) else (value,):
+            if child is not None:
+                yield from subexpressions(child)
+
+
+def rebuild(node, fn):
+    """``fn`` of a copy of ``node`` whose sub-expressions are rebuilt
+    first, bottom up."""
+    fields = {}
+    for field in _SUBEXPRESSIONS.get(type(node), ()):
+        value = getattr(node, field)
+        if isinstance(value, tuple):
+            fields[field] = tuple(rebuild(v, fn) for v in value)
+        elif value is not None:
+            fields[field] = rebuild(value, fn)
+    return fn(replace(node, **fields))
+
+
+def param_uses(node) -> tuple:
+    """(name, is_list) for each placeholder under ``node``, in walk
+    order; ``is_list`` marks an IN haystack, the node the walk yields
+    right after its ``InExpr``."""
+    uses, after_in = [], False
+    for n in subexpressions(node):
+        if isinstance(n, Param):
+            uses.append((n.name, after_in))
+        after_in = isinstance(n, InExpr)
+    return tuple(uses)
 
 
 def _render_value(value: object) -> str:

@@ -2,15 +2,16 @@
 
 Each template compiles once, on its first execution, into a ``Plan``:
 the match source, nested closures over match rows for WHERE and RETURN,
-and the column names.  The closures read bound values from a
-per-execution environment, so every query bound from the template runs
-the same plan.  Rows stream in deterministic order: ascending source
-node id, then ascending edge id for two-element patterns.  When the
-whole WHERE is ``<source var>.id IN <list>``, the plan visits only the
-listed nodes instead of scanning the label.  A missing property makes
-the enclosing WHERE clause non-matching and contributes nothing to
-aggregates; each such lookup increments ``missing_property_count`` on
-the result.
+and the column names, from the AST's row slots (``MatchPattern.slots``),
+``QueryAst.aggregated`` and each item's ``param_uses``.  The closures
+read bound values from a per-execution environment, so every query
+bound from the template runs the same plan.  Rows stream in
+deterministic order: ascending source node id, then ascending edge id
+for two-element patterns.  When the whole WHERE is ``<source var>.id IN
+<list>``, the plan visits only the listed nodes instead of scanning the
+label.  A missing property makes the enclosing WHERE clause
+non-matching and contributes nothing to aggregates; each such lookup
+increments ``missing_property_count`` on the result.
 
 ``execute_floats`` answers an (m, k) integer block of m id lists as an
 (m, items) float64 matrix.  When the list is a placeholder and every
@@ -31,8 +32,8 @@ import numpy as np
 
 from ..graph import PropertyGraph
 from .ast import (Aggregate, Binary, InExpr, ListLiteral, Literal, Param,
-                  Prop, QueryAst, ReturnItem, Unary, render_item)
-from .parser import Query, QueryTemplate, _param_uses
+                  Prop, QueryAst, ReturnItem, Unary, param_uses, render_item)
+from .parser import Query, QueryTemplate
 
 
 class ExecutionError(ValueError):
@@ -61,6 +62,12 @@ class ResultTable:
             raise ExecutionError(
                 f"expected a 1x1 result, got {len(self.rows)}x{len(self.columns)}")
         return self.rows[0][0]
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "=": operator.eq, "<>": operator.ne,
+              "<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge}
 
 
 def _is_number(value) -> bool:
@@ -150,10 +157,8 @@ class _Compiler:
                 return (lv or rv) if keep_if else (lv and rv)
             return logic
 
+        fn = _OPERATORS[op]
         if op in ("+", "-", "*", "/"):
-            fn = {"+": operator.add, "-": operator.sub,
-                  "*": operator.mul, "/": operator.truediv}[op]
-
             def arith(row, env):
                 lv = left(row, env)
                 rv = right(row, env)
@@ -179,24 +184,13 @@ class _Compiler:
             same_kind = numeric or (
                 isinstance(lv, str) and isinstance(rv, str)) or (
                 isinstance(lv, bool) and isinstance(rv, bool))
-            if op == "=":
+            if op in ("=", "<>"):
                 if not same_kind:
-                    raise ExecutionError("'=' expects values of the same kind")
-                return lv == rv
-            if op == "<>":
-                if not same_kind:
-                    raise ExecutionError("'<>' expects values of the same kind")
-                return lv != rv
-            if not same_kind or isinstance(lv, bool):
+                    raise ExecutionError(f"'{op}' expects values of the same kind")
+            elif not same_kind or isinstance(lv, bool):
                 raise ExecutionError(
                     f"'{op}' expects two numbers or two strings")
-            if op == "<":
-                return lv < rv
-            if op == "<=":
-                return lv <= rv
-            if op == ">":
-                return lv > rv
-            return lv >= rv
+            return fn(lv, rv)
         return compare
 
     def _compile_in(self, expr: InExpr) -> Callable:
@@ -259,20 +253,14 @@ class Plan:
 
     def __init__(self, ast: QueryAst):
         pattern = self.pattern = ast.pattern
-        slots = {pattern.src.var: 0}
-        if pattern.edge is not None:
-            slots[pattern.dst.var] = 2
-            if pattern.edge.var:
-                slots[pattern.edge.var] = 1
-        compiler = _Compiler(slots=slots)
+        compiler = _Compiler(slots=pattern.slots)
         where, self.seek = ast.where, None
         if isinstance(where, InExpr) and where.needle == Prop(pattern.src.var, "id"):
             where, self.seek = None, where.haystack
         self.where = compiler.compile(where) if where is not None else None
 
         items = ast.items
-        self.aggregated = isinstance(items[0].value, Aggregate)
-        if self.aggregated:
+        if ast.aggregated:
             self.returns = [(item.value, None if item.value.arg is None
                              else compiler.compile(item.value.arg))
                             for item in items]
@@ -280,13 +268,12 @@ class Plan:
             self.returns = [compiler.compile(item.value) for item in items]
         # an unaliased item with a placeholder is named after its bound
         # value, so its columns are rendered per query
-        per_query = any(item.alias is None and any(_param_uses(item.value))
-                        for item in items)
+        per_query = any(item.alias is None and param_uses(item) for item in items)
         self.columns = None if per_query else _columns(items)
         self.numpy_block = (
-            self.aggregated and isinstance(self.seek, Param)
+            ast.aggregated and isinstance(self.seek, Param)
             and all(item.value.func in ("count", "sum")
-                    and not any(_param_uses(item.value)) for item in items))
+                    and not param_uses(item) for item in items))
         # id(graph) -> (graph, _NodeBlock or None); holding the graph
         # keeps its id from being reused while its block lives
         self._blocks: dict[int, tuple[PropertyGraph, Optional[_NodeBlock]]] = {}
@@ -555,19 +542,18 @@ def execute(graph: PropertyGraph, query: Query) -> ResultTable:
         params[name] = frozenset(values)
     env = SimpleNamespace(params=params, missing=0)
     where = plan.where
-    if plan.aggregated:
+    # lazy: each row's WHERE runs after the RETURN items of the row before
+    rows = (row for row in plan.rows(graph, query)
+            if where is None or where(row, env) is True)
+    if query.template.ast.aggregated:
         accs = [_Acc(agg, arg) for agg, arg in plan.returns]
-        for row in plan.rows(graph, query):
-            if where is not None and where(row, env) is not True:
-                continue
+        for row in rows:
             for acc in accs:
                 acc.add(row, env)
         out_rows = [tuple(acc.result() for acc in accs)]
     else:
         out_rows = []
-        for row in plan.rows(graph, query):
-            if where is not None and where(row, env) is not True:
-                continue
+        for row in rows:
             values = tuple(g(row, env) for g in plan.returns)
             out_rows.append(tuple(None if v is MISSING else v for v in values))
     columns = (_columns(query.ast.items) if plan.columns is None

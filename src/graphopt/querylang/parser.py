@@ -4,7 +4,9 @@ Parsing produces either a ``Query`` (no ``$`` placeholders) or a
 ``QueryTemplate`` (placeholders present).  Substitution checks the
 bindings against the template and returns an immutable ``Query`` that
 carries them by name; the AST with the values inlined as literals is
-built only when someone reads it.
+built only when someone reads it.  Every walk over the AST (the
+variable check, placeholder uses, inlining) goes through the shape
+table of ``ast.py``; this module keeps none of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ from .ast import (
     QueryAst,
     ReturnItem,
     Unary,
+    param_uses,
+    rebuild,
     render_query,
+    subexpressions,
 )
 
 MAX_IN_LIST = 100_000
@@ -55,6 +60,7 @@ _TOKEN_RE = re.compile(
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 class ParseError(ValueError):
@@ -95,20 +101,11 @@ def _tokenize(text: str) -> list[Token]:
         elif kind == "param":
             tokens.append(Token("param", raw[1:], pos))
         elif kind == "string":
-            body = raw[1:-1]
-            out: list[str] = []
-            i = 0
-            while i < len(body):
-                ch = body[i]
-                if ch == "\\":
-                    i += 1
-                    if i >= len(body) or body[i] not in _ESCAPES:
-                        raise ParseError("bad string escape", text, pos)
-                    out.append(_ESCAPES[body[i]])
-                else:
-                    out.append(ch)
-                i += 1
-            tokens.append(Token("string", "".join(out), pos))
+            try:
+                value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], raw[1:-1])
+            except KeyError:
+                raise ParseError("bad string escape", text, pos) from None
+            tokens.append(Token("string", value, pos))
         elif kind == "arrow":
             tokens.append(Token("op", "->", pos))
         else:
@@ -159,6 +156,14 @@ class _Parser:
     def at_keyword(self, *kws: str) -> bool:
         return self.cur.kind == "keyword" and self.cur.value in kws
 
+    def comma_separated(self, item) -> list:
+        """``item { "," item }``."""
+        values = [item()]
+        while self.at_op(","):
+            self.advance()
+            values.append(item())
+        return values
+
     # -- grammar ---------------------------------------------------------
 
     def parse(self) -> QueryAst:
@@ -172,8 +177,12 @@ class _Parser:
         items = self.return_items()
         if self.cur.kind != "eof":
             raise self.error("unexpected trailing input")
-        self._check_variables(pattern, where, items)
-        return QueryAst(pattern=pattern, where=where, items=items)
+        ast = QueryAst(pattern=pattern, where=where, items=items)
+        for node in subexpressions(ast):
+            if isinstance(node, Prop) and node.var not in pattern.slots:
+                raise ParseError(f"unknown variable {node.var!r}",
+                                 self.text, len(self.text))
+        return ast
 
     def pattern(self) -> MatchPattern:
         src = self.node_pattern()
@@ -188,11 +197,10 @@ class _Parser:
         edge_type = self.expect_ident("relationship type")
         self.expect_op("]")
         self.expect_op("->")
-        dst = self.node_pattern()
-        names = [src.var, dst.var] + ([edge_var] if edge_var else [])
-        if len(set(names)) != len(names):
+        pattern = MatchPattern(src, EdgePattern(edge_var, edge_type), self.node_pattern())
+        if len(pattern.slots) != 2 + (edge_var is not None):
             raise self.error("duplicate variable in pattern")
-        return MatchPattern(src=src, edge=EdgePattern(edge_var, edge_type), dst=dst)
+        return pattern
 
     def node_pattern(self) -> NodePattern:
         self.expect_op("(")
@@ -203,10 +211,7 @@ class _Parser:
         return NodePattern(var=var, label=label)
 
     def return_items(self) -> tuple[ReturnItem, ...]:
-        items = [self.return_item()]
-        while self.at_op(","):
-            self.advance()
-            items.append(self.return_item())
+        items = self.comma_separated(self.return_item)
         kinds = {isinstance(item.value, Aggregate) for item in items}
         if kinds == {True, False}:
             raise self.error("cannot mix aggregated and bare return items")
@@ -246,22 +251,20 @@ class _Parser:
         self.expect_op(")")
         return Aggregate(func=name, arg=arg, distinct=distinct)
 
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.at_keyword("or"):
-            self.advance()
-            left = Binary("OR", left, self.and_expr())
+    def left_assoc(self, operand, *ops: str) -> Expr:
+        """``operand { op operand }``, grouped to the left; ``ops`` are
+        operator or keyword tokens."""
+        left = operand()
+        while self.at_op(*ops) or self.at_keyword(*ops):
+            op = self.advance().value.upper()
+            left = Binary(op, left, operand())
         return left
+
+    def expr(self) -> Expr:
+        return self.left_assoc(self.and_expr, "or")
 
     def and_expr(self) -> Expr:
-        left = self.not_expr()
-        while self.at_keyword("and"):
-            self.advance()
-            left = Binary("AND", left, self.not_expr())
-        return left
+        return self.left_assoc(self.not_expr, "and")
 
     def not_expr(self) -> Expr:
         if self.at_keyword("not"):
@@ -286,18 +289,10 @@ class _Parser:
         return left
 
     def additive(self) -> Expr:
-        left = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().value
-            left = Binary(op, left, self.multiplicative())
-        return left
+        return self.left_assoc(self.multiplicative, "+", "-")
 
     def multiplicative(self) -> Expr:
-        left = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().value
-            left = Binary(op, left, self.unary())
-        return left
+        return self.left_assoc(self.unary, "*", "/")
 
     def unary(self) -> Expr:
         if self.at_op("-"):
@@ -335,12 +330,7 @@ class _Parser:
 
     def list_literal(self) -> ListLiteral:
         self.expect_op("[")
-        values: list = []
-        if not self.at_op("]"):
-            values.append(self.literal_value())
-            while self.at_op(","):
-                self.advance()
-                values.append(self.literal_value())
+        values = [] if self.at_op("]") else self.comma_separated(self.literal_value)
         self.expect_op("]")
         return ListLiteral(values=tuple(values))
 
@@ -363,62 +353,9 @@ class _Parser:
             return tok.value == "true"
         raise self.error("list literals may only contain scalar literals")
 
-    def _check_variables(self, pattern: MatchPattern, where, items) -> None:
-        bound = {pattern.src.var}
-        if pattern.edge is not None:
-            bound.add(pattern.dst.var)
-            if pattern.edge.var:
-                bound.add(pattern.edge.var)
-
-        def walk(expr) -> None:
-            if isinstance(expr, Prop):
-                if expr.var not in bound:
-                    raise ParseError(f"unknown variable {expr.var!r}",
-                                     self.text, len(self.text))
-            elif isinstance(expr, Unary):
-                walk(expr.operand)
-            elif isinstance(expr, Binary):
-                walk(expr.left)
-                walk(expr.right)
-            elif isinstance(expr, InExpr):
-                walk(expr.needle)
-
-        if where is not None:
-            walk(where)
-        for item in items:
-            value = item.value
-            if isinstance(value, Aggregate):
-                if value.arg is not None:
-                    walk(value.arg)
-            else:
-                walk(value)
-
 
 class SubstitutionError(ValueError):
     """A placeholder binding does not line up with the template."""
-
-
-def _param_uses(expr):
-    """(name, is_list) for each placeholder under ``expr``, in the order
-    substitution checks them: an IN haystack before its needle."""
-    if isinstance(expr, Param):
-        yield expr.name, False
-    elif isinstance(expr, Unary):
-        yield from _param_uses(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _param_uses(expr.left)
-        yield from _param_uses(expr.right)
-    elif isinstance(expr, InExpr):
-        if isinstance(expr.haystack, Param):
-            yield expr.haystack.name, True
-        yield from _param_uses(expr.needle)
-    elif isinstance(expr, Aggregate) and expr.arg is not None:
-        yield from _param_uses(expr.arg)
-
-
-def _query_param_uses(ast: QueryAst) -> tuple:
-    exprs = ([] if ast.where is None else [ast.where]) + [i.value for i in ast.items]
-    return tuple(use for expr in exprs for use in _param_uses(expr))
 
 
 @dataclass(frozen=True)
@@ -431,21 +368,23 @@ class QueryTemplate:
 
     text: str
     ast: QueryAst
-    placeholders: frozenset[str]
 
     @cached_property
     def param_uses(self) -> tuple:
-        return _query_param_uses(self.ast)
+        return param_uses(self.ast)
+
+    @cached_property
+    def placeholders(self) -> frozenset:
+        return frozenset(name for name, _ in self.param_uses)
 
     @cached_property
     def block_placeholders(self) -> frozenset:
         """The list placeholders ``execute_floats`` may bind to a block
         of lists: those of an aggregate query that no RETURN item uses,
         so that each list answers one row under the same columns."""
-        items = self.ast.items
-        if not isinstance(items[0].value, Aggregate):
+        if not self.ast.aggregated:
             return frozenset()
-        in_items = {name for item in items for name, _ in _param_uses(item.value)}
+        in_items = {name for item in self.ast.items for name, _ in param_uses(item)}
         return frozenset(name for name, is_list in self.param_uses
                          if is_list and name not in in_items)
 
@@ -477,27 +416,15 @@ class Query:
     def ast(self) -> QueryAst:
         values = {**self.scalars, **self.lists}
 
-        def inline(expr):
-            if isinstance(expr, Param):
-                return Literal(values[expr.name])
-            if isinstance(expr, Unary):
-                return Unary(expr.op, inline(expr.operand))
-            if isinstance(expr, Binary):
-                return Binary(expr.op, inline(expr.left), inline(expr.right))
-            if isinstance(expr, InExpr):
-                haystack = expr.haystack
-                if isinstance(haystack, Param):
-                    haystack = ListLiteral(values=values[haystack.name])
-                return InExpr(needle=inline(expr.needle), haystack=haystack)
-            if isinstance(expr, Aggregate) and expr.arg is not None:
-                return Aggregate(expr.func, inline(expr.arg), expr.distinct)
-            return expr
+        def inline(node):
+            if isinstance(node, Param):
+                return Literal(values[node.name])
+            if isinstance(node, InExpr) and isinstance(node.haystack, Literal):
+                # a Literal haystack is a list placeholder inlined just now
+                return InExpr(node.needle, ListLiteral(node.haystack.value))
+            return node
 
-        ast = self.template.ast
-        return QueryAst(
-            pattern=ast.pattern,
-            where=inline(ast.where) if ast.where is not None else None,
-            items=tuple(ReturnItem(inline(item.value), item.alias) for item in ast.items))
+        return rebuild(self.template.ast, inline)
 
     @cached_property
     def text(self) -> str:
@@ -510,20 +437,16 @@ class Query:
         return hash(self.ast)
 
 
-def parse_query(text: str) -> Query:
-    ast = _Parser(text).parse()
-    params = {name for name, _ in _query_param_uses(ast)}
-    if params:
-        names = ", ".join(sorted(params))
-        raise ParseError(f"unbound placeholders: {names}", text, len(text))
-    return Query(QueryTemplate(text=text, ast=ast, placeholders=frozenset()),
-                 text=text)
-
-
 def parse_template(text: str) -> QueryTemplate:
-    ast = _Parser(text).parse()
-    placeholders = frozenset(name for name, _ in _query_param_uses(ast))
-    return QueryTemplate(text=text, ast=ast, placeholders=placeholders)
+    return QueryTemplate(text=text, ast=_Parser(text).parse())
+
+
+def parse_query(text: str) -> Query:
+    template = parse_template(text)
+    if template.placeholders:
+        names = ", ".join(sorted(template.placeholders))
+        raise ParseError(f"unbound placeholders: {names}", text, len(text))
+    return Query(template, text=text)
 
 
 _SCALAR_TYPES = (str, int, float, bool)

@@ -64,6 +64,7 @@ from .rng import LaneRng, SeededRng
 
 PROBLEM_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 SCALES = ("small", "medium")
+P5_MODES = ("linear", "nonlinear")  # the oracle-comparable mode first
 
 WHO_REGIONS = ("AFR", "AMR", "SEAR", "EUR", "EMR", "WPR")
 PHYSICIAN_DENSITY_THRESHOLD = 23.0
@@ -589,8 +590,6 @@ def _gen_p4(scale: str, seed: int, drop_properties: tuple) -> Instance:
 def _gen_p5(scale: str, seed: int, drop_properties: tuple,
             mode: str = "linear") -> Instance:
     n_gen, n_hours = (4, 24) if scale == "small" else (6, 48)
-    if mode not in ("linear", "nonlinear"):
-        raise ValueError(f"unknown P5 mode {mode!r}")
     rng = SeededRng(seed, stream=5)
 
     cost_rate = np.array([20.0 + 40.0 * rng.u01() for _ in range(n_gen)])
@@ -766,6 +765,18 @@ _GENERATORS = {
 }
 
 
+def check_instance_args(problem_id: str, scale: str, p5_mode: str) -> None:
+    """ValueError for an unknown problem id, scale or P5 mode (in that
+    order): ``generate``'s argument rules, which a bench config checks
+    before any instance is built."""
+    if problem_id not in PROBLEM_IDS:
+        raise ValueError(f"unknown problem id {problem_id!r}")
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    if p5_mode not in P5_MODES:
+        raise ValueError(f"unknown P5 mode {p5_mode!r}")
+
+
 class PropertyNotDroppable(ValueError):
     """``generate`` was asked to drop a property its problem cannot remove."""
 
@@ -795,10 +806,7 @@ def generate(problem_id: str, scale: str = "small", seed: int = 0, *,
     ``ValueError``): only P1, P2 and P4 can remove any property.
     """
     problem_id = problem_id.upper()
-    if problem_id not in _GENERATORS:
-        raise ValueError(f"unknown problem id {problem_id!r}")
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
+    check_instance_args(problem_id, scale, p5_mode)
     drop = tuple(drop_properties)
     droppable = DROPPABLE_PROPERTIES[problem_id]
     for name in drop:

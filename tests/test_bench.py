@@ -68,6 +68,17 @@ def test_config_checks_the_solver_settings():
         BenchConfig(variants=("jaya", "nope"))
 
 
+def test_config_checks_the_instance_settings():
+    # generate's rules, checked before any instance is built
+    with pytest.raises(ValueError, match="unknown problem id 'P9'"):
+        BenchConfig(problems=("P2", "p9"))
+    with pytest.raises(ValueError, match="unknown scale 'huge'"):
+        BenchConfig.from_dict({"scale": "huge"})
+    with pytest.raises(ValueError, match="unknown P5 mode 'cubic'"):
+        BenchConfig.from_dict({"p5_mode": "cubic"})
+    assert BenchConfig(scale="medium", p5_mode="nonlinear").p5_mode == "nonlinear"
+
+
 def test_run_seeds_deterministic():
     a = BenchConfig(n_seeds=6, master_seed=5).run_seeds()
     b = BenchConfig(n_seeds=6, master_seed=5).run_seeds()

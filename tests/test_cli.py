@@ -193,10 +193,15 @@ def test_bench_unknown_config_key_rejected(tmp_path):
      "population size must be at least 4"),
     (["bench", "--iters", "0", "--problems", "P2"], "iterations must be at least 1"),
     (["bench", "--seeds", "0"], "need at least one seed"),
+    (["bench", "--problems", "P9", "--seeds", "1"], "unknown problem id 'P9'"),
+    (["bench", "--config", "{tmp}/scale.json"], "unknown scale 'huge'"),
+    (["bench", "--config", "{tmp}/p5_mode.json"], "unknown P5 mode 'cubic'"),
 ])
-def test_bad_config_exits_with_its_cause(argv, cause, capsys):
+def test_bad_config_exits_with_its_cause(argv, cause, tmp_path, capsys):
+    (tmp_path / "scale.json").write_text(json.dumps({"scale": "huge"}))
+    (tmp_path / "p5_mode.json").write_text(json.dumps({"p5_mode": "cubic"}))
     with pytest.raises(SystemExit) as info:
-        main(argv)
+        main([arg.format(tmp=tmp_path) for arg in argv])
     message = str(info.value.code)
     assert message.startswith("graphopt: ") and cause in message
     assert capsys.readouterr().out == ""  # nothing ran
@@ -224,6 +229,21 @@ def test_bad_input_exits_with_its_cause(argv, cause, tmp_path, capsys):
         main([arg.format(tmp=tmp_path) for arg in argv])
     message = str(info.value.code)
     assert message.startswith("graphopt: ") and cause in message
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("header, column", [
+    ("solver,seed,fitness", "problem"),
+    ("problem,seed,fitness", "solver"),
+    ("problem,solver,fitness", "seed"),
+])
+def test_stats_names_a_missing_column(header, column, tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    row = {"problem": "P2", "solver": "jaya", "seed": "0", "fitness": "1.5"}
+    path.write_text(header + "\n" + ",".join(row[c] for c in header.split(",")) + "\n")
+    with pytest.raises(SystemExit) as info:
+        main(["stats", "--results", str(path)])
+    assert str(info.value.code) == f"graphopt: {path} has no {column!r} column"
     assert capsys.readouterr().out == ""
 
 

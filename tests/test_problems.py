@@ -281,9 +281,10 @@ def test_pattern_a_memo_hit_runs_no_query(monkeypatch):
     first = binding.evaluate_batch(X)
     fits = [binding.evaluate(x) for x in X]
     calls = []
-    real_execute = problems.execute
-    monkeypatch.setattr(problems, "execute",
-                        lambda *a, **kw: calls.append(1) or real_execute(*a, **kw))
+    for name in ("execute", "execute_floats"):  # a batch's terms go through the second
+        real = getattr(problems, name)
+        monkeypatch.setattr(problems, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
     assert binding.evaluate_batch(X[::-1]).tolist() == first[::-1].tolist()
     assert [binding.evaluate(x) for x in X] == fits
     assert [f.total for f in fits] == first.tolist()

@@ -3,6 +3,7 @@ semantics (aggregates, missing properties, DISTINCT), the brute-force
 filter-equivalence property, the id-seek against a label scan, and
 ``execute_floats`` of a block of lists against the lists run alone."""
 
+import dataclasses
 import math
 import re
 
@@ -12,12 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphopt.graph import PropertyGraph
-from graphopt.querylang import (MISSING, MAX_IN_LIST, ExecutionError,
-                                ParseError, ResultTable, SubstitutionError,
-                                execute, execute_floats, parse_query,
+from graphopt.querylang import (MISSING, MAX_IN_LIST, Aggregate, Binary,
+                                EdgePattern, ExecutionError, InExpr,
+                                ListLiteral, Literal, MatchPattern,
+                                NodePattern, Param, ParseError, Prop, QueryAst,
+                                ResultTable, ReturnItem, SubstitutionError,
+                                Unary, execute, execute_floats, parse_query,
                                 parse_template, render_query, substitute)
 from graphopt.problems import PatternABinding, QueryTerm, selection_space
+from graphopt.querylang import ast as ast_module
 from graphopt.querylang import executor
+from graphopt.querylang.ast import subexpressions
 from graphopt.rng import SeededRng
 
 
@@ -77,6 +83,169 @@ def test_render_round_trip():
             "RETURN count(DISTINCT g.id)")
     q = parse_query(text)
     assert parse_query(render_query(q.ast)).ast == q.ast
+
+
+# ---- the front end pinned: one text per production, one per error ----
+
+def _node_query(where, *items, edge=None):
+    """A ``MATCH (a:A)`` query (``edge`` = (var, type) adds ``->(b:B)``)
+    returning the (value, alias) pairs or bare values ``items``."""
+    pattern = (MatchPattern(NodePattern("a", "A")) if edge is None else
+               MatchPattern(NodePattern("a", "A"), EdgePattern(*edge),
+                            NodePattern("b", "B")))
+    return QueryAst(pattern, where, tuple(
+        ReturnItem(*i) if isinstance(i, tuple) else ReturnItem(i) for i in items))
+
+
+_X, _Y, _Z = Prop("a", "x"), Prop("a", "y"), Prop("a", "z")
+
+WELL_FORMED = [
+    ("MATCH (a:A) RETURN a.x", _node_query(None, _X)),
+    ("MATCH (a:A)-[:R]->(b:B) RETURN b.y",
+     _node_query(None, Prop("b", "y"), edge=(None, "R"))),
+    ("MATCH (a:A)-[e:R]->(b:B) RETURN e.w, a.id",
+     _node_query(None, Prop("e", "w"), Prop("a", "id"), edge=("e", "R"))),
+    ("match (a:A) where a.p or a.q or a.r Return a.x",
+     _node_query(Binary("OR", Binary("OR", Prop("a", "p"), Prop("a", "q")),
+                        Prop("a", "r")), _X)),
+    ("MATCH (a:A) WHERE a.p OR a.q AND NOT a.r RETURN a.x",
+     _node_query(Binary("OR", Prop("a", "p"),
+                        Binary("AND", Prop("a", "q"), Unary("NOT", Prop("a", "r")))),
+                 _X)),
+    ("MATCH (a:A) WHERE (a.p OR a.q) AND a.r AND a.s RETURN a.x",
+     _node_query(Binary("AND", Binary("AND", Binary("OR", Prop("a", "p"), Prop("a", "q")),
+                                      Prop("a", "r")), Prop("a", "s")), _X)),
+    ("MATCH (a:A) WHERE NOT NOT a.x = 1 RETURN a.x",
+     _node_query(Unary("NOT", Unary("NOT", Binary("=", _X, Literal(1)))), _X)),
+    *[(f"MATCH (a:A) WHERE a.x {op} a.y + 1 RETURN a.x",
+       _node_query(Binary(op, _X, Binary("+", _Y, Literal(1))), _X))
+      for op in ("=", "<>", "<", "<=", ">", ">=")],
+    ("MATCH (a:A) RETURN a.x - a.y - a.z, a.x + a.y * a.z, (a.x + a.y) * a.z",
+     _node_query(None, Binary("-", Binary("-", _X, _Y), _Z),
+                 Binary("+", _X, Binary("*", _Y, _Z)),
+                 Binary("*", Binary("+", _X, _Y), _Z))),
+    ("MATCH (a:A) RETURN a.x / a.y * a.z, a.x * -a.y",
+     _node_query(None, Binary("*", Binary("/", _X, _Y), _Z),
+                 Binary("*", _X, Unary("-", _Y)))),
+    ("MATCH (a:A) RETURN -3, -2.5, - -4, -(5), 1e3, true, false",
+     _node_query(None, Literal(-3), Literal(-2.5), Literal(4), Literal(-5),
+                 Literal(1000.0), Literal(True), Literal(False))),
+    ("MATCH (a:A) WHERE a.x IN [1, -2, 2.5, 'u', true] AND a.id IN $s "
+     "RETURN a.x",
+     _node_query(Binary("AND", InExpr(_X, ListLiteral((1, -2, 2.5, "u", True))),
+                        InExpr(Prop("a", "id"), Param("s"))), _X)),
+    ("MATCH (a:A) WHERE a.x IN [] AND a.y > $k RETURN a.x",
+     _node_query(Binary("AND", InExpr(_X, ListLiteral(())),
+                        Binary(">", _Y, Param("k"))), _X)),
+    ("MATCH (a:A) RETURN count(*), count(a.x), COUNT(DISTINCT a.x), sum(a.x), "
+     "min(a.x), max(a.x), avg(a.x), collect(a.x), collect(DISTINCT a.x + 1)",
+     _node_query(None, Aggregate("count", None), Aggregate("count", _X),
+                 Aggregate("count", _X, True), Aggregate("sum", _X),
+                 Aggregate("min", _X), Aggregate("max", _X), Aggregate("avg", _X),
+                 Aggregate("collect", _X),
+                 Aggregate("collect", Binary("+", _X, Literal(1)), True))),
+    ("MATCH (a:A) RETURN a.x AS first, a.y, a.z as third",
+     _node_query(None, (_X, "first"), _Y, (_Z, "third"))),
+    ("MATCH (a:A) RETURN count(*) AS n",
+     _node_query(None, (Aggregate("count", None), "n"))),
+    ("MATCH (a:A) WHERE a.s = 'it\\'s\\\\ \\n\\t\\\"' OR a.s = \"q\\\"\\'\" "
+     "RETURN a.x",
+     _node_query(Binary("OR", Binary("=", Prop("a", "s"), Literal("it's\\ \n\t\"")),
+                        Binary("=", Prop("a", "s"), Literal("q\"'"))), _X)),
+]
+
+
+@pytest.mark.parametrize("text, ast", WELL_FORMED)
+def test_well_formed_text_parses_to_its_ast(text, ast):
+    got = parse_template(text).ast
+    # repr too: Literal(1) == Literal(True) == Literal(1.0)
+    assert got == ast and repr(got) == repr(ast)
+
+
+MALFORMED = [
+    ("MATCH (a:A)-[:R]->(a:B) RETURN a.x", "duplicate variable in pattern", 24),
+    ("MATCH (a:A)-[b:R]->(b:B) RETURN a.x", "duplicate variable in pattern", 25),
+    ("MATCH (a:A)-[a:R]->(b:B) RETURN a.x", "duplicate variable in pattern", 25),
+    ("MATCH (a:A) WHERE b.x > 1 RETURN a.x", "unknown variable 'b'", 36),
+    ("MATCH (a:A)-[e:R]->(b:B) RETURN count(c.x)", "unknown variable 'c'", 42),
+    ("MATCH (a:A) WHERE a.s = 'é' RETURN c.x, d.y", "unknown variable 'c'", 44),
+    ("MATCH (a:A) WHERE a.s = 'x\\q' RETURN a.x", "bad string escape", 24),
+    ("MATCH (a:A) WHERE a.s = 'é' OR a.s = 'x\\q' RETURN a.x",
+     "bad string escape", 38),
+    ("MATCH (a:A) WHERE a.s = '\\\\\\q' RETURN a.x", "bad string escape", 24),
+    ("MATCH (a:A) RETURN count(*), a.x",
+     "cannot mix aggregated and bare return items", 32),
+    ("MATCH (a:A) RETURN a.x, sum(a.x)",
+     "cannot mix aggregated and bare return items", 32),
+    ("MATCH (a:A) RETURN a.x a.y", "unexpected trailing input", 23),
+    ("MATCH (a:A) WHERE a.x IN [1, -'x'] RETURN a.x",
+     "expected a number after '-'", 30),
+    ("MATCH (a:A) WHERE a.x IN [1, -] RETURN a.x",
+     "expected a number after '-'", 30),
+    ("MATCH (a:A) RETURN median(a.x)", "unknown function 'median'", 25),
+    ("MATCH (a:A) RETURN sum(*)", "sum(*) is not supported", 23),
+    ("MATCH (a:A) RETURN sum(DISTINCT a.x)", "DISTINCT is not supported for sum", 23),
+    ("MATCH (a:A) WHERE a.x IN a.y RETURN a.x",
+     "IN expects a list literal or $parameter", 25),
+    ("MATCH (a:A) WHERE a.x IN [a.y] RETURN a.x",
+     "list literals may only contain scalar literals", 26),
+    ("MATCH (a:A) WHERE RETURN a.x", "expected an expression", 18),
+    ("MATCH (a:A) RETURN a.x ; ", "unexpected character ';'", 23),
+    ("MATCH (é:A RETURN a.x", "unexpected character 'é'", 7),
+    ("MATCH (a:A) WHERE a.x > $k RETURN a.x", "unbound placeholders: k", 37),
+    ("", "expected MATCH", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", MALFORMED)
+def test_malformed_text_raises_its_error_at_its_offset(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
+# ---- the shape table: every walk sees every expression field ----
+
+_EXPR_NAMES = re.compile(
+    r"\b(Expr|Prop|Literal|ListLiteral|Param|Unary|Binary|InExpr|Aggregate|ReturnItem)\b")
+
+
+def test_subexpressions_yields_every_expression_field_in_walk_order():
+    """One instance of every AST node type, each field whose annotation
+    admits an expression holding one: ``subexpressions`` yields the node,
+    then exactly those fields' values (and their walks) in walk order.  A
+    node type or field added later and left out of the shape table fails
+    here instead of being skipped by substitution, the variable check or
+    inlining."""
+    p, q, r, hay = Prop("a", "p"), Prop("a", "q"), Prop("a", "r"), Param("h")
+    first, second = ReturnItem(q), ReturnItem(r, "r")
+    cases = [  # (node, its expression fields' values in walk order)
+        (Prop("a", "x"), []), (Literal(1), []), (ListLiteral((1, "u")), []),
+        (Param("k"), []), (NodePattern("a", "A"), []), (EdgePattern("e", "R"), []),
+        (MatchPattern(NodePattern("a", "A"), EdgePattern("e", "R"),
+                      NodePattern("b", "B")), []),
+        (Unary("-", p), [p]),
+        (Binary("+", p, q), [p, q]),
+        (InExpr(p, hay), [hay, p]),  # the haystack first, as substitution checks
+        (Aggregate("count", p, True), [p]),
+        (ReturnItem(p, "x"), [p]),
+        (QueryAst(MatchPattern(NodePattern("a", "A")), p, (first, second)),
+         [p, first, second]),
+    ]
+    node_types = {t for t in vars(ast_module).values()
+                  if isinstance(t, type) and dataclasses.is_dataclass(t)}
+    assert {type(node) for node, _ in cases} == node_types
+    for node, children in cases:
+        held = []
+        for field in dataclasses.fields(node):
+            if _EXPR_NAMES.search(field.type):
+                value = getattr(node, field.name)
+                held.extend(value if isinstance(value, tuple) else [value])
+        assert None not in held
+        assert sorted(map(id, held)) == sorted(map(id, children))
+        assert list(subexpressions(node)) == [
+            node, *(n for child in children for n in subexpressions(child))]
 
 
 # ---- substitution ----
