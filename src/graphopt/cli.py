@@ -59,8 +59,8 @@ def _cmd_generate(args) -> int:
     if args.out:
         path = Path(args.out)
         if path.suffix != ".json":
-            path.mkdir(parents=True, exist_ok=True)
             path = path / f"{inst.problem_id}_spec.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(inst.spec_bytes())
         print(f"wrote {path}")
     else:

@@ -5,7 +5,9 @@ selection problems, a successive-shortest-paths transportation solver
 for the flow problems, and a ramp-relaxed merit-order dispatch for the
 linear scheduling mode.  The bindings' subset memos number k-subsets
 by the combinatorial number system (``subset_ranks``); the enumeration
-sweeps them in lexicographic order (``lex_subset_chunks``).
+sweeps them in lexicographic order: level by level for a ``Fold``
+(P2, P4, P6), holding the (k - 1)-prefixes' states whole (82,251 for
+C(40, 5)), and in chunks of index rows for any other binding.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -118,18 +121,82 @@ def lex_subset_chunks(n: int, k: int, chunk: int = _COMBO_CHUNK):
             for start in range(0, size, chunk))
 
 
+def _lex_subset(n: int, k: int, start: int, i: int = 0) -> tuple:
+    """The k-subset of range(n) at position start + i of the lexicographic
+    list.  Its mirror image {n - 1 - c} has the ``subset_ranks`` rank
+    C(n, k) - 1 - (start + i), read off the rank table greedily."""
+    table, rank, subset = _rank_table(n, k), math.comb(n, k) - 1 - start - i, []
+    for j in range(k - 1, -1, -1):
+        u = int(np.searchsorted(table[j], rank, side="right")) - 1
+        rank -= int(table[j, u])
+        subset.append(n - 1 - u - j)
+    return tuple(subset)
+
+
+@dataclass(frozen=True)
+class Fold:
+    """A selection formula declared as a left fold over each subset's
+    sorted indices.  A state is a tuple of arrays, row i for row i of the
+    block: ``first(cols)`` is the state of a (j, m) block of leading
+    index columns, ``step(state, col)`` that state extended by one (m,)
+    column (it may write into ``state``), and ``finish(state)`` the
+    (m, T) terms.  As a binding's ``terms`` it is
+    ``finish(first(rows.T))``; ``finish(step(first(cols[:-1]),
+    cols[-1]))`` must equal ``finish(first(cols))`` bit for bit."""
+
+    first: Callable
+    step: Callable
+    finish: Callable
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        return self.finish(self.first(rows.T))
+
+
+def _children(fold: Fold, last: np.ndarray, state: tuple, top: int) -> tuple:
+    """The lexicographic list of the children of prefixes ending in
+    ``last``, each extended by last + 1, ..., top: their last indices,
+    and their states, each parent's repeated and stepped."""
+    counts = top - last
+    ends = np.cumsum(counts)
+    col = np.arange(ends[-1]) + np.repeat(last + 1 - (ends - counts), counts)
+    return col, fold.step(tuple(np.repeat(a, counts, axis=0) for a in state), col)
+
+
+def _fold_blocks(fold: Fold, n: int, k: int, chunk: int = _COMBO_CHUNK):
+    """The states of the k-subsets of range(n) in lexicographic order,
+    in consecutive blocks of at most chunk rows.  Level j holds the
+    C(n - k + j, j) j-prefixes that extend to a k-subset: level 1 is
+    ``first`` of range(n - k + 1), and each later level steps its
+    parents' repeated states.  The last runs in blocks of whole parents."""
+    if k == 1:
+        for start in range(0, n, chunk):
+            yield fold.first(np.arange(start, min(start + chunk, n))[None])
+        return
+    last = np.arange(n - k + 1)
+    state = fold.first(last[None])
+    for top in range(n - k + 1, n - 1):
+        last, state = _children(fold, last, state, top)
+    ends, lo = np.cumsum(n - 1 - last), 0  # where each parent's children end
+    while lo < len(last):
+        start = int(ends[lo - 1]) if lo else 0
+        # the parents whose children fit in the block, and at least one
+        hi = max(int(np.searchsorted(ends, start + chunk, side="right")), lo + 1)
+        yield _children(fold, last[lo:hi], tuple(a[lo:hi] for a in state), n - 1)[1]
+        lo = hi
+
+
 def brute_force_selection(binding):
     """Exhaustive optimum over all k-of-N selections.
 
-    Subsets are swept in lexicographic order, in chunks of sorted index
-    rows (``lex_subset_chunks``), each scored by the binding's
-    ``weighted_sum`` of its ``terms`` where it has that formula and by
-    its ``evaluate_batch`` otherwise.
-    A chunk's first minimum replaces the best only if strictly lower, so
-    ties resolve to the lexicographically smallest index set.  A bad
-    term or total raises ``ValueError``, which names the subset where the
-    binding has ``terms``.  Only the winner goes through
-    ``evaluate``.  Returns (indices tuple, Fitness).
+    Subsets are swept in lexicographic order: level by level
+    (``_fold_blocks``) where the binding's ``terms`` is a ``Fold``, else
+    in chunks of index rows (``lex_subset_chunks``) scored by its
+    ``terms`` or, lacking those, its ``evaluate_batch``.  A block's first
+    minimum replaces the best only if strictly lower, so ties resolve to
+    the lexicographically smallest index set.  A bad term or total
+    raises ``ValueError``, which names the subset (``_lex_subset`` of its
+    position) where the binding has ``terms``.  Only the winner goes
+    through ``evaluate``.  Returns (indices tuple, Fitness).
     """
     space = binding.space
     if space.kind != "selection":
@@ -138,23 +205,26 @@ def brute_force_selection(binding):
     size = math.comb(n, k)
     if size > BRUTE_FORCE_LIMIT:
         raise OracleTooLarge(f"C({n},{k}) = {size} exceeds {BRUTE_FORCE_LIMIT}")
-    if getattr(binding, "terms", None) is not None:
-        def score(rows):
-            return binding.weighted_sum(binding.terms(rows), rows)
+    formula = getattr(binding, "terms", None)
+    if isinstance(formula, Fold):
+        blocks, terms = _fold_blocks(formula, n, k), formula.finish
     else:
+        blocks, terms = lex_subset_chunks(n, k), formula
+    best_rank, best_total, start = None, math.inf, 0
+    for block in blocks:
         # sorted distinct integers floor back to exactly their subset
-        score = binding.evaluate_batch
-    best_subset, best_total = None, math.inf
-    for rows in lex_subset_chunks(n, k):
-        totals = score(rows)
+        totals = (binding.evaluate_batch(block) if terms is None else
+                  binding.weighted_sum(terms(block), partial(_lex_subset, n, k, start)))
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
-        # argmin lands on a chunk's first NaN or -inf, or on an all-inf
-        # chunk's first row, so this one check sees every non-finite total
+        # argmin lands on a block's first NaN or -inf, or on an all-inf
+        # block's first row, so this one check sees every non-finite total
         if not math.isfinite(totals[j]):
-            raise ValueError(f"subset {tuple(rows[j].tolist())} has a "
+            raise ValueError(f"subset {_lex_subset(n, k, start, j)} has a "
                              f"non-finite total {totals[j]}")
-        if best_subset is None or totals[j] < best_total:
-            best_subset, best_total = tuple(rows[j].tolist()), totals[j]
+        if best_rank is None or totals[j] < best_total:
+            best_rank, best_total = start + j, totals[j]
+        start += len(totals)
+    best_subset = _lex_subset(n, k, best_rank)
     return best_subset, binding.evaluate(list(best_subset))
 
 

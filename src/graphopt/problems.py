@@ -275,7 +275,7 @@ class _TermsBinding:
         objective column, then weight x each violation column, in
         column order.  A negative violation raises ``ValueError`` naming
         its first row as ``_check_totals`` does, which catches a NaN; or
-        naming its subset where ``rows`` are the (m, k) index rows."""
+        naming its subset where ``rows`` is a function giving row i's."""
         if terms.shape[1] != len(self._columns):
             raise ValueError(f"terms gave {terms.shape[1]} columns for "
                              f"{len(self._columns)} terms")
@@ -283,7 +283,7 @@ class _TermsBinding:
             i, j = divmod(int(np.argmax(low < 0)), low.shape[1])
             j = int(self._violations[j])
             row = (f"batch row {i}" if rows is None else
-                   f"subset {tuple(rows[i].tolist())}" if rows.ndim == 2 else
+                   f"subset {rows(i)}" if callable(rows) else
                    f"batch row {int(rows[i])}")
             raise ValueError(f"{row} has a negative violation term "
                              f"{self._columns[j]!r}: {float(terms[i, j])!r}")
@@ -579,8 +579,9 @@ class PatternBBinding(_TermsBinding):
     """Pure-function evaluation over arrays materialized at startup.
 
     Its one formula is the ``terms`` field; evaluation and the memo are
-    ``_TermsBinding``'s.  Arrays never change after construction and
-    evaluation performs no queries.
+    ``_TermsBinding``'s.  Declared as an ``oracles.Fold``, it is swept
+    level by level by the brute-force oracle.  Arrays never change after
+    construction and evaluation performs no queries.
     """
 
     space: DecisionSpace

@@ -359,7 +359,7 @@ class _NodeBlock:
     - ``count(DISTINCT …)`` codes the kept values' ``_hashable`` forms
       by a dict, which assigns them with the set's equality, gives each
       node the bit mask of its codes (``code_masks``) and counts the
-      bits of each row's OR (``distinct_counts``);
+      bits of each row's OR (``or_words``, ``count_bits``);
     - ``sum`` runs one sequential sum (``np.add.accumulate``) along
       each row over the listed nodes' kept values, node by node in row
       order, each node's padded with 0.0 to the longest node's length.
@@ -419,7 +419,7 @@ class _NodeBlock:
             if kind == "count":
                 out[:, j] = table[ids].sum(axis=1)
             elif kind == "distinct":
-                out[:, j] = distinct_counts(table, ids)
+                out[:, j] = count_bits(or_words(table, ids.T))
             else:
                 flat = table[ids].reshape(m, -1)
                 # + 0.0: the row path starts from 0, so its sum is never -0.0
@@ -429,25 +429,33 @@ class _NodeBlock:
 
 
 def code_masks(node_codes, n_codes: int) -> np.ndarray:
-    """The (ceil(n_codes / 64), len(node_codes)) uint64 bit masks of
-    lists of codes in range(n_codes), word by word: column i has bit
-    c % 64 of word c // 64 set for each code c in node_codes[i]."""
-    masks = np.zeros(((n_codes + 63) // 64, len(node_codes)), dtype=np.uint64)
+    """The (max(1, ceil(n_codes / 64)), len(node_codes)) uint64 bit
+    masks of lists of codes in range(n_codes), word by word: column i
+    has bit c % 64 of word c // 64 set for each code c in node_codes[i]."""
+    masks = np.zeros((max(1, (n_codes + 63) // 64), len(node_codes)), dtype=np.uint64)
     for i, found in enumerate(node_codes):
         for c in found:
             masks[c // 64, i] |= np.uint64(1 << c % 64)
     return masks
 
 
-def distinct_counts(masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The number of distinct codes in each row of an (m, k) index block
-    into the columns of ``code_masks``: the set bits of the OR of the
-    row's masks, as int64."""
-    total = np.zeros(len(rows), dtype=np.int64)
+def or_words(masks: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The OR of the ``code_masks`` columns of each row of a (j, m) block
+    of index columns, one (m,) uint64 array per mask word."""
+    words = []
     for word in masks:
-        found = np.zeros(len(rows), dtype=np.uint64)
-        for col in rows.T:
+        found = np.zeros(cols.shape[1], dtype=np.uint64)
+        for col in cols:
             found |= word[col]
+        words.append(found)
+    return words
+
+
+def count_bits(words) -> np.ndarray:
+    """The set bits of each row of ``or_words``, summed over the words,
+    as int64: the number of distinct codes in the row."""
+    total = np.zeros(len(words[0]), dtype=np.int64)
+    for found in words:
         total += np.bitwise_count(found)
     return total
 

@@ -8,6 +8,8 @@ spec snapshot, and an exact-oracle descriptor into one Instance.
 Each of P2-P7 has one fitness formula, a ``terms`` function that scores
 a whole batch in numpy (see ``PatternBBinding``): P2, P4 and P6 over
 sorted decoded index rows, P3, P5 and P7 over the raw (m, d) block.
+P2, P4 and P6 declare theirs as a left fold over the sorted indices
+(``oracles.Fold``), which the brute-force oracle sweeps level by level.
 Every reduction is a numpy sum or an explicit loop of adds, never a
 BLAS call, so row i of a batch does not depend on the other rows.
 SOLVERS.md writes down the P3/P5/P7 arithmetic.
@@ -50,7 +52,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .graph import PropertyGraph
-from .oracles import (DispatchInstance, TransportationInstance,
+from .oracles import (DispatchInstance, Fold, TransportationInstance,
                       brute_force_selection, merit_order_dispatch,
                       solve_transportation)
 # decode_selection is not called here; perfbench/trace.py looks it up
@@ -59,7 +61,7 @@ from .problems import (DecisionSpace, PatternABinding, PatternBBinding,  # noqa:
                        QueryTerm, continuous_space, decode_selection,
                        materialize, selection_space)
 from .querylang import parse_query, parse_template
-from .querylang.executor import code_masks, distinct_counts
+from .querylang.executor import code_masks, count_bits, or_words
 from .rng import LaneRng, SeededRng
 
 PROBLEM_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -144,20 +146,30 @@ def _columns(*columns) -> np.ndarray:
     return np.array(columns).T
 
 
-def _sum_plus_diversity_terms(values, codes, beta: float):
+def _sum_plus_diversity_terms(values, codes, beta: float) -> Fold:
     """P2/P4 terms over (m, k) sorted index rows: the negated value sum,
     accumulated column by column from 0.0 in sorted-index order, and
-    -beta times the number of distinct region codes."""
+    -beta times the number of distinct region codes.  The fold's state
+    is the running sum and the OR of the region masks, one array per
+    mask word."""
     value_arr = np.asarray(values, dtype=np.float64)
     masks = code_masks([[c] for c in codes], max(codes) + 1)
 
-    def terms(rows: np.ndarray) -> np.ndarray:
-        summed = np.zeros(rows.shape[0])
-        for col in range(rows.shape[1]):
-            summed += value_arr[rows[:, col]]
-        return _columns(-summed, -beta * distinct_counts(masks, rows))
+    def first(cols: np.ndarray) -> tuple:
+        summed = np.zeros(cols.shape[1])
+        for col in cols:
+            summed += value_arr[col]
+        return (summed, *or_words(masks, cols))
 
-    return terms
+    def step(state: tuple, col: np.ndarray) -> tuple:
+        summed, *words = state
+        summed += value_arr[col]
+        for found, word in zip(words, masks):
+            found |= word[col]
+        return state
+
+    return Fold(first, step,
+                lambda state: _columns(-state[0], -beta * count_bits(state[1:])))
 
 
 def _connected_road_graph(g: PropertyGraph, rng: SeededRng, n_road: int,
@@ -723,17 +735,26 @@ def _gen_p6(scale: str, seed: int, drop_properties: tuple) -> Instance:
     efficacy = 1.0 / (1.0 + count_matrix)
     burden_arr = np.array(arrays["burden"], dtype=np.float64)
 
-    def terms(rows: np.ndarray) -> np.ndarray:
-        # a max over axis 0 of the (k, m, pathogens) gather runs along
-        # whole rows, faster than over axis 1 of (m, k, pathogens), and
+    # the state: each row's best efficacy per pathogen, and its load
+    def first(cols: np.ndarray) -> tuple:
+        # a max over axis 0 of the (j, m, pathogens) gather runs along
+        # whole rows, faster than over axis 1 of (m, j, pathogens), and
         # gives the same array, so the pathogen sums keep their bits
-        coverage = efficacy[rows.T].max(axis=0).sum(axis=1)
+        best = efficacy[cols].max(axis=0)
         # burdens are integers, so their column-by-column sum is exact
-        load = np.zeros(rows.shape[0])
-        for col in range(rows.shape[1]):
-            load += burden_arr[rows[:, col]]
-        return _columns(-coverage, lam * load)
+        load = np.zeros(cols.shape[1])
+        for col in cols:
+            load += burden_arr[col]
+        return best, load
 
+    def step(state: tuple, col: np.ndarray) -> tuple:
+        best, load = state
+        np.maximum(best, efficacy[col], out=best)
+        load += burden_arr[col]
+        return state
+
+    terms = Fold(first, step, lambda state: _columns(-state[0].sum(axis=1),
+                                                     lam * state[1]))
     binding = PatternBBinding(
         space=space, arrays=arrays, terms=terms,
         provenance=provenance, missing_counts=missing, memoize=True,

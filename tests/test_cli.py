@@ -47,6 +47,13 @@ def test_generate_explicit_json_path(tmp_path, capsys):
     assert json.loads(target.read_text())["threshold"] == 23
 
 
+def test_generate_json_path_into_missing_directories(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    assert main(["generate", "--problem", "P1", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    assert json.loads(target.read_text())["k"] == 4
+
+
 def test_generate_records_dropped_property(capsys):
     assert main(["generate", "--problem", "P2"]) == 0
     healthy = capsys.readouterr().out

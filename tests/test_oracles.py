@@ -9,11 +9,12 @@ import re
 import numpy as np
 import pytest
 
-from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance,
+from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance, Fold,
                               InfeasibleDispatch, InfeasibleTransport,
                               OracleTooLarge, TransportationInstance,
-                              brute_force_selection, lex_subset_chunks,
-                              merit_order_dispatch, solve_transportation)
+                              _fold_blocks, _lex_subset, brute_force_selection,
+                              lex_subset_chunks, merit_order_dispatch,
+                              solve_transportation)
 from graphopt.problems import (CallableBinding, PatternBBinding,
                                assemble_fitness, decode_selection,
                                selection_space)
@@ -45,22 +46,48 @@ def value_pick_callable(values, k):
     return CallableBinding(space=space, fn=fn)
 
 
-def both_sweeps(values, k):
-    return value_pick_binding(values, k), value_pick_callable(values, k)
+def value_pick_fold(values, k):
+    """The same fitness with its ``terms`` declared as a ``Fold``, which
+    the oracle sweeps level by level."""
+    arr = -np.asarray(values, dtype=np.float64)
+
+    def first(cols):
+        return (arr[cols].sum(axis=0),)
+
+    def step(state, col):
+        return (state[0] + arr[col],)
+
+    return PatternBBinding(space=selection_space(k, len(values)),
+                           arrays={"v": tuple(values)},
+                           terms=Fold(first, step, lambda state: state[0][:, None]),
+                           term_sources={"value": ("v",)})
+
+
+def rows_fold(terms):
+    """``terms`` over (m, k) index rows as a ``Fold`` whose state is the
+    rows themselves, so the level sweep hands every subset to ``terms``."""
+    return Fold(first=lambda cols: (np.ascontiguousarray(cols.T),),
+                step=lambda state, col: (np.column_stack([state[0], col]),),
+                finish=lambda state: terms(state[0]))
+
+
+def every_sweep(values, k):
+    return (value_pick_binding(values, k), value_pick_callable(values, k),
+            value_pick_fold(values, k))
 
 
 # ---- brute force ----
 
 def test_brute_force_hand_example():
     # N=5, k=2, values {3,1,4,1,5} -> pick {2,4}, fitness -9
-    for binding in both_sweeps([3, 1, 4, 1, 5], 2):
+    for binding in every_sweep([3, 1, 4, 1, 5], 2):
         subset, fit = brute_force_selection(binding)
         assert subset == (2, 4)
         assert fit.total == -9.0
 
 
 def test_brute_force_k_equals_n():
-    for binding in both_sweeps([2, 2, 2], 3):
+    for binding in every_sweep([2, 2, 2], 3):
         subset, fit = brute_force_selection(binding)
         assert subset == (0, 1, 2)
         assert fit.total == -6.0
@@ -68,19 +95,19 @@ def test_brute_force_k_equals_n():
 
 def test_brute_force_tie_lexicographic():
     # values make {0,1} and {0,2} tie; lexicographically smaller wins
-    for binding in both_sweeps([5, 3, 3, 1], 2):
+    for binding in every_sweep([5, 3, 3, 1], 2):
         subset, _ = brute_force_selection(binding)
         assert subset == (0, 1)
 
 
 def test_vectorized_brute_force_tie_lexicographic():
-    # C(21, 5) = 20,349 subsets span two sweep chunks; any 5 of the ten
-    # 5s tie, from (0..4) in the first chunk to (16..20) in the last
+    # C(21, 5) = 20,349 subsets span two sweep blocks; any 5 of the ten
+    # 5s tie, from (0..4) in the first block to (16..20) in the last
     values = [5] * 5 + [1] * 11 + [5] * 5
-    binding = value_pick_binding(values, 5)
-    subset, fit = brute_force_selection(binding)
-    assert subset == (0, 1, 2, 3, 4)
-    assert fit.total == -25.0
+    for binding in (value_pick_binding(values, 5), value_pick_fold(values, 5)):
+        subset, fit = brute_force_selection(binding)
+        assert subset == (0, 1, 2, 3, 4)
+        assert fit.total == -25.0
 
 
 def test_batch_brute_force_tie_lexicographic():
@@ -95,7 +122,7 @@ def test_batch_brute_force_tie_lexicographic():
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_brute_force_rejects_a_non_finite_total(bad):
-    # C(30, 4) = 27,405 subsets span two sweep chunks; the optimum sits
+    # C(30, 4) = 27,405 subsets span two sweep blocks; the optimum sits
     # at lexicographic position 20,000 and the bad total right after it
     best, broken = np.array(list(itertools.combinations(range(30), 4))[20000:20002])
 
@@ -105,13 +132,14 @@ def test_brute_force_rejects_a_non_finite_total(bad):
         totals[(rows == broken).all(axis=1)] = bad
         return totals[:, None]
 
-    binding = PatternBBinding(space=selection_space(4, 30),
-                              arrays={"v": tuple(range(30))}, terms=terms,
-                              term_sources={"value": ("v",)})
     subset = tuple(broken.tolist())
-    with pytest.raises(ValueError, match=re.escape(
-            f"subset {subset} has a non-finite total {bad}")):
-        brute_force_selection(binding)
+    for formula in (terms, rows_fold(terms)):  # chunk and level sweeps
+        binding = PatternBBinding(space=selection_space(4, 30),
+                                  arrays={"v": tuple(range(30))}, terms=formula,
+                                  term_sources={"value": ("v",)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"subset {subset} has a non-finite total {bad}")):
+            brute_force_selection(binding)
 
 
 def test_lex_chunks_equal_itertools_combinations():
@@ -137,9 +165,38 @@ def test_lex_chunks_reject_an_empty_range(n, k, chunk):
 
 
 def test_brute_force_guard():
-    binding = value_pick_binding(list(range(50)), 25)
-    assert pytest.raises(OracleTooLarge, brute_force_selection, binding)
+    for binding in every_sweep(list(range(50)), 25):
+        assert pytest.raises(OracleTooLarge, brute_force_selection, binding)
     assert 50 * 49 // 2 < BRUTE_FORCE_LIMIT  # C(50,2) itself would be fine
+
+
+def test_fold_sweep_names_a_negative_violation_by_its_subset():
+    # violation c_1 - 2 is first negative at (0, 1), though (2, 3) wins
+    def terms(rows):
+        return np.stack([-rows.sum(axis=1) * 1.0, rows[:, 1] - 2.0], axis=1)
+
+    binding = PatternBBinding(space=selection_space(2, 4), arrays={},
+                              terms=rows_fold(terms), penalty_weights={"v": 1.0},
+                              term_sources={"o": (), "v": ()})
+    with pytest.raises(ValueError, match=r"subset \(0, 1\) has a negative "
+                                         r"violation term 'v': -1.0"):
+        brute_force_selection(binding)
+
+
+def test_fold_levels_equal_itertools_combinations():
+    """The level sweep visits the subsets in the order of
+    ``itertools.combinations``, in blocks of whole parents, and
+    ``_lex_subset`` names each position."""
+    fold = rows_fold(lambda rows: rows)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            want = list(itertools.combinations(range(n), k))
+            assert [_lex_subset(n, k, r) for r in range(len(want))] == want
+            for chunk in (1, 3, 2 ** 14):
+                rows = [state[0] for state in _fold_blocks(fold, n, k, chunk)]
+                assert list(map(tuple, np.vstack(rows).tolist())) == want, (n, k, chunk)
+                # a block outgrows chunk only to hold one parent's children
+                assert all(len(r) <= max(chunk, n - k + 1) for r in rows)
 
 
 def test_brute_force_dominates_random_vectors():

@@ -15,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphopt.problems
-from graphopt.oracles import (brute_force_selection, lex_subset_chunks,
-                              subset_ranks)
+from graphopt.oracles import (_fold_blocks, brute_force_selection,
+                              lex_subset_chunks, subset_ranks)
 from graphopt.problems import (CallableBinding, PatternABinding,
                                PatternBBinding, assemble_fitness,
                                decode_selection, selection_space, subset_rows)
 from graphopt.rng import SeededRng
 from graphopt.solvers import VARIANTS, SolverConfig, run, run_group
-from graphopt.suite import (PROBLEM_IDS, DisruptionSpec, PropertyNotDroppable,
+from graphopt.suite import (DROPPABLE_PROPERTIES, PROBLEM_IDS, DisruptionSpec,
+                            PropertyNotDroppable,
                             _sum_plus_diversity_terms, detect_degenerate_terms,
                             disruption_targets, fresh_binding, gap_ratio,
                             generate, inject_disruption, pattern_a_binding,
@@ -510,6 +511,65 @@ def test_diversity_term_counts_the_distinct_codes(n_codes, extra, k, m, seed):
     by_sort = np.sort(codes[rows], axis=1)
     distinct = 1 + np.count_nonzero(np.diff(by_sort, axis=1), axis=1)
     assert terms[:, 1].tobytes() == (-beta * distinct).tobytes()
+
+
+def _fold_step_is_first(fold, cols):
+    """One ``step`` of the (j - 1)-column state gives the j-column terms
+    bit for bit, from a C-ordered block as from a strided one."""
+    whole = fold.finish(fold.first(cols))
+    stepped = fold.finish(fold.step(fold.first(cols[:-1]), cols[-1]))
+    assert stepped.tobytes() == whole.tobytes()
+    assert fold(np.ascontiguousarray(cols.T)).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_codes=st.integers(1, 200), extra=st.integers(0, 40),
+       j=st.integers(2, 6), m=st.sampled_from([1, 8, 30, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diversity_fold_steps_as_it_starts(n_codes, extra, j, m, seed):
+    """The P2/P4 fold over 1 to 200 codes (1 to 4 words of bits) and
+    float values, drawn as in the distinct-code test above."""
+    rng = np.random.default_rng(seed)
+    codes = rng.permutation(np.concatenate(
+        [np.arange(n_codes), rng.integers(0, n_codes, extra)]))
+    n = len(codes)
+    fold = _sum_plus_diversity_terms(rng.normal(0.0, 100.0, n), codes.tolist(), 0.37)
+    rows = np.sort(rng.random((m, n)).argsort(axis=1)[:, :min(j, n)], axis=1)
+    if rows.shape[1] > 1:
+        _fold_step_is_first(fold, rows.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scale=st.sampled_from(["small", "medium"]), j=st.integers(2, 5),
+       m=st.sampled_from([1, 8, 30, 300]), seed=st.integers(0, 2 ** 32 - 1))
+def test_coverage_fold_steps_as_it_starts(scale, j, m, seed):
+    """The P6 fold (pathogen maxima and burden load) on seed-0 data."""
+    inst = _oracle_instance("P6", scale)
+    n, k = inst.space.n_candidates, inst.space.k
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.random((m, n)).argsort(axis=1)[:, :min(j, k)], axis=1)
+    _fold_step_is_first(inst.binding.terms, rows.T)
+
+
+@functools.cache
+def _oracle_instance(problem_id, scale, dropped=()):
+    return generate(problem_id, scale, 0, drop_properties=dropped)
+
+
+@pytest.mark.parametrize("problem_id, scale, dropped", [
+    *[(p, s, ()) for p in ("P2", "P4", "P6") for s in ("small", "medium")],
+    *[(p, "small", (name,)) for p in ("P2", "P4")
+      for name in DROPPABLE_PROPERTIES[p]],
+])
+def test_fold_sweep_totals_equal_the_chunk_sweep(problem_id, scale, dropped):
+    """Every total of the level sweep, in order, is the chunk sweep's
+    ``weighted_sum`` of ``terms`` of the same subset, bit for bit."""
+    binding = fresh_binding(_oracle_instance(problem_id, scale, dropped))
+    n, k, fold = binding.space.n_candidates, binding.space.k, binding.terms
+    chunks = [binding.weighted_sum(fold(rows)) for rows in lex_subset_chunks(n, k)]
+    levels = [binding.weighted_sum(fold.finish(state))
+              for state in _fold_blocks(fold, n, k)]
+    assert np.concatenate(levels).tobytes() == np.concatenate(chunks).tobytes()
 
 
 # ---- population batches against the scalar route ----
