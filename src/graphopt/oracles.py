@@ -6,8 +6,9 @@ for the flow problems, and a ramp-relaxed merit-order dispatch for the
 linear scheduling mode.  The bindings' subset memos number k-subsets
 by the combinatorial number system (``subset_ranks``); the enumeration
 sweeps them in lexicographic order: level by level for a ``Fold``
-(P2, P4, P6), holding the (k - 1)-prefixes' states whole (82,251 for
-C(40, 5)), and in chunks of index rows for any other binding.
+(every built-in selection binding, P1 and the P2 twin included),
+holding the (k - 1)-prefixes' states whole (82,251 for C(40, 5)), and
+in chunks of index rows for any other binding.
 """
 
 from __future__ import annotations
@@ -152,6 +153,24 @@ class Fold:
         return self.finish(self.first(rows.T))
 
 
+def joint_fold(parts, finish: Callable) -> Fold:
+    """The folds of ``parts``, (fold, width) pairs, run side by side over
+    the same columns: the state is theirs in turn, fold i's ``width``
+    arrays, and ``finish`` maps the list of their finished states."""
+    ends = np.cumsum([width for _, width in parts]).tolist()
+    spans = [(fold, slice(end - width, end)) for (fold, width), end in zip(parts, ends)]
+
+    def first(cols: np.ndarray) -> tuple:
+        state = ()  # concatenated in a loop: cheaper than a generator
+        for fold, _ in spans:
+            state += fold.first(cols)
+        return state
+
+    return Fold(first, lambda state, col: tuple(
+        a for fold, span in spans for a in fold.step(state[span], col)),
+        lambda state: finish([fold.finish(state[span]) for fold, span in spans]))
+
+
 def _children(fold: Fold, last: np.ndarray, state: tuple, top: int) -> tuple:
     """The lexicographic list of the children of prefixes ending in
     ``last``, each extended by last + 1, ..., top: their last indices,
@@ -195,8 +214,9 @@ def brute_force_selection(binding):
     minimum replaces the best only if strictly lower, so ties resolve to
     the lexicographically smallest index set.  A bad term or total
     raises ``ValueError``, which names the subset (``_lex_subset`` of its
-    position) where the binding has ``terms``.  Only the winner goes
-    through ``evaluate``.  Returns (indices tuple, Fitness).
+    position) where the binding has ``terms``; a non-finite total raises
+    at its block's first one, wherever the minimum is.  Only the winner
+    goes through ``evaluate``.  Returns (indices tuple, Fitness).
     """
     space = binding.space
     if space.kind != "selection":
@@ -216,9 +236,10 @@ def brute_force_selection(binding):
         totals = (binding.evaluate_batch(block) if terms is None else
                   binding.weighted_sum(terms(block), partial(_lex_subset, n, k, start)))
         j = int(np.argmin(totals))  # first occurrence: lexicographic tie rule
-        # argmin lands on a block's first NaN or -inf, or on an all-inf
-        # block's first row, so this one check sees every non-finite total
-        if not math.isfinite(totals[j]):
+        # argmin lands on a NaN or -inf and max on a NaN or +inf; either
+        # way the error names the block's first non-finite total
+        if not (math.isfinite(totals[j]) and totals.max() < math.inf):
+            j = int(np.argmax(~np.isfinite(totals)))
             raise ValueError(f"subset {_lex_subset(n, k, start, j)} has a "
                              f"non-finite total {totals[j]}")
         if best_rank is None or totals[j] < best_total:

@@ -12,11 +12,11 @@ properties per node, and both name the queries behind their terms in
 Every binding scores a population with ``evaluate_batch(X)``, which
 returns the (m,) totals and advances the counters exactly as m calls of
 ``evaluate`` would.  Both patterns decode the batch once and score the
-subsets the memo does not hold in one ``terms`` call: Pattern A reads
-each term's values over that block of subsets (``execute_floats``),
-Pattern B computes in numpy over its arrays.  Either way ``evaluate``
-is a batch of one, through ``_score_runs``.  A ``CallableBinding``
-loops over its own ``evaluate``.
+subsets the memo does not hold in one ``terms`` call: Pattern A folds
+each term's per-node arrays over that block of subsets, Pattern B
+computes in numpy over its arrays.  Either way ``evaluate`` is a batch
+of one, through ``_score_runs``.  A ``CallableBinding`` loops over its
+own ``evaluate``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .graph import PropertyGraph
-from .oracles import BRUTE_FORCE_LIMIT, subset_ranks
+from .oracles import BRUTE_FORCE_LIMIT, Fold, joint_fold, subset_ranks
 from .querylang import (ExecutionError, Query, QueryTemplate, execute,
                         execute_floats, substitute)
 
@@ -442,10 +442,10 @@ class PatternABinding(_TermsBinding):
     over the decoded selections against the graph.
 
     Each term is checked once, at construction, by one ``substitute``
-    of a k-element list, and keeps its checked scalars.  ``terms`` then
-    passes the candidate ids of a whole block of subsets to
-    ``execute_floats``, one call per term, which scores every subset of
-    a batch the memo lacks.  Evaluation and the memo are
+    of a k-element list, and keeps its checked scalars; the candidates
+    must be strictly increasing node ids.  ``terms`` is a ``Fold`` of
+    the terms' node blocks over a whole block of subsets, which the
+    brute-force oracle sweeps level by level.  Evaluation and the memo are
     ``_TermsBinding``'s, as Pattern B's are; each scored subset runs one
     query per term, and the memo keeps its terms, so a subset already
     scored never touches the graph again.
@@ -487,10 +487,16 @@ class PatternABinding(_TermsBinding):
             self._bound.append((term, scalars, term.coefficient
                                 if j < len(self.objective_terms) else 1.0))
         _check_memo_space(self.space, self.memoize)
+        if not self._bound:  # a fold of no terms would not know its row count
+            raise ValueError("Pattern A needs at least one term")
         self.penalty_weights = {term.name: term.coefficient
                                 for term in self.constraint_terms}
         self._init_columns()
-        self._candidate_ids = np.array(self.candidates, dtype=np.int64)
+        ids = self._candidate_ids = np.array(self.candidates, dtype=np.int64)
+        bad = np.flatnonzero((np.diff(ids, prepend=-1) <= 0) | (ids >= len(self.graph.nodes)))
+        if bad.size:  # so sorted index rows give sorted distinct node ids
+            raise ValueError(f"candidate {bad[0]} is {ids[bad[0]]}: the candidates must "
+                             f"be strictly increasing node ids of the graph")
         self._queries_per_subset = len(self._bound)
 
     _memo_keeps_terms = True
@@ -524,21 +530,34 @@ class PatternABinding(_TermsBinding):
                 raise ExecutionError(f"term {term.name!r}: {err}") from err
         return counts
 
-    def terms(self, rows: np.ndarray) -> np.ndarray:
-        """The (m, T) terms of the (m, k) index rows: each term's query
-        answers the block of the rows' candidate ids at once
-        (``execute_floats``).  An objective column is coefficient x
-        value, a constraint column the raw violation (its coefficient is
-        the penalty weight)."""
-        ids = self._candidate_ids[rows]
-        out = np.empty((len(rows), len(self._columns)))
-        for j, (term, scalars, factor) in enumerate(self._bound):
+    @cached_property
+    def terms(self) -> Fold:
+        """The (m, T) terms of (m, k) sorted index rows: a ``Fold``, built
+        on first use, of each term's node-block fold (``_NodeBlock.parts``)
+        or row path side by side over the rows' candidate ids.  An
+        objective column is coefficient x value, a constraint column the
+        raw violation (its coefficient is the penalty weight)."""
+        parts = []
+        for term, scalars, _ in self._bound:
+            block = term.template.plan.node_block(self.graph)
+            parts += block.parts if block else [(self._row_fold(term, scalars), 1)]
+        factors = np.array([factor for *_, factor in self._bound])
+        fold = joint_fold(parts, lambda values: np.array(values, dtype=np.float64).T * factors)
+        ids = self._candidate_ids
+        return Fold(lambda cols: fold.first(ids[cols]),
+                    lambda state, col: fold.step(state, ids[col]), fold.finish)
+
+    def _row_fold(self, term: QueryTerm, scalars: dict) -> Fold:
+        """A term's row path as a fold over its id rows (``execute_floats``)."""
+        def finish(state: tuple) -> np.ndarray:
             try:
-                out[:, j] = factor * execute_floats(
-                    self.graph, term.template, scalars, self.selection_param, ids)[:, 0]
+                return execute_floats(self.graph, term.template, scalars,
+                                      self.selection_param, state[0])[:, 0]
             except ExecutionError as err:
                 raise ExecutionError(f"term {term.name!r}: {err}") from err
-        return out
+
+        return Fold(lambda cols: (np.ascontiguousarray(cols.T),),
+                    lambda state, col: (np.column_stack([state[0], col]),), finish)
 
 
 # ---------------------------------------------------------------------------

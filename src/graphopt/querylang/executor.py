@@ -15,9 +15,10 @@ increments ``missing_property_count`` on the result.
 
 ``execute_floats`` answers an (m, k) integer block of m id lists as an
 (m, items) float64 matrix.  When the list is a placeholder and every
-RETURN item is a count or a sum free of placeholders, it reads per-node
-numpy arrays (``_NodeBlock``); every other plan runs the lists one at a
-time through ``execute``, which walks the match rows.
+RETURN item is a count or a sum free of placeholders, it folds per-node
+numpy arrays (``_NodeBlock``, whose folds Pattern A's ``terms`` runs
+too); every other plan runs the lists one at a time through
+``execute``, which walks the match rows.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..graph import PropertyGraph
+from ..oracles import Fold, joint_fold
 from .ast import (Aggregate, Binary, InExpr, ListLiteral, Literal, Param,
                   Prop, QueryAst, ReturnItem, Unary, param_uses, render_item)
 from .parser import Query, QueryTemplate
@@ -328,9 +330,11 @@ class Plan:
 
     def node_block(self, graph: PropertyGraph) -> Optional[_NodeBlock]:
         """The ``_NodeBlock`` of a ``numpy_block`` plan over this graph,
-        built on first use; None if some node's entry raises or holds a
-        value the numpy sums cannot add exactly (the lists then run the
-        row path)."""
+        built on first use; None for any other plan, or if some node's
+        entry raises or holds a value the numpy sums cannot add exactly
+        (the lists then run the row path)."""
+        if not self.numpy_block:
+            return None
         held = self._blocks.get(id(graph))
         if held is None:
             try:
@@ -350,23 +354,27 @@ class _NodeBlock:
     by node id, with one more row (id ``len(graph.nodes)``, the pad) of
     zeros for an id that names no node of the source label.
 
-    ``values`` reads an (m, k) id block.  Each row is sorted, so nodes
-    come in ascending id, and a repeated id is sent to the pad, so a node
-    counts once: the nodes and order of the row path's id-seek.  Per
-    RETURN item:
+    ``fold``, an ``oracles.Fold`` over (j, m) columns of node ids whose
+    rows are sorted and distinct (the nodes and order of the row path's
+    id-seek), is the plan's arithmetic, declared once: ``parts``, one
+    (fold, state width) per RETURN item, side by side, and the (m, items)
+    float64 values.  Per item:
 
-    - ``count(*)`` and ``count`` add up per-node integer counts;
+    - ``count(*)`` and ``count``: an int64 running sum of per-node counts;
     - ``count(DISTINCT …)`` codes the kept values' ``_hashable`` forms
-      by a dict, which assigns them with the set's equality, gives each
-      node the bit mask of its codes (``code_masks``) and counts the
-      bits of each row's OR (``or_words``, ``count_bits``);
-    - ``sum`` runs one sequential sum (``np.add.accumulate``) along
-      each row over the listed nodes' kept values, node by node in row
-      order, each node's padded with 0.0 to the longest node's length.
-      The row path adds the same values in the same order from 0.
-      Adding 0.0 changes no partial sum, as one that starts at 0 is
-      never -0.0; and its int partial sums equal these floats, since
-      the kept ints sum to less than ``_EXACT_INT``.
+      by a dict, which assigns them with the set's equality, and gives
+      each node the bit mask of its codes (``code_masks``): one uint64
+      OR per mask word, whose bits ``count_bits`` counts;
+    - ``sum``: a float64 running sum from 0.0 over the listed nodes'
+      kept values, node by node and then value by value, each node's
+      padded with 0.0 to the longest node's length.  The row path adds
+      the same values in the same order from 0.  A sum from 0.0 is never
+      -0.0, so adding 0.0 changes no partial sum; and the int partial
+      sums equal these floats, since the kept ints sum to less than
+      ``_EXACT_INT``.
+
+    ``values`` takes any (m, k) id block: the id rule sorts each row and
+    sends a repeated id, or one that names no node, to the pad.
     """
 
     def __init__(self, plan: Plan, graph: PropertyGraph):
@@ -376,20 +384,20 @@ class _NodeBlock:
         entries = [plan._entry(graph, nid) if label in node.labels else empty
                    for nid, node in enumerate(graph.nodes)]
         n_rows, node_kept = zip(*entries, empty)
-        self.items = []  # per item: (kind, per-node array)
+        self.parts = []
         for j, (agg, arg) in enumerate(plan.returns):
             kept = [values[j] for values in node_kept]
-            if arg is None:
-                self.items.append(("count", np.array(n_rows)))
-            elif agg.func == "sum":
-                self.items.append(("sum", self._sums(kept)))
+            if agg.func == "sum":
+                self.parts.append((sum_fold(self._sums(kept)), 1))
             elif agg.distinct:
                 codes: dict = {}
-                node_codes = [[codes.setdefault(v, len(codes)) for v in values]
-                              for values in kept]
-                self.items.append(("distinct", code_masks(node_codes, len(codes))))
-            else:
-                self.items.append(("count", np.array(list(map(len, kept)))))
+                masks = code_masks([[codes.setdefault(v, len(codes)) for v in values]
+                                    for values in kept], len(codes))
+                self.parts.append((distinct_fold(masks), len(masks)))
+            else:  # int counts of rows (count(*)) or of kept values
+                counts = n_rows if arg is None else list(map(len, kept))
+                self.parts.append((sum_fold(np.array(counts)[:, None]), 1))
+        self.fold = joint_fold(self.parts, lambda values: np.array(values, dtype=np.float64).T)
 
     @staticmethod
     def _sums(kept):
@@ -408,24 +416,47 @@ class _NodeBlock:
 
     def values(self, block: np.ndarray) -> np.ndarray:
         """The (m, items) float64 values of the (m, k) int64 id block:
-        each RETURN item's count or sum per row."""
-        m, pad = len(block), self.pad
+        each RETURN item's count or sum per row, after the id rule."""
         ids = np.sort(block, axis=1)
-        ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = pad
+        ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = self.pad
         # read unsigned, a negative id is past the pad too
-        ids[ids.view(np.uint64) > pad] = pad
-        out = np.empty((m, len(self.items)))
-        for j, (kind, table) in enumerate(self.items):
-            if kind == "count":
-                out[:, j] = table[ids].sum(axis=1)
-            elif kind == "distinct":
-                out[:, j] = count_bits(or_words(table, ids.T))
-            else:
-                flat = table[ids].reshape(m, -1)
-                # + 0.0: the row path starts from 0, so its sum is never -0.0
-                out[:, j] = (np.add.accumulate(flat, axis=1)[:, -1] + 0.0
-                             if flat.shape[1] else 0.0)
-        return out
+        ids[ids.view(np.uint64) > self.pad] = self.pad
+        return self.fold(ids)
+
+
+def distinct_fold(masks: np.ndarray) -> Fold:
+    """One uint64 OR per word of the nodes' ``code_masks``, whose bits
+    ``count_bits`` counts.  An OR is exact in any order, so ``first``
+    reduces each word's gather, made C-ordered for contiguous columns."""
+    def step(state: tuple, col: np.ndarray) -> tuple:
+        for found, word in zip(state, masks):
+            found |= word[col]
+        return state
+
+    return Fold(lambda cols: tuple(np.bitwise_or.reduce(np.ascontiguousarray(word[cols]),
+                                                        axis=0) for word in masks),
+                step, count_bits)
+
+
+def sum_fold(padded: np.ndarray) -> Fold:
+    """The running sum from 0, in ``padded``'s dtype, of each node's row
+    of ``padded``, value by value.  A float64 one is never -0.0."""
+    slots = list(padded.T.copy())  # a 1-D table per value slot
+
+    def step(state: tuple, col: np.ndarray) -> tuple:
+        (total,) = state
+        for slot in slots:
+            total += slot[col]
+        return state
+
+    def first(cols: np.ndarray) -> tuple:
+        total = np.zeros(cols.shape[1], dtype=padded.dtype)
+        for col in cols:
+            for slot in slots:
+                total += slot[col]
+        return (total,)
+
+    return Fold(first, step, lambda state: state[0])
 
 
 def code_masks(node_codes, n_codes: int) -> np.ndarray:
@@ -439,21 +470,9 @@ def code_masks(node_codes, n_codes: int) -> np.ndarray:
     return masks
 
 
-def or_words(masks: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """The OR of the ``code_masks`` columns of each row of a (j, m) block
-    of index columns, one (m,) uint64 array per mask word."""
-    words = []
-    for word in masks:
-        found = np.zeros(cols.shape[1], dtype=np.uint64)
-        for col in cols:
-            found |= word[col]
-        words.append(found)
-    return words
-
-
 def count_bits(words) -> np.ndarray:
-    """The set bits of each row of ``or_words``, summed over the words,
-    as int64: the number of distinct codes in the row."""
+    """The set bits of each row of per-word ORs of ``code_masks``, summed
+    over the words, as int64: the number of distinct codes in the row."""
     total = np.zeros(len(words[0]), dtype=np.int64)
     for found in words:
         total += np.bitwise_count(found)
@@ -585,7 +604,7 @@ def execute_floats(graph: PropertyGraph, template: QueryTemplate, scalars: dict,
     if not graph.frozen:
         raise ExecutionError("graph must be frozen before it can be queried")
     plan = template.plan
-    node_block = plan.node_block(graph) if plan.numpy_block else None
+    node_block = plan.node_block(graph)
     if node_block is not None:
         return node_block.values(block)
     rows = []

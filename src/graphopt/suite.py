@@ -53,7 +53,7 @@ import numpy as np
 
 from .graph import PropertyGraph
 from .oracles import (DispatchInstance, Fold, TransportationInstance,
-                      brute_force_selection, merit_order_dispatch,
+                      brute_force_selection, joint_fold, merit_order_dispatch,
                       solve_transportation)
 # decode_selection is not called here; perfbench/trace.py looks it up
 # in this module as well as in problems
@@ -61,7 +61,7 @@ from .problems import (DecisionSpace, PatternABinding, PatternBBinding,  # noqa:
                        QueryTerm, continuous_space, decode_selection,
                        materialize, selection_space)
 from .querylang import parse_query, parse_template
-from .querylang.executor import code_masks, count_bits, or_words
+from .querylang.executor import code_masks, distinct_fold, sum_fold
 from .rng import LaneRng, SeededRng
 
 PROBLEM_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -149,27 +149,14 @@ def _columns(*columns) -> np.ndarray:
 def _sum_plus_diversity_terms(values, codes, beta: float) -> Fold:
     """P2/P4 terms over (m, k) sorted index rows: the negated value sum,
     accumulated column by column from 0.0 in sorted-index order, and
-    -beta times the number of distinct region codes.  The fold's state
-    is the running sum and the OR of the region masks, one array per
+    -beta times the number of distinct region codes.  The fold is the
+    node-block folds of a ``sum`` and a ``count(DISTINCT …)`` side by
+    side: the running sum, and the OR of the region masks, one array per
     mask word."""
-    value_arr = np.asarray(values, dtype=np.float64)
     masks = code_masks([[c] for c in codes], max(codes) + 1)
-
-    def first(cols: np.ndarray) -> tuple:
-        summed = np.zeros(cols.shape[1])
-        for col in cols:
-            summed += value_arr[col]
-        return (summed, *or_words(masks, cols))
-
-    def step(state: tuple, col: np.ndarray) -> tuple:
-        summed, *words = state
-        summed += value_arr[col]
-        for found, word in zip(words, masks):
-            found |= word[col]
-        return state
-
-    return Fold(first, step,
-                lambda state: _columns(-state[0], -beta * count_bits(state[1:])))
+    return joint_fold([(sum_fold(np.asarray(values, dtype=np.float64)[:, None]), 1),
+                       (distinct_fold(masks), len(masks))],
+                      lambda values: _columns(-values[0], -beta * values[1]))
 
 
 def _connected_road_graph(g: PropertyGraph, rng: SeededRng, n_road: int,
@@ -735,26 +722,20 @@ def _gen_p6(scale: str, seed: int, drop_properties: tuple) -> Instance:
     efficacy = 1.0 / (1.0 + count_matrix)
     burden_arr = np.array(arrays["burden"], dtype=np.float64)
 
-    # the state: each row's best efficacy per pathogen, and its load
-    def first(cols: np.ndarray) -> tuple:
-        # a max over axis 0 of the (j, m, pathogens) gather runs along
-        # whole rows, faster than over axis 1 of (m, j, pathogens), and
-        # gives the same array, so the pathogen sums keep their bits
-        best = efficacy[cols].max(axis=0)
-        # burdens are integers, so their column-by-column sum is exact
-        load = np.zeros(cols.shape[1])
-        for col in cols:
-            load += burden_arr[col]
-        return best, load
+    # the state: each row's best efficacy per pathogen, and its load, a
+    # running sum of burdens (integers, so exact)
+    load = sum_fold(burden_arr[:, None])
 
     def step(state: tuple, col: np.ndarray) -> tuple:
-        best, load = state
-        np.maximum(best, efficacy[col], out=best)
-        load += burden_arr[col]
+        np.maximum(state[0], efficacy[col], out=state[0])
+        load.step(state[1:], col)
         return state
 
-    terms = Fold(first, step, lambda state: _columns(-state[0].sum(axis=1),
-                                                     lam * state[1]))
+    # a max over axis 0 of the (j, m, pathogens) gather runs along whole
+    # rows, faster than over axis 1 of (m, j, pathogens), and gives the
+    # same array, so the pathogen sums keep their bits
+    terms = Fold(lambda cols: (efficacy[cols].max(axis=0), *load.first(cols)), step,
+                 lambda state: _columns(-state[0].sum(axis=1), lam * state[1]))
     binding = PatternBBinding(
         space=space, arrays=arrays, terms=terms,
         provenance=provenance, missing_counts=missing, memoize=True,

@@ -9,15 +9,17 @@ import re
 import numpy as np
 import pytest
 
+from graphopt.graph import PropertyGraph
 from graphopt.oracles import (BRUTE_FORCE_LIMIT, DispatchInstance, Fold,
                               InfeasibleDispatch, InfeasibleTransport,
                               OracleTooLarge, TransportationInstance,
                               _fold_blocks, _lex_subset, brute_force_selection,
                               lex_subset_chunks, merit_order_dispatch,
                               solve_transportation)
-from graphopt.problems import (CallableBinding, PatternBBinding,
-                               assemble_fitness, decode_selection,
-                               selection_space)
+from graphopt.problems import (CallableBinding, PatternABinding,
+                               PatternBBinding, QueryTerm, assemble_fitness,
+                               decode_selection, selection_space)
+from graphopt.querylang import parse_template
 from graphopt.rng import SeededRng
 from graphopt.suite import generate, solve_oracle
 from tests.reference import transportation_by_enumeration
@@ -63,6 +65,19 @@ def value_pick_fold(values, k):
                            term_sources={"value": ("v",)})
 
 
+def value_pick_pattern_a(values, k):
+    """The same fitness as a Pattern A binding over nodes that carry the
+    values, read by ``sum(d.v)``: its ``terms`` is a ``Fold`` over the
+    node block, which the oracle sweeps level by level."""
+    g = PropertyGraph()
+    ids = [g.add_node({"D"}, {"v": v}) for v in values]
+    g.freeze()
+    term = QueryTerm("value", parse_template(
+        "MATCH (d:D) WHERE d.id IN $selected RETURN sum(d.v)"), coefficient=-1.0)
+    return PatternABinding(graph=g, space=selection_space(k, len(values)),
+                           candidates=ids, objective_terms=[term], memoize=False)
+
+
 def rows_fold(terms):
     """``terms`` over (m, k) index rows as a ``Fold`` whose state is the
     rows themselves, so the level sweep hands every subset to ``terms``."""
@@ -73,7 +88,7 @@ def rows_fold(terms):
 
 def every_sweep(values, k):
     return (value_pick_binding(values, k), value_pick_callable(values, k),
-            value_pick_fold(values, k))
+            value_pick_fold(values, k), value_pick_pattern_a(values, k))
 
 
 # ---- brute force ----
@@ -104,7 +119,8 @@ def test_vectorized_brute_force_tie_lexicographic():
     # C(21, 5) = 20,349 subsets span two sweep blocks; any 5 of the ten
     # 5s tie, from (0..4) in the first block to (16..20) in the last
     values = [5] * 5 + [1] * 11 + [5] * 5
-    for binding in (value_pick_binding(values, 5), value_pick_fold(values, 5)):
+    for binding in (value_pick_binding(values, 5), value_pick_fold(values, 5),
+                    value_pick_pattern_a(values, 5)):
         subset, fit = brute_force_selection(binding)
         assert subset == (0, 1, 2, 3, 4)
         assert fit.total == -25.0
@@ -120,26 +136,28 @@ def test_batch_brute_force_tie_lexicographic():
     assert binding.evaluations == math.comb(21, 5) + 1  # the winner again
 
 
-@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
 def test_brute_force_rejects_a_non_finite_total(bad):
     # C(30, 4) = 27,405 subsets span two sweep blocks; the optimum sits
-    # at lexicographic position 20,000 and the bad total right after it
-    best, broken = np.array(list(itertools.combinations(range(30), 4))[20000:20002])
+    # at lexicographic position 20,000 and the bad total right after it.
+    # In C(4, 2), one block, the optimum (0, 1) comes before (1, 2)
+    combinations = itertools.combinations
+    cases = [(30, 4, *list(combinations(range(30), 4))[20000:20002]),
+             (4, 2, (0, 1), (1, 2))]
+    for n, k, best, broken in cases:
+        def terms(rows, best=np.array(best), broken=np.array(broken)):
+            totals = np.ones(rows.shape[0])
+            totals[(rows == best).all(axis=1)] = -5.0
+            totals[(rows == broken).all(axis=1)] = bad
+            return totals[:, None]
 
-    def terms(rows):
-        totals = np.ones(rows.shape[0])
-        totals[(rows == best).all(axis=1)] = -5.0
-        totals[(rows == broken).all(axis=1)] = bad
-        return totals[:, None]
-
-    subset = tuple(broken.tolist())
-    for formula in (terms, rows_fold(terms)):  # chunk and level sweeps
-        binding = PatternBBinding(space=selection_space(4, 30),
-                                  arrays={"v": tuple(range(30))}, terms=formula,
-                                  term_sources={"value": ("v",)})
-        with pytest.raises(ValueError, match=re.escape(
-                f"subset {subset} has a non-finite total {bad}")):
-            brute_force_selection(binding)
+        for formula in (terms, rows_fold(terms)):  # chunk and level sweeps
+            binding = PatternBBinding(space=selection_space(k, n),
+                                      arrays={"v": tuple(range(n))}, terms=formula,
+                                      term_sources={"value": ("v",)})
+            with pytest.raises(ValueError, match=re.escape(
+                    f"subset {broken} has a non-finite total {bad}")):
+                brute_force_selection(binding)
 
 
 def test_lex_chunks_equal_itertools_combinations():

@@ -1,13 +1,14 @@
 """Problem core: spaces, decode, fitness assembly, and both binding
 patterns on hand-built graphs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from graphopt.graph import PropertyGraph
-from graphopt.oracles import brute_force_selection
+from graphopt.oracles import Fold, brute_force_selection
 from graphopt.problems import (DecisionSpace, Fitness, PatternABinding,
                                PatternBBinding, QueryTerm, assemble_fitness,
                                continuous_space, decode_selection,
@@ -132,6 +133,21 @@ def coverage_binding(k, lam=0.5, memoize=True):
         objective_terms=[coverage, burden], memoize=memoize)
 
 
+def count_node_block_reads(binding, monkeypatch) -> list:
+    """The rows that each term's node-block fold reads from now on, one
+    entry per ``first`` or ``step`` call.  Call it before the binding's
+    ``terms`` is first built: that takes each term's fold."""
+    reads = []
+    for term in binding._terms:
+        block = term.template.plan.node_block(binding.graph)
+        (fold, width), = block.parts
+        monkeypatch.setattr(block, "parts", [(Fold(
+            lambda cols, fold=fold: reads.append(cols.shape[1]) or fold.first(cols),
+            lambda state, col, fold=fold: reads.append(len(col)) or fold.step(state, col),
+            fold.finish), width)])
+    return reads
+
+
 def test_pattern_a_hand_value():
     # drugs {0,1,2}: 7 distinct genes, burden 5 -> -(7 - 0.5*5) = -4.5
     binding = coverage_binding(3)
@@ -180,6 +196,8 @@ def test_pattern_a_term_names_and_templates_checked():
     with pytest.raises(ValueError, match="aggregate query"):
         PatternABinding(graph=g, space=space, candidates=drugs,
                         objective_terms=[bare])
+    with pytest.raises(ValueError, match="^Pattern A needs at least one term$"):
+        PatternABinding(graph=g, space=space, candidates=drugs, objective_terms=[])
 
 
 @pytest.mark.parametrize("aggregate, ragged", [
@@ -204,11 +222,12 @@ def test_pattern_a_non_numeric_term_raises(aggregate, ragged):
 
 
 def _row_path_terms(binding, rows, monkeypatch):
-    """The binding's terms with every template's numpy route turned off."""
+    """The terms of a copy of the binding built with every template's
+    numpy route turned off."""
     with monkeypatch.context() as patch:
         for term in binding._terms:
             patch.setattr(term.template.plan, "numpy_block", False)
-        return binding.terms(rows)
+        return dataclasses.replace(binding).terms(rows)
 
 
 @pytest.mark.parametrize("problem, scale, drop", [
@@ -222,7 +241,9 @@ def test_pattern_a_numpy_terms_equal_the_row_path(problem, scale, drop, monkeypa
     got = binding.terms(rows)
     assert all(term.template.plan.node_block(binding.graph) is not None
                for term in binding._terms)  # numpy answered them
+    reads = count_node_block_reads(binding, monkeypatch)
     assert got.tobytes() == _row_path_terms(binding, rows, monkeypatch).tobytes()
+    assert reads == []  # the copy ran the row path
 
 
 def test_pattern_a_term_without_a_node_block_raises_its_row_path_error():
@@ -277,9 +298,12 @@ def test_pattern_a_memo_hit_runs_no_query(monkeypatch):
     # from the memo's terms, so the graph is not touched at all
     import graphopt.problems as problems
     binding = coverage_binding(3)
+    reads = count_node_block_reads(binding, monkeypatch)
     X = np.array([[0.4, 1.9, 2.2], [3.0, 4.0, 5.0]])
     first = binding.evaluate_batch(X)
     fits = [binding.evaluate(x) for x in X]
+    assert sum(reads) == binding.query_executions == 4  # the guard sees a query
+    reads.clear()
     calls = []
     for name in ("execute", "execute_floats"):  # a batch's terms go through the second
         real = getattr(problems, name)
@@ -288,7 +312,7 @@ def test_pattern_a_memo_hit_runs_no_query(monkeypatch):
     assert binding.evaluate_batch(X[::-1]).tolist() == first[::-1].tolist()
     assert [binding.evaluate(x) for x in X] == fits
     assert [f.total for f in fits] == first.tolist()
-    assert calls == []
+    assert calls == reads == []
     assert binding.memo_hits == 6
 
 
@@ -308,6 +332,22 @@ def test_pattern_a_candidate_length_checked():
         PatternABinding(
             graph=g, space=selection_space(2, 4), candidates=drugs,
             objective_terms=[])
+
+
+@pytest.mark.parametrize("candidates, bad", [
+    ([0, 2, 1, 3], 2), ([0, 1, 1, 3], 2), ([-1, 0, 1, 2], 0), ([15, 16, 17, 19], 3)])
+def test_pattern_a_candidates_are_increasing_node_ids(candidates, bad):
+    """Sorted rows of candidate indices must give sorted distinct node
+    ids, so a batch needs no id rule: any other list is refused at its
+    first bad position.  The graph's nodes are 0 to 18."""
+    g, _ = drug_graph()
+    term = coverage_binding(2).objective_terms[0]
+    with pytest.raises(ValueError, match=rf"^candidate {bad} is {candidates[bad]}: the "
+                                         r"candidates must be strictly increasing node ids"):
+        PatternABinding(graph=g, space=selection_space(2, 4), candidates=candidates,
+                        objective_terms=[term])
+    PatternABinding(graph=g, space=selection_space(2, 4), candidates=[0, 2, 9, 18],
+                    objective_terms=[term])
 
 
 def test_pattern_a_needs_selection_space():

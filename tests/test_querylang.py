@@ -837,6 +837,52 @@ def test_float_values_equal_the_row_path(g, block):
         assert template.plan.node_block(g) is not None  # numpy answered it
 
 
+def _many_codes():
+    """100 D nodes, each with an R edge to G nodes of 1 to 3 of 130
+    distinct values: count(DISTINCT g.v) over 3 words of code bits, and
+    sums over several values per node."""
+    rng = np.random.default_rng(5)
+    g = PropertyGraph()
+    for i in range(100):
+        d = g.add_node({"D"}, {"v": i * 0.37})
+        for v in rng.integers(0, 130, rng.integers(1, 4)):
+            g.add_edge(d, "R", g.add_node({"G"}, {"v": int(v)}), {})
+    return g.freeze()
+
+
+def _no_values():
+    """D nodes and their G nodes with no ``v``: every sum is 0-wide."""
+    g = PropertyGraph()
+    for _ in range(3):
+        g.add_edge(g.add_node({"D"}, {}), "R", g.add_node({"G"}, {}), {})
+    return g.freeze()
+
+
+@settings(max_examples=150, deadline=None)
+@example(g=_many_codes(), seed=0)
+@example(g=_no_values(), seed=1)
+@example(g=_signed_zeros(), seed=2)
+@example(g=_two_groups(), seed=3)
+@given(g=_labelled_graphs(_node_properties), seed=st.integers(0, 2 ** 32 - 1))
+def test_node_block_fold_steps_as_it_starts(g, seed):
+    """On (j, m) columns of sorted distinct ids, one ``step`` of the
+    (j - 1)-column state is the j-column state, and both finish, bit for
+    bit, to ``_NodeBlock.values`` of the same block (whose id rule then
+    changes nothing)."""
+    rng = np.random.default_rng(seed)
+    n = len(g.nodes)
+    j = int(rng.integers(1, min(n, 6) + 1))
+    rows = np.sort(rng.random((int(rng.integers(1, 40)), n)).argsort(axis=1)[:, :j], axis=1)
+    for template in (BLOCK_ONE, BLOCK_TWO):
+        block = template.plan.node_block(g)
+        fold, cols = block.fold, rows.T
+        whole = fold.finish(fold.first(cols))
+        stepped = fold.finish(fold.step(fold.first(cols[:-1]), cols[-1]))
+        assert whole.shape == (len(rows), 5) and whole.dtype == np.float64
+        assert stepped.tobytes() == whole.tobytes()
+        assert block.values(rows).tobytes() == whole.tobytes()
+
+
 def test_float_values_read_no_table_on_the_numpy_route(monkeypatch):
     """The numpy route builds no query and runs no row path: neither
     ``Query`` nor ``execute`` is called."""

@@ -20,6 +20,7 @@ from graphopt.oracles import (_fold_blocks, brute_force_selection,
 from graphopt.problems import (CallableBinding, PatternABinding,
                                PatternBBinding, assemble_fitness,
                                decode_selection, selection_space, subset_rows)
+from graphopt.querylang import execute_floats
 from graphopt.rng import SeededRng
 from graphopt.solvers import VARIANTS, SolverConfig, run, run_group
 from graphopt.suite import (DROPPABLE_PROPERTIES, PROBLEM_IDS, DisruptionSpec,
@@ -29,6 +30,7 @@ from graphopt.suite import (DROPPABLE_PROPERTIES, PROBLEM_IDS, DisruptionSpec,
                             generate, inject_disruption, pattern_a_binding,
                             solve_oracle)
 from tests import reference
+from tests.test_problems import count_node_block_reads
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -194,31 +196,24 @@ def test_pattern_a_provenance_names_each_template():
         "RETURN sum(d.side_effect_count)")
 
 
-def test_pattern_a_queries_run_through_execute_floats(monkeypatch):
-    """A Pattern A run reads every counted query through
-    ``graphopt.problems.execute_floats``, where a layer tracer can time
-    it; the terms were bound at construction, so a run substitutes and
-    executes no query.  A call answers a block of subsets, one row each,
-    so the rows add up to the count."""
-    calls = {"substitute": [], "execute": [], "execute_floats": []}
-
-    def counted(name):
-        real = getattr(graphopt.problems, name)
-
-        def call(*args, **kwargs):
-            result = real(*args, **kwargs)
-            calls[name].append(len(result) if name == "execute_floats" else 1)
-            return result
-        return call
+def test_pattern_a_queries_run_through_the_node_block_folds(monkeypatch):
+    """A Pattern A run reads every counted query through its terms'
+    node-block folds; the terms were bound at construction, so a run
+    substitutes and executes no query, and runs no list down the row
+    path (``execute_floats``).  A read answers a block of subsets, one
+    row each, so the rows add up to the count."""
     binding = fresh_binding(generate("P1", "small", 0))
-    for name in calls:
-        monkeypatch.setattr(graphopt.problems, name, counted(name))
+    reads = count_node_block_reads(binding, monkeypatch)
+    calls = []
+    for name in ("substitute", "execute", "execute_floats"):
+        real = getattr(graphopt.problems, name)
+        monkeypatch.setattr(graphopt.problems, name, lambda *a, real=real, name=name,
+                            **kw: calls.append(name) or real(*a, **kw))
     run(binding, SolverConfig("rao1", pop_size=8, iterations=10, seed=3))
-    rows = calls["execute_floats"]
     assert binding.query_executions > 0
-    assert sum(rows) == binding.query_executions
-    assert calls["substitute"] == calls["execute"] == []
-    assert len(rows) < binding.query_executions  # blocks, not one per subset
+    assert sum(reads) == binding.query_executions
+    assert calls == []
+    assert len(reads) < binding.query_executions  # blocks, not one per subset
 
 
 def test_pattern_a_templates_answer_in_numpy():
@@ -567,6 +562,26 @@ def test_fold_sweep_totals_equal_the_chunk_sweep(problem_id, scale, dropped):
     binding = fresh_binding(_oracle_instance(problem_id, scale, dropped))
     n, k, fold = binding.space.n_candidates, binding.space.k, binding.terms
     chunks = [binding.weighted_sum(fold(rows)) for rows in lex_subset_chunks(n, k)]
+    levels = [binding.weighted_sum(fold.finish(state))
+              for state in _fold_blocks(fold, n, k)]
+    assert np.concatenate(levels).tobytes() == np.concatenate(chunks).tobytes()
+
+
+@pytest.mark.parametrize("problem_id, scale, dropped", [
+    ("P1", "small", ()), ("P1", "medium", ()), ("P1", "small", ("side_effect_count",)),
+    ("P2", "small", ()), ("P2", "medium", ())])
+def test_pattern_a_fold_sweep_totals_equal_the_chunk_sweep(problem_id, scale, dropped):
+    """Every total of the level sweep of P1 or the P2 twin, in order, is
+    bit for bit the chunk sweep's: one ``execute_floats`` per term over
+    the block of each chunk's candidate ids, id rule included."""
+    instance = _oracle_instance(problem_id, scale, dropped)
+    binding = (fresh_binding if problem_id == "P1" else pattern_a_binding)(instance)
+    n, k, fold = binding.space.n_candidates, binding.space.k, binding.terms
+    ids = np.array(binding.candidates)
+    chunks = [binding.weighted_sum(np.column_stack([
+        term.coefficient * execute_floats(binding.graph, term.template, term.scalars,
+                                          binding.selection_param, ids[rows])[:, 0]
+        for term in binding.objective_terms])) for rows in lex_subset_chunks(n, k)]
     levels = [binding.weighted_sum(fold.finish(state))
               for state in _fold_blocks(fold, n, k)]
     assert np.concatenate(levels).tobytes() == np.concatenate(chunks).tobytes()
